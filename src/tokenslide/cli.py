@@ -20,11 +20,11 @@ from .instances import Instance, emit_instance, emit_moves, parse_instance, pars
 from .interval_reconfig import reconf_interval
 from .matching import fast_match_intervals, min_cost_matching
 from .moves import MoveSequence
-from .multiset import TokenMultiset
 from .oracle import (
     DEFAULT_STATE_CAP,
     dominating_predicate,
     independent_set_predicate,
+    reconfig_component,
     reconfig_distance_bfs,
     verify_sequence,
 )
@@ -98,47 +98,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _config_label(tokens: TokenMultiset) -> str:
-    parts = []
-    for v, c in tokens.items():
-        parts.extend([str(v)] * c)
-    return ",".join(parts)
+def _config_label(key: tuple[tuple[int, int], ...]) -> str:
+    return ",".join(str(v) for v, c in key for _ in range(c))
 
 
 def _emit_dot(inst: Instance, pred, cap: int) -> None:
     """DOT drawing of the reachable component around the start configuration."""
-    from collections import deque
-
-    start = inst.d_s
-    adj = inst.graph.adjacency
-    seen = {start.key(): start}
-    frontier = deque([start])
-    edges = set()
-    while frontier:
-        cur = frontier.popleft()
-        counts = dict(cur.items())
-        for v in list(counts):
-            for w in adj[v]:
-                nxt = cur.slide(v, w)
-                if not pred(nxt.support_mask):
-                    continue
-                a, b = sorted((cur.key(), nxt.key()))
-                edges.add((a, b))
-                if nxt.key() not in seen and len(seen) < cap:
-                    seen[nxt.key()] = nxt
-                    frontier.append(nxt)
+    states, slides = reconfig_component(inst.graph, pred, inst.d_s, cap)
+    start, goal = inst.d_s.key(), inst.d_t.key()
     print("graph reconfiguration {")
-    for key, tokens in sorted(seen.items()):
-        label = _config_label(tokens)
-        shape = ""
-        if tokens == inst.d_s:
-            shape = ", shape=box"
-        elif tokens == inst.d_t:
-            shape = ", shape=doublecircle"
+    for key in sorted(states):
+        label = _config_label(key)
+        shape = ", shape=box" if key == start else ", shape=doublecircle" if key == goal else ""
         print(f'  "{label}" [label="{label}"{shape}];')
-    for a, b in sorted(edges):
-        if a in seen and b in seen:
-            print(f'  "{_config_label(seen[a])}" -- "{_config_label(seen[b])}";')
+    for a, b in sorted(slides):
+        print(f'  "{_config_label(a)}" -- "{_config_label(b)}";')
     print("}")
 
 

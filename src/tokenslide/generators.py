@@ -7,13 +7,13 @@ Twister), so generated instances are reproducible across platforms.
 from __future__ import annotations
 
 import random
+from bisect import insort
 
 from .errors import InputError
-from .graphs import Graph, RootedTree, SetSystem, is_dominating
+from .graphs import Coverage, Graph, RootedTree, SetSystem, closed_neighborhoods, is_dominating
 from .instances import Instance
 from .intervals import IntervalRepresentation, intersection_graph, normalize_representation
 from .multiset import TokenMultiset
-from .oracle import Predicate, dominating_predicate, hitting_predicate
 
 _GEN_RETRY_CAP = 60
 
@@ -123,33 +123,28 @@ def greedy_dominating_intervals(rep: IntervalRepresentation, g: Graph) -> set[in
     return chosen
 
 
-def diversify_tokens(
-    g: Graph,
-    pred: Predicate,
-    tokens: TokenMultiset,
-    rng: random.Random,
-    steps: int,
-) -> TokenMultiset:
-    """Random walk in the reconfiguration graph: feasibility-preserving slides."""
-    counts = dict(tokens.items())
-    mask = tokens.support_mask
+def diversify_tokens(g: Graph, cover: Coverage, rng: random.Random, steps: int) -> TokenMultiset:
+    """Random walk in the reconfiguration graph: feasibility-preserving slides.
+
+    Starts from the feasible configuration that ``cover`` tracks and moves
+    it along; returns where the walk ends.
+    """
+    counts = cover.counts
+    occupied = [v for v, c in enumerate(counts) if c]
     for _ in range(steps):
-        occupied = sorted(counts)
         u = rng.choice(occupied)
         nbrs = g.neighbors(u)
         if not nbrs:
             continue
         w = rng.choice(nbrs)
-        new_mask = (mask & ~(1 << u)) if counts[u] == 1 else mask
-        new_mask |= 1 << w
-        if not pred(new_mask):
+        if not cover.can_slide(u, w):
             continue
-        counts[u] -= 1
+        cover.slide(u, w)
         if not counts[u]:
-            del counts[u]
-        counts[w] = counts.get(w, 0) + 1
-        mask = new_mask
-    return TokenMultiset(counts)
+            occupied.remove(u)
+        if counts[w] == 1:
+            insort(occupied, w)
+    return TokenMultiset.from_counts_list(counts)
 
 
 def _pad_to_size(base: set[int], k: int, n: int, rng: random.Random) -> TokenMultiset:
@@ -190,14 +185,14 @@ def gen_instance(
             base = greedy_dominating_intervals(rep, graph)
         if len(base) > k:
             continue
-        pred = dominating_predicate(graph)
         start = _pad_to_size(base, k, n, rng)
         if k == n:
             d_s = d_t = start
         else:
             steps = diversify_steps if diversify_steps is not None else 2 * n
-            d_s = diversify_tokens(graph, pred, start, rng, steps)
-            d_t = diversify_tokens(graph, pred, start, rng, steps)
+            hits = closed_neighborhoods(graph)
+            d_s = diversify_tokens(graph, Coverage(hits, n, start), rng, steps)
+            d_t = diversify_tokens(graph, Coverage(hits, n, start), rng, steps)
         assert is_dominating(graph, d_s) and is_dominating(graph, d_t)
         file_kind = "tree" if kind == "tree" else "intervals"
         return Instance(kind=file_kind, graph=graph, rep=rep, d_s=d_s, d_t=d_t)
@@ -226,9 +221,9 @@ def gen_hitting_instance(
     # one hitting vertex per set: its member closest to the root
     base = {min(s, key=lambda v: (tree.depth[v], v)) for s in system.sets}
     start = TokenMultiset(sorted(base))
-    pred = hitting_predicate(system)
-    h_s = diversify_tokens(tree.graph, pred, start, rng, 2 * n)
-    h_t = diversify_tokens(tree.graph, pred, start, rng, 2 * n)
+    hits = system.hits(n)
+    h_s = diversify_tokens(tree.graph, Coverage(hits, len(system), start), rng, 2 * n)
+    h_t = diversify_tokens(tree.graph, Coverage(hits, len(system), start), rng, 2 * n)
     return tree, system, h_s, h_t
 
 

@@ -188,6 +188,16 @@ class SetSystem:
             if inner_edges != len(s) - 1:
                 raise InputError(f"set {i} does not induce a subtree")
 
+    def hits(self, n: int) -> list[frozenset[int]]:
+        """Per vertex of an n-vertex graph, the indices of the sets containing it."""
+        out: list[set[int]] = [set() for _ in range(n)]
+        for i, s in enumerate(self.sets):
+            for v in s:
+                if not 0 <= v < n:
+                    raise InputError(f"set {i} mentions vertex {v} outside the graph")
+                out[v].add(i)
+        return [frozenset(h) for h in out]
+
     def __len__(self) -> int:
         return len(self.sets)
 
@@ -224,11 +234,73 @@ def is_hitting(system: SetSystem, tokens: TokenMultiset) -> bool:
     return True
 
 
+def closed_neighborhoods(g: Graph) -> list[frozenset[int]]:
+    """N[v] for every vertex: the sets a token on v hits when set w is N[w]."""
+    return [frozenset((v, *g.neighbors(v))) for v in range(g.n)]
+
+
 def closed_neighborhood_system(tree: RootedTree) -> SetSystem:
     """One set N[v] per vertex; hitting it is the same as dominating the tree."""
-    g = tree.graph
-    sets = [tuple(sorted((v, *g.neighbors(v)))) for v in range(g.n)]
-    return SetSystem(sets, tree=tree)
+    return SetSystem(closed_neighborhoods(tree.graph), tree=tree)
+
+
+class Coverage:
+    """Token counts per vertex and hit counts per set, updated slide by slide.
+
+    ``hits[v]`` holds the sets a token on v hits: ``closed_neighborhoods(g)``
+    for domination, ``SetSystem.hits`` for a set family.  Callers read
+    ``counts`` but change it only through ``slide``.
+    """
+
+    __slots__ = ("hits", "counts", "hit_counts")
+
+    def __init__(self, hits: list[frozenset[int]], n_sets: int, tokens: TokenMultiset):
+        n = len(hits)
+        counts = [0] * n
+        hit = [0] * n_sets
+        for v, c in tokens.items():
+            if not 0 <= v < n:
+                raise InputError(f"token on vertex {v} outside the graph")
+            counts[v] = c
+            for s in hits[v]:
+                hit[s] += 1
+        self.hits = hits
+        self.counts = counts
+        self.hit_counts = hit
+
+    @property
+    def feasible(self) -> bool:
+        """True iff every set is hit."""
+        return 0 not in self.hit_counts
+
+    def can_slide(self, u: int, w: int) -> bool:
+        """Would sliding one token u -> w leave every set that is hit now hit?
+
+        Only sets around u can lose their last token, and only when u's last
+        token leaves, so the check is O(|hits[u]|).
+        """
+        counts = self.counts
+        if u == w or counts[u] >= 2:
+            return True
+        hit = self.hit_counts
+        gained = self.hits[w] if counts[w] == 0 else ()
+        for s in self.hits[u]:
+            if hit[s] == 1 and s not in gained:
+                return False
+        return True
+
+    def slide(self, u: int, w: int) -> None:
+        """Move one token u -> w; the caller ensures u holds one."""
+        counts = self.counts
+        hit = self.hit_counts
+        counts[u] -= 1
+        if not counts[u]:
+            for s in self.hits[u]:
+                hit[s] -= 1
+        if not counts[w]:
+            for s in self.hits[w]:
+                hit[s] += 1
+        counts[w] += 1
 
 
 def require_same_size(a: TokenMultiset, b: TokenMultiset) -> None:

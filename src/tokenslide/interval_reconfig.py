@@ -14,7 +14,8 @@ import logging
 from typing import Callable
 
 from .errors import InputError, InvariantError
-from .graphs import Graph, distances_from, require_dominating, require_same_size
+from .graphs import Coverage, Graph, closed_neighborhoods, distances_from
+from .graphs import require_dominating, require_same_size
 from .intervals import IntervalRepresentation, intersection_graph
 from .matching import Matching, min_cost_matching, normalize_matching
 from .moves import MoveSequence, compress_moves
@@ -25,65 +26,41 @@ logger = logging.getLogger(__name__)
 FixListener = Callable[[TokenMultiset, TokenMultiset, Matching], None]
 
 
-def _closed_sets(g: Graph) -> list[frozenset[int]]:
-    return [frozenset((v, *g.neighbors(v))) for v in range(g.n)]
+def _successors(g: Graph, dist: list[list[int]]) -> Callable[[int, int], tuple[int, ...]]:
+    """succ(u, v): neighbors of u one step closer to v, by increasing id, cached."""
+    cache: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def succ(u: int, v: int) -> tuple[int, ...]:
+        got = cache.get((u, v))
+        if got is None:
+            row = dist[v]
+            target = row[u] - 1
+            got = tuple([w for w in g.neighbors(u) if row[w] == target])
+            cache[(u, v)] = got
+        return got
+
+    return succ
 
 
-def _coverage(g: Graph, counts: list[int]) -> list[int]:
-    """Per-vertex number of support vertices in its closed neighborhood."""
-    cover = [0] * g.n
-    for v in range(g.n):
-        if counts[v]:
-            cover[v] += 1
-            for w in g.neighbors(v):
-                cover[w] += 1
-    return cover
-
-
-def _slide_keeps_dominating(
-    closed: list[frozenset[int]],
-    counts: list[int],
-    cover: list[int],
-    u: int,
-    u2: int,
-) -> bool:
-    """Would moving one token u -> u2 keep a dominating configuration?
-
-    Assumes the current configuration dominates.  Only vertices around u can
-    lose coverage, and only when u's last token leaves, so the check is
-    O(deg(u)).
-    """
-    if u == u2 or counts[u] >= 2:
-        return True
-    gains = counts[u2] == 0
-    near_u2 = closed[u2]
-    for w in closed[u]:
-        if cover[w] == 1 and not (gains and w in near_u2):
-            return False
-    return True
-
-
-def _apply_slide(
-    closed: list[frozenset[int]],
-    counts: list[int],
-    cover: list[int],
-    other: list[int],
-    mismatch: int,
-    u: int,
-    u2: int,
-) -> int:
-    """Move one token u -> u2, maintaining coverage counts; returns new mismatch."""
-    mismatch -= abs(counts[u] - other[u]) + abs(counts[u2] - other[u2])
-    if counts[u] == 1:
-        for w in closed[u]:
-            cover[w] -= 1
-    counts[u] -= 1
-    if counts[u2] == 0:
-        for w in closed[u2]:
-            cover[w] += 1
-    counts[u2] += 1
-    mismatch += abs(counts[u] - other[u]) + abs(counts[u2] - other[u2])
-    return mismatch
+def _scan(
+    succ: Callable[[int, int], tuple[int, ...]],
+    pairs: dict[tuple[int, int], int],
+    cover_s: Coverage,
+    cover_t: Coverage,
+) -> tuple[str, int, int, int] | None:
+    """First feasibility-preserving slide along the matching, source side first."""
+    ordered = sorted(pairs)
+    for u, v in ordered:
+        if u != v:
+            for u2 in succ(u, v):
+                if cover_s.can_slide(u, u2):
+                    return ("s", u, u2, v)
+    for u, v in ordered:
+        if u != v:
+            for v2 in succ(v, u):
+                if cover_t.can_slide(v, v2):
+                    return ("t", v, v2, u)
+    return None
 
 
 def find_greedy_move(
@@ -93,43 +70,19 @@ def find_greedy_move(
     m: Matching,
     dist: list[list[int]] | None = None,
 ) -> tuple[str, int, int, int] | None:
-    """Reference scan for a feasibility-preserving slide along the matching.
+    """The feasibility-preserving slide that ``reconf_interval`` would take next.
 
     Scans matched pairs in increasing (source, target) order, source side
     first, successor candidates by increasing id.  Returns
     ("s", u, u_next, target) or ("t", v, v_next, source), or None when both
     sides are stuck.
     """
-    n = g.n
-    cs = [0] * n
-    ct = [0] * n
-    for v, c in d_s.items():
-        cs[v] = c
-    for v, c in d_t.items():
-        ct[v] = c
-    closed = _closed_sets(g)
-    cover_s = _coverage(g, cs)
-    cover_t = _coverage(g, ct)
     if dist is None:
-        dist = [distances_from(g, v) for v in range(n)]
-    ordered = sorted(m.pairs)
-    for u, v in ordered:
-        if u == v:
-            continue
-        row = dist[v]
-        target = row[u] - 1
-        for u2 in g.neighbors(u):
-            if row[u2] == target and _slide_keeps_dominating(closed, cs, cover_s, u, u2):
-                return ("s", u, u2, v)
-    for u, v in ordered:
-        if u == v:
-            continue
-        row = dist[u]
-        target = row[v] - 1
-        for v2 in g.neighbors(v):
-            if row[v2] == target and _slide_keeps_dominating(closed, ct, cover_t, v, v2):
-                return ("t", v, v2, u)
-    return None
+        dist = [distances_from(g, v) for v in range(g.n)]
+    hits = closed_neighborhoods(g)
+    return _scan(
+        _successors(g, dist), m.pairs, Coverage(hits, g.n, d_s), Coverage(hits, g.n, d_t)
+    )
 
 
 def fix_matching(
@@ -174,17 +127,12 @@ def fix_matching(
                 rows[x] = distances_from(g, x)
             return rows[x][y]
 
-    n = g.n
-    cs = [0] * n
-    for x, c in d_s.items():
-        cs[x] = c
-    closed = _closed_sets(g)
-    cover = _coverage(g, cs)
+    cover = Coverage(closed_neighborhoods(g), g.n, d_s)
     surplus = d_t.difference(d_s)
     for y in sorted(surplus.support, key=rep.right):
         if not g.has_edge(v, y):
             continue
-        if not _slide_keeps_dominating(closed, cs, cover, v, y):
+        if not cover.can_slide(v, y):
             continue
         for v2, _ in m.matches_of(v):
             if v2 == v:
@@ -238,64 +186,30 @@ def reconf_interval(
 
     n = g.n
     dist = [distances_from(g, v) for v in range(n)]
-    closed = _closed_sets(g)
-    cs = [0] * n
-    ct = [0] * n
-    for x, c in d_s.items():
-        cs[x] = c
-    for x, c in d_t.items():
-        ct[x] = c
-    cover_s = _coverage(g, cs)
-    cover_t = _coverage(g, ct)
-    mismatch = sum(abs(cs[x] - ct[x]) for x in range(n))
+    hits = closed_neighborhoods(g)
+    cover_s = Coverage(hits, n, d_s)
+    cover_t = Coverage(hits, n, d_t)
+    cs, ct = cover_s.counts, cover_t.counts
     pairs = m.pairs
-    succ_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def succ(u: int, v: int) -> tuple[int, ...]:
-        got = succ_cache.get((u, v))
-        if got is None:
-            row = dist[v]
-            tgt = row[u] - 1
-            got = tuple(w for w in g.neighbors(u) if row[w] == tgt)
-            succ_cache[(u, v)] = got
-        return got
+    succ = _successors(g, dist)
 
     front: list[tuple[int, int]] = []
     back: list[tuple[int, int]] = []
     emitted = 0
     repairs_without_progress = 0
-    while mismatch:
-        found = None
-        for u, v in sorted(pairs):
-            if u == v:
-                continue
-            for u2 in succ(u, v):
-                if _slide_keeps_dominating(closed, cs, cover_s, u, u2):
-                    found = ("s", u, u2, v)
-                    break
-            if found:
-                break
-        if found is None:
-            for u, v in sorted(pairs):
-                if u == v:
-                    continue
-                for v2 in succ(v, u):
-                    if _slide_keeps_dominating(closed, ct, cover_t, v, v2):
-                        found = ("t", v, v2, u)
-                        break
-                if found:
-                    break
+    while cs != ct:
+        found = _scan(succ, pairs, cover_s, cover_t)
         if found is not None:
             repairs_without_progress = 0
             side, a, a2, other = found
             logger.debug("move %d: side=%s %d->%d toward %d", emitted, side, a, a2, other)
             if side == "s":
                 front.append((a, a2))
-                mismatch = _apply_slide(closed, cs, cover_s, ct, mismatch, a, a2)
+                cover_s.slide(a, a2)
                 old, new = (a, other), (a2, other)
             else:
                 back.append((a2, a))
-                mismatch = _apply_slide(closed, ct, cover_t, cs, mismatch, a, a2)
+                cover_t.slide(a, a2)
                 old, new = (other, a), (other, a2)
             pairs[old] -= 1
             if not pairs[old]:

@@ -80,6 +80,26 @@ def independent_set_predicate(g: Graph) -> Predicate:
     return pred
 
 
+Key = tuple[tuple[int, int], ...]
+
+
+def _slides(adj, pred: Predicate, key: Key, mask: int):
+    """Every feasible one-token slide from a configuration, as (key, support mask)."""
+    counts = dict(key)
+    for v, c in key:
+        base = mask & ~(1 << v) if c == 1 else mask
+        for w in adj[v]:
+            new_mask = base | 1 << w
+            if not pred(new_mask):
+                continue
+            counts[v] -= 1
+            counts[w] = counts.get(w, 0) + 1
+            new_key = tuple(sorted((x, k) for x, k in counts.items() if k))
+            counts[w] -= 1
+            counts[v] += 1
+            yield new_key, new_mask
+
+
 def reconfig_distance_bfs(
     g: Graph,
     pred: Predicate,
@@ -104,33 +124,39 @@ def reconfig_distance_bfs(
         return 0
     adj = g.adjacency
     visited = {start_key}
-    frontier: deque[tuple[tuple[tuple[int, int], ...], int, int]] = deque(
-        [(start_key, start.support_mask, 0)]
-    )
+    frontier: deque[tuple[Key, int, int]] = deque([(start_key, start.support_mask, 0)])
     while frontier:
         key, mask, d = frontier.popleft()
-        counts = dict(key)
-        for v, c in key:
-            base = mask & ~(1 << v) if c == 1 else mask
-            for w in adj[v]:
-                bit = 1 << w
-                new_mask = base | bit
-                if not pred(new_mask):
-                    continue
-                counts[v] -= 1
-                counts[w] = counts.get(w, 0) + 1
-                new_key = tuple(sorted((x, k) for x, k in counts.items() if k))
-                counts[w] -= 1
-                counts[v] += 1
-                if new_key in visited:
-                    continue
-                if new_key == goal_key:
-                    return d + 1
-                visited.add(new_key)
-                if len(visited) > cap:
-                    raise StateCapExceeded(f"visited more than {cap} configurations")
-                frontier.append((new_key, new_mask, d + 1))
+        for new_key, new_mask in _slides(adj, pred, key, mask):
+            if new_key in visited:
+                continue
+            if new_key == goal_key:
+                return d + 1
+            visited.add(new_key)
+            if len(visited) > cap:
+                raise StateCapExceeded(f"visited more than {cap} configurations")
+            frontier.append((new_key, new_mask, d + 1))
     return None
+
+
+def reconfig_component(
+    g: Graph, pred: Predicate, start: TokenMultiset, cap: int = DEFAULT_STATE_CAP
+) -> tuple[set[Key], set[tuple[Key, Key]]]:
+    """Configurations reachable from start, the first ``cap`` of them in
+    breadth-first order, and the slides between those as ordered key pairs."""
+    seen = {start.key()}
+    slides: set[tuple[Key, Key]] = set()
+    frontier = deque([(start.key(), start.support_mask)])
+    while frontier:
+        key, mask = frontier.popleft()
+        for new_key, new_mask in _slides(g.adjacency, pred, key, mask):
+            if new_key not in seen:
+                if len(seen) >= cap:
+                    continue
+                seen.add(new_key)
+                frontier.append((new_key, new_mask))
+            slides.add((key, new_key) if key < new_key else (new_key, key))
+    return seen, slides
 
 
 class VerifyResult(NamedTuple):

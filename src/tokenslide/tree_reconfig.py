@@ -12,13 +12,8 @@ run-length compressed to at most one triple per vertex.
 from __future__ import annotations
 
 from .errors import InvariantError
-from .graphs import (
-    RootedTree,
-    SetSystem,
-    closed_neighborhood_system,
-    require_hitting,
-    require_same_size,
-)
+from .graphs import RootedTree, SetSystem, require_dominating, require_hitting, require_same_size
+from .graphs import closed_neighborhood_system  # noqa: F401  perfbench's --trace 1 patches it here
 from .moves import MoveSequence
 from .multiset import TokenMultiset
 
@@ -36,7 +31,25 @@ def reconf_tree(
     system.ensure_subtrees(tree)
     require_hitting(system, h_s, "start")
     require_hitting(system, h_t, "target")
+    return _sweep(tree, h_s, h_t)
 
+
+def reconf_tree_dominating(
+    tree: RootedTree, d_s: TokenMultiset, d_t: TokenMultiset
+) -> MoveSequence:
+    """Dominating-set specialization: hit the family of closed neighborhoods.
+
+    Every closed neighborhood of a tree is a star, hence a subtree, so the
+    family needs no validation and is never built.
+    """
+    require_same_size(d_s, d_t)
+    require_dominating(tree.graph, d_s, "start")
+    require_dominating(tree.graph, d_t, "target")
+    return _sweep(tree, d_s, d_t)
+
+
+def _sweep(tree: RootedTree, h_s: TokenMultiset, h_t: TokenMultiset) -> MoveSequence:
+    """The deepest-first sweep on two feasible configurations of equal size."""
     n = tree.n
     cs = [0] * n
     ct = [0] * n
@@ -65,9 +78,3 @@ def reconf_tree(
         raise InvariantError("leftover imbalance at the root despite equal sizes")
     return MoveSequence(front + back[::-1])
 
-
-def reconf_tree_dominating(
-    tree: RootedTree, d_s: TokenMultiset, d_t: TokenMultiset
-) -> MoveSequence:
-    """Dominating-set specialization: hit the family of closed neighborhoods."""
-    return reconf_tree(tree, closed_neighborhood_system(tree), d_s, d_t)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,11 +14,14 @@ from tokenslide import (
     UNREACHABLE,
     closed_neighborhood_system,
     distances_from,
+    dominating_predicate,
+    hitting_predicate,
     is_dominating,
     is_hitting,
     succ_set,
 )
-from tokenslide.generators import random_token_multiset, random_tree
+from tokenslide.generators import random_subtree_family, random_token_multiset, random_tree
+from tokenslide.graphs import Coverage, closed_neighborhoods
 
 
 def path(n):
@@ -182,3 +186,40 @@ def test_random_tree_is_a_tree(n, seed):
     g = random_tree(n, random.Random(seed))
     RootedTree(g, 0)  # validates connectivity and edge count
     assert g.edge_count == n - 1
+
+
+def _check_tracker_against_oracle(g, hits, n_sets, pred, k):
+    """Every size-k configuration, and every slide along an edge from each
+    feasible one: the tracker must agree with the oracle's mask predicate."""
+    for combo in itertools.combinations_with_replacement(range(g.n), k):
+        tokens = TokenMultiset(combo)
+        feasible = pred(tokens.support_mask)
+        assert Coverage(hits, n_sets, tokens).feasible == feasible
+        if not feasible:
+            continue
+        for u in tokens.support:
+            for w in g.neighbors(u):
+                slid = tokens.slide(u, w)
+                cover = Coverage(hits, n_sets, tokens)
+                assert cover.can_slide(u, w) == pred(slid.support_mask)
+                cover.slide(u, w)
+                assert cover.feasible == pred(slid.support_mask)
+                assert TokenMultiset.from_counts_list(cover.counts) == slid
+
+
+@given(st.integers(1, 7), st.integers(1, 3), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_coverage_agrees_with_dominating_predicate(n, k, density, seed):
+    rng = random.Random(seed)
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
+    g = Graph(n, edges)
+    _check_tracker_against_oracle(g, closed_neighborhoods(g), n, dominating_predicate(g), k)
+
+
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_coverage_agrees_with_hitting_predicate(n, k, seed):
+    rng = random.Random(seed)
+    tree = RootedTree(random_tree(n, rng), 0)
+    system = random_subtree_family(tree, rng, rng.randrange(1, n + 1))
+    _check_tracker_against_oracle(
+        tree.graph, system.hits(n), len(system), hitting_predicate(system), k
+    )

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 invalid input, 2 infeasible / unreachable / failed
-verification.  Set REC_LOG=debug for trace logging of greedy scans and
-matching repairs.
+verification, 3 internal error (a broken invariant: a bug, not bad input).
+Set REC_LOG=debug for trace logging of greedy scans and matching repairs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import os
 import sys
 import time
 
-from .errors import FeasibilityError, InputError, StateCapExceeded
+from .errors import FeasibilityError, InputError, InvariantError, MatchingError, StateCapExceeded
 from .graphs import RootedTree
 from .generators import gen_bench_interval_instance, gen_instance, heavy_path_instance
 from .instances import Instance, emit_instance, emit_moves, parse_instance, parse_moves
@@ -33,6 +33,7 @@ from .tree_reconfig import reconf_tree_dominating
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
+EXIT_INTERNAL = 3
 
 
 def _read(path: str) -> str:
@@ -262,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except (InvariantError, MatchingError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

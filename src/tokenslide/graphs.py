@@ -88,6 +88,34 @@ def distances_from(g: Graph, s: int) -> list[int]:
     return dist
 
 
+class Distances(dict):
+    """BFS rows of g, each computed the first time it is asked for.
+
+    ``dist[v][w]`` is the distance between v and w, so the table can stand
+    wherever a list of ``distances_from`` rows is read.
+    """
+
+    __slots__ = ("graph",)
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.graph = g
+
+    def __missing__(self, v: int) -> list[int]:
+        row = self[v] = distances_from(self.graph, v)
+        return row
+
+
+def steps_toward(g: Graph, u: int, row: list[int]) -> tuple[int, ...]:
+    """Neighbors w of u with ``row[w] == row[u] - 1``, by increasing id.
+
+    With row the BFS row of v, these are the first steps of the shortest
+    u-v paths: empty for u == v and when v lies in another component.
+    """
+    target = row[u] - 1
+    return tuple([w for w in g.neighbors(u) if row[w] == target])
+
+
 def succ_set(g: Graph, u: int, v: int) -> tuple[int, ...]:
     """Neighbors of u that lie on some shortest u-v path, sorted.
 
@@ -95,13 +123,10 @@ def succ_set(g: Graph, u: int, v: int) -> tuple[int, ...]:
     """
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise InputError("vertex out of range")
-    if u == v:
-        return ()
-    dist = distances_from(g, v)
-    if dist[u] == UNREACHABLE:
+    row = distances_from(g, v)
+    if row[u] == UNREACHABLE:
         raise InputError(f"vertex {v} is unreachable from {u}")
-    target = dist[u] - 1
-    return tuple(w for w in g.neighbors(u) if dist[w] == target)
+    return steps_toward(g, u, row)
 
 
 class RootedTree:

@@ -14,10 +14,11 @@ import logging
 from typing import Callable
 
 from .errors import InputError, InvariantError
-from .graphs import Coverage, Graph, closed_neighborhoods, distances_from
+from .graphs import Coverage, Distances, Graph, closed_neighborhoods, steps_toward
+from .graphs import distances_from  # noqa: F401  perfbench's --trace 1 patches it here
 from .graphs import require_dominating, require_same_size
 from .intervals import IntervalRepresentation, intersection_graph
-from .matching import Matching, min_cost_matching, normalize_matching
+from .matching import Matching, _shift_pair, min_cost_matching, normalize_matching
 from .moves import MoveSequence, compress_moves
 from .multiset import TokenMultiset
 
@@ -26,24 +27,9 @@ logger = logging.getLogger(__name__)
 FixListener = Callable[[TokenMultiset, TokenMultiset, Matching], None]
 
 
-def _successors(g: Graph, dist: list[list[int]]) -> Callable[[int, int], tuple[int, ...]]:
-    """succ(u, v): neighbors of u one step closer to v, by increasing id, cached."""
-    cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def succ(u: int, v: int) -> tuple[int, ...]:
-        got = cache.get((u, v))
-        if got is None:
-            row = dist[v]
-            target = row[u] - 1
-            got = tuple([w for w in g.neighbors(u) if row[w] == target])
-            cache[(u, v)] = got
-        return got
-
-    return succ
-
-
 def _scan(
-    succ: Callable[[int, int], tuple[int, ...]],
+    g: Graph,
+    dist: Distances | list[list[int]],
     pairs: dict[tuple[int, int], int],
     cover_s: Coverage,
     cover_t: Coverage,
@@ -52,12 +38,12 @@ def _scan(
     ordered = sorted(pairs)
     for u, v in ordered:
         if u != v:
-            for u2 in succ(u, v):
+            for u2 in steps_toward(g, u, dist[v]):
                 if cover_s.can_slide(u, u2):
                     return ("s", u, u2, v)
     for u, v in ordered:
         if u != v:
-            for v2 in succ(v, u):
+            for v2 in steps_toward(g, v, dist[u]):
                 if cover_t.can_slide(v, v2):
                     return ("t", v, v2, u)
     return None
@@ -68,7 +54,7 @@ def find_greedy_move(
     d_s: TokenMultiset,
     d_t: TokenMultiset,
     m: Matching,
-    dist: list[list[int]] | None = None,
+    dist: Distances | list[list[int]] | None = None,
 ) -> tuple[str, int, int, int] | None:
     """The feasibility-preserving slide that ``reconf_interval`` would take next.
 
@@ -78,11 +64,9 @@ def find_greedy_move(
     sides are stuck.
     """
     if dist is None:
-        dist = [distances_from(g, v) for v in range(g.n)]
+        dist = Distances(g)
     hits = closed_neighborhoods(g)
-    return _scan(
-        _successors(g, dist), m.pairs, Coverage(hits, g.n, d_s), Coverage(hits, g.n, d_t)
-    )
+    return _scan(g, dist, m.pairs, Coverage(hits, g.n, d_s), Coverage(hits, g.n, d_t))
 
 
 def fix_matching(
@@ -91,7 +75,7 @@ def fix_matching(
     d_s: TokenMultiset,
     d_t: TokenMultiset,
     m: Matching,
-    _dist: list[list[int]] | None = None,
+    _dist: Distances | list[list[int]] | None = None,
 ) -> Matching:
     """Swap partners of two matched pairs so that a greedy slide exists.
 
@@ -116,17 +100,7 @@ def fix_matching(
         return flipped.inverse()
 
     require_dominating(g, d_s, "source")
-    if _dist is not None:
-        def d(x: int, y: int) -> int:
-            return _dist[x][y]
-    else:
-        rows: dict[int, list[int]] = {}
-
-        def d(x: int, y: int) -> int:
-            if x not in rows:
-                rows[x] = distances_from(g, x)
-            return rows[x][y]
-
+    dist = Distances(g) if _dist is None else _dist
     cover = Coverage(closed_neighborhoods(g), g.n, d_s)
     surplus = d_t.difference(d_s)
     for y in sorted(surplus.support, key=rep.right):
@@ -140,17 +114,11 @@ def fix_matching(
             for y2, _ in m.matches_to(y):
                 if y2 == y:
                     continue
-                gap = 1 + d(y2, v2) - d(v, v2) - d(y2, y)
-                if d(y2, v2) < 0 or d(v, v2) < 0 or d(y2, y) < 0:
-                    continue
-                if gap <= 0:
+                d_y2v2, d_vv2, d_y2y = dist[y2][v2], dist[v][v2], dist[y2][y]
+                if min(d_y2v2, d_vv2, d_y2y) >= 0 and 1 + d_y2v2 - d_vv2 - d_y2y <= 0:
                     pairs = m.pairs
-                    for key in ((v, v2), (y2, y)):
-                        pairs[key] -= 1
-                        if not pairs[key]:
-                            del pairs[key]
-                    for key in ((v, y), (y2, v2)):
-                        pairs[key] = pairs.get(key, 0) + 1
+                    _shift_pair(pairs, (v, v2), (v, y))
+                    _shift_pair(pairs, (y2, y), (y2, v2))
                     logger.debug(
                         "repair: v=%d y=%d swapped partners v'=%d y'=%d", v, y, v2, y2
                     )
@@ -185,20 +153,19 @@ def reconf_interval(
     m = normalize_matching(g, m, d_s, d_t)
 
     n = g.n
-    dist = [distances_from(g, v) for v in range(n)]
+    dist = Distances(g)
     hits = closed_neighborhoods(g)
     cover_s = Coverage(hits, n, d_s)
     cover_t = Coverage(hits, n, d_t)
     cs, ct = cover_s.counts, cover_t.counts
     pairs = m.pairs
-    succ = _successors(g, dist)
 
     front: list[tuple[int, int]] = []
     back: list[tuple[int, int]] = []
     emitted = 0
     repairs_without_progress = 0
     while cs != ct:
-        found = _scan(succ, pairs, cover_s, cover_t)
+        found = _scan(g, dist, pairs, cover_s, cover_t)
         if found is not None:
             repairs_without_progress = 0
             side, a, a2, other = found
@@ -206,15 +173,11 @@ def reconf_interval(
             if side == "s":
                 front.append((a, a2))
                 cover_s.slide(a, a2)
-                old, new = (a, other), (a2, other)
+                _shift_pair(pairs, (a, other), (a2, other))
             else:
                 back.append((a2, a))
                 cover_t.slide(a, a2)
-                old, new = (other, a), (other, a2)
-            pairs[old] -= 1
-            if not pairs[old]:
-                del pairs[old]
-            pairs[new] = pairs.get(new, 0) + 1
+                _shift_pair(pairs, (other, a), (other, a2))
             emitted += 1
             if emitted > cost:
                 raise InvariantError("emitted more moves than the matching bound allows")

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, InvariantError, MatchingError
-from .graphs import UNREACHABLE, Graph, distances_from, require_same_size, succ_set
+from .graphs import UNREACHABLE, Distances, Graph, require_same_size, succ_set
+from .graphs import distances_from  # noqa: F401  perfbench's --trace 1 patches it here
 from .intervals import IntervalRepresentation
 from .multiset import TokenMultiset
 
@@ -84,14 +85,22 @@ class Matching:
         return f"Matching({self.items()!r})"
 
 
+def _shift_pair(
+    pairs: dict[tuple[int, int], int], old: tuple[int, int], new: tuple[int, int]
+) -> None:
+    """Move one unit of multiplicity from pair old to pair new, dropping old at zero."""
+    pairs[old] -= 1
+    if not pairs[old]:
+        del pairs[old]
+    pairs[new] = pairs.get(new, 0) + 1
+
+
 def matching_cost(g: Graph, m: Matching) -> int | None:
     """Sum of graph distances weighted by multiplicities; None if any pair is split across components."""
-    dists: dict[int, list[int]] = {}
+    dist = Distances(g)
     total = 0
     for (u, v), c in m.items():
-        if u not in dists:
-            dists[u] = distances_from(g, u)
-        d = dists[u][v]
+        d = dist[u][v]
         if d == UNREACHABLE:
             return None
         total += d * c
@@ -119,13 +128,13 @@ def min_cost_matching(
     left = _expand(a)
     right = _expand(b)
     k = len(left)
-    dist_rows = {v: distances_from(g, v) for v in a.support}
+    dist = Distances(g)
     # any value above the largest possible finite total makes the solver
     # avoid unreachable pairs whenever a finite assignment exists
     big = k * max(g.n, 1) + 1
     cost = np.empty((k, k), dtype=np.int64)
     for i, u in enumerate(left):
-        row = dist_rows[u]
+        row = dist[u]
         for j, v in enumerate(right):
             d = row[v]
             cost[i, j] = big if d == UNREACHABLE else d
@@ -133,7 +142,7 @@ def min_cost_matching(
     pairs: Counter[tuple[int, int]] = Counter()
     total = 0
     for i, j in zip(rows, cols):
-        d = dist_rows[left[i]][right[j]]
+        d = dist[left[i]][right[j]]
         if d == UNREACHABLE:
             return None, None
         total += d
@@ -155,8 +164,8 @@ def brute_force_matching(g: Graph, a: TokenMultiset, b: TokenMultiset) -> int | 
         return 0
     left = _expand(a)
     right = _expand(b)
-    dist_rows = {v: distances_from(g, v) for v in a.support}
-    table = [[dist_rows[u][v] for v in right] for u in left]
+    dist = Distances(g)
+    table = [[dist[u][v] for v in right] for u in left]
     best: int | None = None
     for perm in itertools.permutations(range(k)):
         total = 0
@@ -187,12 +196,8 @@ def normalize_matching(
         while pairs.get((v, v), 0) < want:
             x = min(u for (u, t) in pairs if t == v and u != v)
             y = min(t for (u, t) in pairs if u == v and t != v)
-            for key in ((x, v), (v, y)):
-                pairs[key] -= 1
-                if not pairs[key]:
-                    del pairs[key]
-            pairs[(v, v)] = pairs.get((v, v), 0) + 1
-            pairs[(x, y)] = pairs.get((x, y), 0) + 1
+            _shift_pair(pairs, (x, v), (v, v))
+            _shift_pair(pairs, (v, y), (x, y))
     return Matching(pairs)
 
 
@@ -207,10 +212,7 @@ def rematch_after_slide(g: Graph, m: Matching, u: int, u_next: int, target: int)
     if u_next not in succ_set(g, u, target):
         raise MatchingError(f"{u_next} is not on a shortest path from {u} to {target}")
     pairs = m.pairs
-    pairs[(u, target)] -= 1
-    if not pairs[(u, target)]:
-        del pairs[(u, target)]
-    pairs[(u_next, target)] = pairs.get((u_next, target), 0) + 1
+    _shift_pair(pairs, (u, target), (u_next, target))
     return Matching(pairs)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from tokenslide.cli import main
+from tokenslide.errors import InvariantError, MatchingError
 from tokenslide.instances import parse_instance
 
 P4_TREE = "tree 4\n0 1\n1 2\n2 3\ntokens 2: 0 2\ntokens 2: 1 3\n"
@@ -165,3 +166,18 @@ class TestBench:
 
     def test_bad_sizes(self):
         assert main(["bench", "--kind", "tree", "--sizes", "a,b"]) == 1
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("error", [InvariantError, MatchingError])
+    def test_one_line_and_exit_code_3(self, error, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise error("emitted 3 moves but the matching bound is 2")
+
+        monkeypatch.setattr("tokenslide.cli.reconf_interval", broken)
+        f = tmp_path / "iv.txt"
+        f.write_text("intervals 3\n0 1 4\n1 2 5\n2 3 6\ntokens 1: 0\ntokens 1: 2\n")
+        assert main(["solve", str(f)]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["internal error: emitted 3 moves but the matching bound is 2"]
+        assert "Traceback" not in err

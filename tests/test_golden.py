@@ -1,8 +1,9 @@
 """Golden-bytes regression: seeded generator and solver output must not drift.
 
 The hashes pin the exact text of ``tokenslide gen`` and ``tokenslide solve``
-for a few seeded instances, and the exact hitting-set instances and tree
-solutions for a few seeds.  A change that alters any random draw, any scan
+for a few seeded instances, the exact hitting-set instances and tree
+solutions for a few seeds, the interval solver's matching-repair path on two
+small instances, and its output on three seeded benchmark instances.  A change that alters any random draw, any scan
 order or any tie-break shows up here as a hash mismatch.
 """
 
@@ -11,8 +12,10 @@ import hashlib
 import pytest
 
 import tokenslide as ts
+from tokenslide import interval_reconfig
 from tokenslide.cli import main
-from tokenslide.generators import gen_hitting_instance
+from tokenslide.generators import gen_bench_interval_instance, gen_hitting_instance
+from tokenslide.instances import emit_moves
 
 
 def _sha(text: str) -> str:
@@ -73,3 +76,57 @@ def test_hitting_instance_and_solution_bytes(n, seed):
     seq = ts.reconf_tree(tree, system, h_s, h_t)
     text = repr((tree.graph.edges(), system.sets, h_s.items(), h_t.items(), seq.moves))
     assert _sha(text) == HITTING[n, seed]
+
+
+# Each instance fires exactly one matching repair, on its start state:
+# (instance text, sha256 of the solve output, stuck matching, repaired matching)
+REPAIR = [
+    (
+        "intervals 9\n0 6 15\n1 12 17\n2 3 10\n3 2 5\n4 11 16\n5 13 14\n6 4 8\n7 1 7\n8 9 18\n"
+        "tokens 2: 6 8\ntokens 2: 0 2\n",
+        "f92ae0c3b1dcd53d93e33542500238c61caa90271954832f9b8d7ffe65e12629",
+        {(6, 0): 1, (8, 2): 1},
+        {(6, 2): 1, (8, 0): 1},
+    ),
+    (
+        "intervals 9\n0 1 11\n1 9 17\n2 5 16\n3 2 4\n4 12 15\n5 8 10\n6 3 6\n7 14 18\n8 7 13\n"
+        "tokens 2: 1 6\ntokens 2: 0 2\n",
+        "216197e54cf6ecdd47e210d06aaea5721be4cecf832bfbb709e980554f183b56",
+        {(1, 0): 1, (6, 2): 1},
+        {(1, 2): 1, (6, 0): 1},
+    ),
+]
+
+# seed -> sha256 of the emitted reconf_interval solution of gen_bench_interval_instance(200, seed)
+BENCH_INTERVAL = {
+    81: "b068cd00e62a2aeadeca65aed6dfe52f20484c6a181206f60a20da4b810111cf",
+    82: "0c2b277dae827a4a6a631f8a96581437522d27c9bd6997fd339a684e8102ac13",
+    83: "ea8f18753d817bc8d4b621dbdaf2da802580128428faf31ea982f8e8a7c2aef1",
+}
+
+
+@pytest.mark.parametrize("text,moves_sha,stuck,repaired", REPAIR)
+def test_repair_path_bytes(text, moves_sha, stuck, repaired, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "instance.txt"
+    path.write_text(text)
+    real_fix = interval_reconfig.fix_matching
+    handed = []
+
+    def recording(rep, g, d_s, d_t, m, _dist=None):
+        handed.append((d_s, d_t, m))
+        return real_fix(rep, g, d_s, d_t, m, _dist=_dist)
+
+    monkeypatch.setattr(interval_reconfig, "fix_matching", recording)
+    assert main(["solve", str(path)]) == 0
+    assert _sha(capsys.readouterr().out) == moves_sha
+    inst = ts.parse_instance(text)
+    assert handed == [(inst.d_s, inst.d_t, ts.Matching(stuck))]
+    direct = real_fix(inst.rep, inst.graph, inst.d_s, inst.d_t, ts.Matching(stuck))
+    assert direct == ts.Matching(repaired)
+
+
+@pytest.mark.parametrize("seed", sorted(BENCH_INTERVAL))
+def test_bench_interval_solution_bytes(seed):
+    inst = gen_bench_interval_instance(200, seed)
+    seq = ts.reconf_interval(inst.rep, inst.d_s, inst.d_t)
+    assert _sha(emit_moves(list(seq.moves), seq.total_length)) == BENCH_INTERVAL[seed]

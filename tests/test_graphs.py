@@ -21,7 +21,9 @@ from tokenslide import (
     succ_set,
 )
 from tokenslide.generators import random_subtree_family, random_token_multiset, random_tree
-from tokenslide.graphs import Coverage, closed_neighborhoods
+from tokenslide.graphs import Coverage, Distances, closed_neighborhoods, steps_toward
+from tokenslide.interval_reconfig import find_greedy_move
+from tokenslide.matching import Matching
 
 
 def path(n):
@@ -223,3 +225,48 @@ def test_coverage_agrees_with_hitting_predicate(n, k, seed):
     _check_tracker_against_oracle(
         tree.graph, system.hits(n), len(system), hitting_predicate(system), k
     )
+
+
+def _random_graph(n, density, rng):
+    """G(n, p); small densities leave it disconnected."""
+    return Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density])
+
+
+@given(st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_distance_table_and_successor_rule(n, density, seed):
+    rng = random.Random(seed)
+    g = _random_graph(n, density, rng)
+    table = Distances(g)
+    assert not table  # rows are computed on first use only
+    order = list(range(n))
+    rng.shuffle(order)
+    for v in order:
+        row = distances_from(g, v)
+        assert table[v] == row
+        for u in range(n):
+            on_shortest_path = tuple(
+                w
+                for w in range(n)
+                if g.has_edge(u, w) and row[u] != UNREACHABLE and row[w] == row[u] - 1
+            )
+            assert steps_toward(g, u, row) == on_shortest_path
+    assert sorted(table) == list(range(n))
+
+
+@given(st.integers(1, 9), st.integers(1, 4), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_greedy_move_same_for_every_distance_source(n, k, density, seed):
+    rng = random.Random(seed)
+    g = _random_graph(n, density, rng)
+    d_s = random_token_multiset(n, k, rng)
+    d_t = random_token_multiset(n, k, rng)
+    left = [v for v, c in d_s.items() for _ in range(c)]
+    right = [v for v, c in d_t.items() for _ in range(c)]
+    rng.shuffle(right)
+    pairs = {}
+    for key in zip(left, right):
+        pairs[key] = pairs.get(key, 0) + 1
+    m = Matching(pairs)
+    rows = [distances_from(g, v) for v in range(n)]
+    expected = find_greedy_move(g, d_s, d_t, m)
+    assert find_greedy_move(g, d_s, d_t, m, rows) == expected
+    assert find_greedy_move(g, d_s, d_t, m, Distances(g)) == expected

@@ -162,13 +162,29 @@ def _cmd_match(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _bench_tree_point(n: int) -> tuple[int, float]:
+def _heavy_path_pile(n: int):
     # heavy path traffic: quadratically many unit moves, linearly many triples
-    graph, d_s, d_t = heavy_path_instance(n, max(1, n // 10))
+    return heavy_path_instance(n, max(1, n // 10))
+
+
+def _bench_tree_point(n: int) -> tuple[int, float]:
+    graph, d_s, d_t = _heavy_path_pile(n)
     tree = RootedTree(graph, 0)
     t0 = time.perf_counter()
     seq = reconf_tree_dominating(tree, d_s, d_t)
     elapsed = time.perf_counter() - t0
+    return seq.total_length, elapsed * 1000.0
+
+
+def _bench_verify_point(n: int) -> tuple[int, float]:
+    graph, d_s, d_t = _heavy_path_pile(n)
+    seq = reconf_tree_dominating(RootedTree(graph, 0), d_s, d_t)
+    pred = dominating_predicate(graph)
+    t0 = time.perf_counter()
+    ok, final, failure = verify_sequence(graph, pred, d_s, seq)
+    elapsed = time.perf_counter() - t0
+    if not ok or final != d_t:
+        raise InvariantError(f"the tree solver's sequence does not verify: {failure}")
     return seq.total_length, elapsed * 1000.0
 
 
@@ -196,6 +212,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for n in sizes:
         if args.kind == "tree":
             total, ms = _bench_tree_point(n)
+        elif args.kind == "verify":
+            total, ms = _bench_verify_point(n)
         else:
             total, ms = _bench_interval_point(n, args.seed + n)
         print(f"{n},{total},{ms:.2f}")
@@ -242,7 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_match)
 
     p = sub.add_parser("bench", help="CSV timing ladder")
-    p.add_argument("--kind", choices=("tree", "interval"), required=True)
+    p.add_argument(
+        "--kind",
+        choices=("tree", "interval", "verify"),
+        required=True,
+        help="time the tree solver, the interval solver, or verify_sequence on the tree ladder",
+    )
     p.add_argument("--sizes", required=True, help="comma-separated vertex counts")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)

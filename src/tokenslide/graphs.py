@@ -314,18 +314,21 @@ class Coverage:
                 return False
         return True
 
-    def slide(self, u: int, w: int) -> None:
-        """Move one token u -> w; the caller ensures u holds one."""
+    def slide(self, u: int, w: int, count: int = 1) -> None:
+        """Move ``count`` >= 1 tokens u -> w; the caller ensures u holds them.
+
+        Hit counts change only when u empties or w gains its first token.
+        """
         counts = self.counts
         hit = self.hit_counts
-        counts[u] -= 1
+        counts[u] -= count
         if not counts[u]:
             for s in self.hits[u]:
                 hit[s] -= 1
         if not counts[w]:
             for s in self.hits[w]:
                 hit[s] += 1
-        counts[w] += 1
+        counts[w] += count
 
 
 def require_same_size(a: TokenMultiset, b: TokenMultiset) -> None:

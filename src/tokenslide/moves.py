@@ -50,12 +50,6 @@ def expand_moves(seq: MoveSequence) -> list[tuple[int, int]]:
     return out
 
 
-def iter_unit_moves(seq: MoveSequence) -> Iterator[tuple[int, int]]:
-    for u, v, c in seq.moves:
-        for _ in range(c):
-            yield (u, v)
-
-
 def compress_moves(unit_moves: Iterable[tuple[int, int]]) -> MoveSequence:
     """Merge consecutive identical unit moves into triples."""
     triples: list[list[int]] = []

@@ -2,18 +2,22 @@
 sequence verification.
 
 States are token multisets; feasibility predicates look only at the support
-and receive it as a bit mask, which keeps the BFS inner loop cheap.
+and receive it as a bit mask, which keeps the BFS inner loop cheap.  The
+upward-closed predicates (dominating, hitting) also carry ``hit_lists(n)``,
+the per-vertex set lists and set count of a ``graphs.Coverage``, on which
+``verify_sequence`` replays a sequence one triple at a time.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from typing import Callable, NamedTuple
 
-from .errors import FeasibilityError, StateCapExceeded
-from .graphs import Graph, SetSystem, require_same_size
+from .errors import FeasibilityError, InputError, StateCapExceeded
+from .graphs import Coverage, Graph, SetSystem, closed_neighborhoods, require_same_size
 from .matching import min_cost_matching
-from .moves import MoveSequence, iter_unit_moves
+from .moves import MoveSequence
 from .multiset import TokenMultiset
 
 #: Visited-state budget for the exhaustive search.
@@ -22,17 +26,28 @@ DEFAULT_STATE_CAP = 2_000_000
 Predicate = Callable[[int], bool]
 
 
+def _masks(sets: Iterable[Iterable[int]]) -> list[int]:
+    out = []
+    for s in sets:
+        mask = 0
+        for v in s:
+            mask |= 1 << v
+        out.append(mask)
+    return out
+
+
 def dominating_predicate(g: Graph) -> Predicate:
-    """Feasible iff the support dominates g."""
+    """Feasible iff the support dominates g.
+
+    The mask table is built on the first call: it is quadratic in n, and
+    ``verify_sequence`` never calls the predicate, only ``hit_lists``.
+    """
     full = (1 << g.n) - 1
-    closed = []
-    for v in range(g.n):
-        mask = 1 << v
-        for w in g.neighbors(v):
-            mask |= 1 << w
-        closed.append(mask)
+    closed: list[int] = []
 
     def pred(support_mask: int) -> bool:
+        if not closed:
+            closed.extend(1 << v | m for v, m in enumerate(_masks(g.adjacency)))
         covered = 0
         m = support_mask
         while m:
@@ -41,32 +56,29 @@ def dominating_predicate(g: Graph) -> Predicate:
             m ^= low
         return covered == full
 
+    pred.hit_lists = lambda n: (closed_neighborhoods(g), g.n)
     return pred
 
 
 def hitting_predicate(system: SetSystem) -> Predicate:
-    """Feasible iff the support intersects every set of the system."""
-    set_masks = []
-    for s in system.sets:
-        mask = 0
-        for v in s:
-            mask |= 1 << v
-        set_masks.append(mask)
+    """Feasible iff the support intersects every set of the system.
+
+    The mask table is built on the first call, as in ``dominating_predicate``.
+    """
+    set_masks: list[int] = []
 
     def pred(support_mask: int) -> bool:
+        if not set_masks:
+            set_masks.extend(_masks(system.sets))
         return all(support_mask & m for m in set_masks)
 
+    pred.hit_lists = lambda n: (system.hits(n), len(system))
     return pred
 
 
 def independent_set_predicate(g: Graph) -> Predicate:
     """Feasible iff no two support vertices are adjacent (oracle self-tests)."""
-    nbr = []
-    for v in range(g.n):
-        mask = 0
-        for w in g.neighbors(v):
-            mask |= 1 << w
-        nbr.append(mask)
+    nbr = _masks(g.adjacency)
 
     def pred(support_mask: int) -> bool:
         m = support_mask
@@ -170,29 +182,45 @@ def verify_sequence(
 ) -> VerifyResult:
     """Replay a move sequence, checking edges, token presence and feasibility.
 
-    On failure, ``final`` is the configuration after the longest valid prefix.
+    Failures name the unit move at fault, counted from 0 across the whole
+    sequence.  On failure, ``final`` is the configuration after the longest
+    valid prefix.
+
+    The predicate must be upward-closed and carry ``hit_lists`` (as
+    ``dominating_predicate`` and ``hitting_predicate`` do).  Then a triple
+    (u, v, c) with a tokens on u only visits the supports S + v, which
+    contains the feasible S, and, after its a-th move, S + v - u, so one
+    ``Coverage.can_slide`` per triple decides it.
     """
-    counts = dict(start.items())
-    mask = start.support_mask
-    if not pred(mask):
-        return VerifyResult(False, TokenMultiset(counts), "start configuration is infeasible")
-    for i, (u, v) in enumerate(iter_unit_moves(seq)):
+    hit_lists = getattr(pred, "hit_lists", None)
+    if hit_lists is None:
+        raise InputError("verify_sequence needs an upward-closed predicate with hit lists")
+    cover = Coverage(*hit_lists(g.n), start)
+    counts = cover.counts
+
+    def fail(message: str) -> VerifyResult:
+        return VerifyResult(False, TokenMultiset.from_counts_list(counts), message)
+
+    if not cover.feasible:
+        return fail("start configuration is infeasible")
+    i = 0
+    for u, v, c in seq.moves:
         if not g.has_edge(u, v):
-            return VerifyResult(False, TokenMultiset(counts), f"move {i}: ({u}, {v}) is not an edge")
-        if counts.get(u, 0) < 1:
-            return VerifyResult(False, TokenMultiset(counts), f"move {i}: no token on vertex {u}")
-        new_mask = (mask & ~(1 << u)) if counts[u] == 1 else mask
-        new_mask |= 1 << v
-        if not pred(new_mask):
-            return VerifyResult(
-                False, TokenMultiset(counts), f"move {i}: configuration after ({u}, {v}) is infeasible"
-            )
-        counts[u] -= 1
-        if not counts[u]:
-            del counts[u]
-        counts[v] = counts.get(v, 0) + 1
-        mask = new_mask
-    return VerifyResult(True, TokenMultiset(counts), None)
+            return fail(f"move {i}: ({u}, {v}) is not an edge")
+        a = counts[u]
+        if a < 1:
+            return fail(f"move {i}: no token on vertex {u}")
+        bulk = min(c, a - 1)
+        if bulk:
+            cover.slide(u, v, bulk)
+        if c >= a:
+            if not cover.can_slide(u, v):
+                return fail(f"move {i + a - 1}: configuration after ({u}, {v}) is infeasible")
+            cover.slide(u, v)
+            if c > a:
+                return fail(f"move {i + a}: no token on vertex {u}")
+        i += c
+    return VerifyResult(True, TokenMultiset.from_counts_list(counts), None)
 
 
 def certify_optimality(

@@ -128,3 +128,34 @@ def harvest_interval_stalls(max_states: int, seed_cap: int = 400):
         if len(out) >= max_states:
             break
     return out
+
+
+def unit_replay(g: ts.Graph, pred, start: ts.TokenMultiset, seq: ts.MoveSequence):
+    """Reference for ``verify_sequence``: expand every triple into unit moves
+    and run the mask predicate after each one."""
+    counts = dict(start.items())
+    mask = start.support_mask
+
+    def fail(message: str) -> ts.VerifyResult:
+        return ts.VerifyResult(False, ts.TokenMultiset(counts), message)
+
+    if not pred(mask):
+        return fail("start configuration is infeasible")
+    i = 0
+    for u, v, c in seq.moves:
+        for _ in range(c):
+            if not g.has_edge(u, v):
+                return fail(f"move {i}: ({u}, {v}) is not an edge")
+            if counts.get(u, 0) < 1:
+                return fail(f"move {i}: no token on vertex {u}")
+            new_mask = (mask & ~(1 << u)) if counts[u] == 1 else mask
+            new_mask |= 1 << v
+            if not pred(new_mask):
+                return fail(f"move {i}: configuration after ({u}, {v}) is infeasible")
+            counts[u] -= 1
+            if not counts[u]:
+                del counts[u]
+            counts[v] = counts.get(v, 0) + 1
+            mask = new_mask
+            i += 1
+    return ts.VerifyResult(True, ts.TokenMultiset(counts), None)

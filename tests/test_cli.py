@@ -2,7 +2,10 @@ import pytest
 
 from tokenslide.cli import main
 from tokenslide.errors import InvariantError, MatchingError
-from tokenslide.instances import parse_instance
+from tokenslide.generators import heavy_path_instance
+from tokenslide.graphs import RootedTree
+from tokenslide.instances import Instance, emit_instance, emit_moves, parse_instance
+from tokenslide.tree_reconfig import reconf_tree_dominating
 
 P4_TREE = "tree 4\n0 1\n1 2\n2 3\ntokens 2: 0 2\ntokens 2: 1 3\n"
 C4_GRAPH = "graph 4\n0 1\n1 2\n2 3\n0 3\ntokens 2: 0 2\ntokens 2: 1 3\n"
@@ -80,6 +83,17 @@ class TestVerify:
         mf = tmp_path / "moves.txt"
         mf.write_text("moves 1\n0 1 1\n")
         assert main(["verify", p4_file, str(mf)]) == 2
+
+    def test_billions_of_moves(self, tmp_path, capsys):
+        n = 100_000
+        graph, d_s, d_t = heavy_path_instance(n, n // 3)
+        seq = reconf_tree_dominating(RootedTree(graph, 0), d_s, d_t)
+        f = tmp_path / "path.txt"
+        f.write_text(emit_instance(Instance("tree", graph, None, d_s, d_t)))
+        mf = tmp_path / "moves.txt"
+        mf.write_text(emit_moves(list(seq.moves), seq.total_length))
+        assert main(["verify", str(f), str(mf)]) == 0
+        assert capsys.readouterr().out == "valid (3333266667 moves)\n"
 
 
 class TestOracle:
@@ -163,6 +177,15 @@ class TestBench:
         assert main(["bench", "--kind", "interval", "--sizes", "40", "--seed", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("40,")
+
+    def test_verify_csv(self, capsys):
+        assert main(["bench", "--kind", "verify", "--sizes", "300,3000"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "n,total_moves,wall_ms"
+        # the same heavy-path piles as the tree ladder
+        assert main(["bench", "--kind", "tree", "--sizes", "300,3000"]) == 0
+        tree_lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[:2] for line in lines] == [line.split(",")[:2] for line in tree_lines]
 
     def test_bad_sizes(self):
         assert main(["bench", "--kind", "tree", "--sizes", "a,b"]) == 1

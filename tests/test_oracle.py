@@ -1,11 +1,18 @@
+import gc
+import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tokenslide import (
     FeasibilityError,
     Graph,
+    InputError,
     MoveSequence,
+    RootedTree,
     StateCapExceeded,
     TokenMultiset,
     certify_optimality,
@@ -13,11 +20,20 @@ from tokenslide import (
     hitting_predicate,
     independent_set_predicate,
     min_cost_matching,
+    reconf_tree_dominating,
     reconfig_distance_bfs,
     verify_sequence,
     SetSystem,
 )
-from tokenslide.generators import random_connected_graph, random_token_multiset
+from tokenslide.generators import (
+    heavy_path_instance,
+    random_connected_graph,
+    random_subtree_family,
+    random_token_multiset,
+    random_tree,
+)
+
+from helpers import unit_replay
 
 
 def path(n):
@@ -145,6 +161,77 @@ class TestVerifySequence:
         )
         assert not ok and "infeasible" in failure
         assert final == TokenMultiset([1, 2])
+
+    def test_predicate_without_hit_lists_rejected(self):
+        with pytest.raises(InputError):
+            verify_sequence(C4, independent_set_predicate(C4), TokenMultiset([0, 2]), MoveSequence([]))
+
+    def test_scale_of_the_triples(self):
+        n = 100_000
+        g, d_s, d_t = heavy_path_instance(n, n // 3)
+        seq = reconf_tree_dominating(RootedTree(g, 0), d_s, d_t)
+        pred = dominating_predicate(g)
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            ok, final, failure = verify_sequence(g, pred, d_s, seq)
+            elapsed = time.perf_counter() - t0
+        finally:
+            gc.enable()
+        assert ok and final == d_t and failure is None
+        assert seq.total_length > 10**9
+        assert elapsed < 1.0, f"{elapsed:.2f}s for {len(seq.moves)} triples"
+
+
+def _random_triples(g, tokens, rng, length):
+    """Triples that mostly follow the tokens, with non-edges, empty sources,
+    counts above the token count and last tokens leaving mixed in."""
+    counts = [0] * g.n
+    for v, c in tokens.items():
+        counts[v] = c
+    out = []
+    for _ in range(length):
+        held = [v for v in range(g.n) if counts[v] and g.neighbors(v)]
+        if not held or rng.random() < 0.05:
+            u, v = rng.sample(range(g.n), 2)
+            c = rng.randrange(1, 4)
+        else:
+            u = rng.choice(held)
+            v = rng.choice(g.neighbors(u))
+            if rng.random() < 0.9:
+                c = rng.randrange(1, counts[u] + 1)
+            else:
+                c = counts[u] + rng.randrange(1, 3)
+        out.append((u, v, c))
+        moved = min(c, counts[u])
+        counts[u] -= moved
+        counts[v] += moved
+    return MoveSequence(out)
+
+
+def _check_against_unit_replay(g, pred, rng):
+    picks = rng.choices(range(g.n), k=rng.randrange(1, g.n + 4))
+    if rng.random() < 0.9:  # mostly feasible starts, so the triples get replayed
+        while not pred(TokenMultiset(picks).support_mask):
+            picks.append(rng.randrange(g.n))
+    tokens = TokenMultiset(picks)
+    seq = _random_triples(g, tokens, rng, rng.randrange(0, 12))
+    assert verify_sequence(g, pred, tokens, seq) == unit_replay(g, pred, tokens, seq)
+
+
+@given(st.integers(2, 8), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_verify_equals_unit_replay_dominating(n, density, seed):
+    rng = random.Random(seed)
+    g = Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density])
+    _check_against_unit_replay(g, dominating_predicate(g), rng)
+
+
+@given(st.integers(2, 9), st.integers(0, 2**32 - 1))
+def test_verify_equals_unit_replay_hitting(n, seed):
+    rng = random.Random(seed)
+    tree = RootedTree(random_tree(n, rng), 0)
+    system = random_subtree_family(tree, rng, rng.randrange(1, n + 1))
+    _check_against_unit_replay(tree.graph, hitting_predicate(system), rng)
 
 
 class TestCertify:

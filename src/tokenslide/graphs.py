@@ -6,8 +6,9 @@ Unreachable distances use the integer sentinel ``UNREACHABLE`` (never a float).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .errors import FeasibilityError, InputError
 from .multiset import TokenMultiset
@@ -19,7 +20,7 @@ UNREACHABLE = -1
 class Graph:
     """Immutable undirected graph given by symmetric adjacency lists."""
 
-    __slots__ = ("n", "_adj", "_adj_set")
+    __slots__ = ("n", "_adj", "_closed")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -33,7 +34,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = tuple(tuple(sorted(s)) for s in adj)
-        self._adj_set = tuple(frozenset(s) for s in adj)
+        self._closed: tuple[frozenset[int], ...] | None = None  # see closed_neighborhoods
         self.n = n
 
     @property
@@ -49,7 +50,10 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             return False
-        return v in self._adj_set[u]
+        # adjacency tuples are sorted: O(log deg), even at a star's centre
+        nbrs = self._adj[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     @property
     def edge_count(self) -> int:
@@ -166,7 +170,8 @@ class RootedTree:
         self.root = root
         self.parent = parent
         self.depth = depth
-        self.order = tuple(sorted(range(n), key=lambda v: (-depth[v], v)))
+        # the sort is stable under reverse=True, so ties keep increasing id
+        self.order = tuple(sorted(range(n), key=depth.__getitem__, reverse=True))
 
     @property
     def n(self) -> int:
@@ -259,9 +264,16 @@ def is_hitting(system: SetSystem, tokens: TokenMultiset) -> bool:
     return True
 
 
-def closed_neighborhoods(g: Graph) -> list[frozenset[int]]:
-    """N[v] for every vertex: the sets a token on v hits when set w is N[w]."""
-    return [frozenset((v, *g.neighbors(v))) for v in range(g.n)]
+def closed_neighborhoods(g: Graph) -> tuple[frozenset[int], ...]:
+    """N[v] for every vertex: the sets a token on v hits when set w is N[w].
+
+    Built on the first call and cached on g, so every caller shares one
+    read-only table per graph.
+    """
+    table = g._closed
+    if table is None:
+        table = g._closed = tuple(frozenset((v, *nbrs)) for v, nbrs in enumerate(g._adj))
+    return table
 
 
 def closed_neighborhood_system(tree: RootedTree) -> SetSystem:
@@ -273,13 +285,14 @@ class Coverage:
     """Token counts per vertex and hit counts per set, updated slide by slide.
 
     ``hits[v]`` holds the sets a token on v hits: ``closed_neighborhoods(g)``
-    for domination, ``SetSystem.hits`` for a set family.  Callers read
-    ``counts`` but change it only through ``slide``.
+    for domination, ``SetSystem.hits`` for a set family.  The tracker only
+    reads ``hits``, so trackers on one graph share its cached N[v] table.
+    Callers read ``counts`` but change it only through ``slide``.
     """
 
     __slots__ = ("hits", "counts", "hit_counts")
 
-    def __init__(self, hits: list[frozenset[int]], n_sets: int, tokens: TokenMultiset):
+    def __init__(self, hits: Sequence[frozenset[int]], n_sets: int, tokens: TokenMultiset):
         n = len(hits)
         counts = [0] * n
         hit = [0] * n_sets

@@ -82,22 +82,24 @@ def fix_matching(
     Intended for the stuck state in which no matched token can slide along
     a shortest path without breaking domination.  Let v be the vertex of
     the symmetric difference whose interval ends first; when v carries
-    target-side surplus the problem is solved transposed.  Candidates y
-    (target-side surplus, adjacent to v) are scanned by increasing right
-    endpoint, and the first exchange
-    ``(v, v'), (y', y)  ->  (v, y), (y', v')``
-    that keeps the slide v -> y dominating without raising the matching
-    cost is applied.  Such an exchange always exists here; failing to find
-    one is reported as an internal invariant violation.
+    target-side surplus the problem is solved transposed, in place, and the
+    result is inverted back once.  Candidates y (target-side surplus,
+    adjacent to v) are scanned by increasing right endpoint, and the first
+    exchange ``(v, v'), (y', y)  ->  (v, y), (y', v')`` that keeps the
+    slide v -> y dominating without raising the matching cost is applied.
+    Such an exchange always exists here; failing to find one is reported
+    as an internal invariant violation.  One pass: the matching is
+    validated and normalised once, and the tracker reads the graph's
+    shared N[v] table.
     """
     if d_s == d_t:
         raise InputError("configurations are already equal; nothing to repair")
     m = normalize_matching(g, m, d_s, d_t)
     sym = d_s.symmetric_difference(d_t)
     v = min(sym.support, key=rep.right)
-    if d_t.count(v) > d_s.count(v):
-        flipped = fix_matching(rep, g, d_t, d_s, m.inverse(), _dist=_dist)
-        return flipped.inverse()
+    transposed = d_t.count(v) > d_s.count(v)
+    if transposed:
+        d_s, d_t, m = d_t, d_s, m.inverse()
 
     require_dominating(g, d_s, "source")
     dist = Distances(g) if _dist is None else _dist
@@ -122,7 +124,11 @@ def fix_matching(
                     logger.debug(
                         "repair: v=%d y=%d swapped partners v'=%d y'=%d", v, y, v2, y2
                     )
-                    return normalize_matching(g, Matching(pairs), d_s, d_t)
+                    # No second normalize_matching: the exchange removes two
+                    # non-self pairs and keeps the marginals, and self counts,
+                    # already at their cap min(d_s, d_t), stay there.
+                    repaired = Matching(pairs)
+                    return repaired.inverse() if transposed else repaired
     raise InvariantError(
         "no cost-preserving repair found; the matching was not minimum or a move existed"
     )

@@ -47,7 +47,7 @@ def dominating_predicate(g: Graph) -> Predicate:
 
     def pred(support_mask: int) -> bool:
         if not closed:
-            closed.extend(1 << v | m for v, m in enumerate(_masks(g.adjacency)))
+            closed.extend(_masks(closed_neighborhoods(g)))
         covered = 0
         m = support_mask
         while m:

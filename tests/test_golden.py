@@ -3,7 +3,8 @@
 The hashes pin the exact text of ``tokenslide gen`` and ``tokenslide solve``
 for a few seeded instances, the exact hitting-set instances and tree
 solutions for a few seeds, the interval solver's matching-repair path on two
-small instances, and its output on three seeded benchmark instances.  A change that alters any random draw, any scan
+small instances and on a chain of stuck gadgets, and its output on three
+seeded benchmark instances.  A change that alters any random draw, any scan
 order or any tie-break shows up here as a hash mismatch.
 """
 
@@ -130,3 +131,39 @@ def test_bench_interval_solution_bytes(seed):
     inst = gen_bench_interval_instance(200, seed)
     seq = ts.reconf_interval(inst.rep, inst.d_s, inst.d_t)
     assert _sha(emit_moves(list(seq.moves), seq.total_length)) == BENCH_INTERVAL[seed]
+
+
+# Three stuck gadgets from perfbench's gadget search (workload interval_repair,
+# seed 7), laid side by side with its ``chain``.  The solver repairs once per
+# gadget; the first repair has source surplus at the first-ending vertex of
+# the symmetric difference, the other two target surplus, so both
+# orientations of ``fix_matching`` run, the later ones with self pairs.
+GADGET_CHAIN = (
+    "intervals 26\n0 6 15\n1 12 17\n2 3 10\n3 2 5\n4 11 16\n5 13 14\n6 4 8\n7 1 7\n8 9 18\n"
+    "9 23 27\n10 25 30\n11 31 37\n12 22 33\n13 28 34\n14 32 36\n15 26 35\n16 21 29\n17 20 24\n"
+    "18 39 43\n19 44 47\n20 42 49\n21 46 52\n22 50 53\n23 45 54\n24 40 51\n25 41 48\n"
+    "tokens 6: 6 8 15 16 20 21\ntokens 6: 0 2 9 13 23 25\n"
+)
+# (sha256 of the solve output, sha256 of the on_fix sequence)
+GADGET_CHAIN_SHA = (
+    "0118679939dcb5a6131e6b3e7958b6149daa604be5ddb35719f57ce90a3fb11a",
+    "20f091f215dfb6590de5478cf37432b1030e007f3957bd5606eff1c841a8e0e0",
+)
+
+
+def test_gadget_chain_repairs_bytes(tmp_path, capsys):
+    path = tmp_path / "instance.txt"
+    path.write_text(GADGET_CHAIN)
+    assert main(["solve", str(path)]) == 0
+    moves = capsys.readouterr().out
+    inst = ts.parse_instance(GADGET_CHAIN)
+    fixes, surplus_sides = [], []
+
+    def on_fix(d_s, d_t, m):
+        fixes.append((d_s.items(), d_t.items(), m.items()))
+        v = min(d_s.symmetric_difference(d_t).support, key=inst.rep.right)
+        surplus_sides.append("target" if d_t.count(v) > d_s.count(v) else "source")
+
+    ts.reconf_interval(inst.rep, inst.d_s, inst.d_t, on_fix=on_fix)
+    assert set(surplus_sides) == {"source", "target"}
+    assert (_sha(moves), _sha(repr(fixes))) == GADGET_CHAIN_SHA

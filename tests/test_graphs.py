@@ -270,3 +270,20 @@ def test_greedy_move_same_for_every_distance_source(n, k, density, seed):
     expected = find_greedy_move(g, d_s, d_t, m)
     assert find_greedy_move(g, d_s, d_t, m, rows) == expected
     assert find_greedy_move(g, d_s, d_t, m, Distances(g)) == expected
+
+
+@given(st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_has_edge_and_closed_neighborhood_table(n, density, seed):
+    g = _random_graph(n, density, random.Random(seed))
+
+    def check_has_edge():
+        for u in range(-1, n + 1):
+            for v in range(-1, n + 1):
+                expected = 0 <= u < n and 0 <= v < n and v in g.neighbors(u)
+                assert g.has_edge(u, v) == expected  # False for u == v too
+
+    check_has_edge()
+    table = closed_neighborhoods(g)
+    assert table == tuple(frozenset({v, *g.neighbors(v)}) for v in range(n))
+    assert closed_neighborhoods(g) is table
+    check_has_edge()

@@ -166,9 +166,9 @@ class TestVerifySequence:
         with pytest.raises(InputError):
             verify_sequence(C4, independent_set_predicate(C4), TokenMultiset([0, 2]), MoveSequence([]))
 
-    def test_scale_of_the_triples(self):
-        n = 100_000
-        g, d_s, d_t = heavy_path_instance(n, n // 3)
+    @staticmethod
+    def _solve_and_time_verify(g, d_s, d_t):
+        """The tree solver's sequence and the seconds its verify takes, gc off."""
         seq = reconf_tree_dominating(RootedTree(g, 0), d_s, d_t)
         pred = dominating_predicate(g)
         gc.disable()
@@ -179,8 +179,24 @@ class TestVerifySequence:
         finally:
             gc.enable()
         assert ok and final == d_t and failure is None
+        return seq, elapsed
+
+    def test_scale_of_the_triples(self):
+        n = 100_000
+        seq, elapsed = self._solve_and_time_verify(*heavy_path_instance(n, n // 3))
         assert seq.total_length > 10**9
         assert elapsed < 1.0, f"{elapsed:.2f}s for {len(seq.moves)} triples"
+
+    def test_scale_of_the_triples_on_a_star(self):
+        # half the triples leave the centre, so an O(deg) edge check would
+        # make the replay quadratic (about 46 s at this size)
+        n = 100_000
+        half = (n - 1) // 2
+        g = Graph(n, [(0, v) for v in range(1, n)])
+        d_s = TokenMultiset([0, *range(1, 1 + half)])
+        d_t = TokenMultiset([0, *range(1 + half, 1 + 2 * half)])
+        seq, elapsed = self._solve_and_time_verify(g, d_s, d_t)
+        assert elapsed < 3.0, f"{elapsed:.2f}s for {len(seq.moves)} triples"
 
 
 def _random_triples(g, tokens, rng, length):

@@ -146,17 +146,17 @@ class TestTreeScaling:
         assert seq.total_length == c
 
     def test_doubling_n_roughly_doubles_time(self):
-        def best_time(n):
+        cases = []
+        for n in (50_000, 100_000):
             graph, d_s, d_t = heavy_path_instance(n, n // 3)
-            tree = RootedTree(graph, 0)
-            best = None
-            for _ in range(3):
+            cases.append((RootedTree(graph, 0), d_s, d_t))
+        # the repeats alternate between the sizes, so a drift in machine
+        # speed slows both alike instead of only the later one
+        best = [float("inf")] * len(cases)
+        for _ in range(3):
+            for i, (tree, d_s, d_t) in enumerate(cases):
                 t0 = time.perf_counter()
                 reconf_tree_dominating(tree, d_s, d_t)
-                elapsed = time.perf_counter() - t0
-                best = elapsed if best is None else min(best, elapsed)
-            return best
-
-        t1 = best_time(50_000)
-        t2 = best_time(100_000)
+                best[i] = min(best[i], time.perf_counter() - t0)
+        t1, t2 = best
         assert t2 / t1 < 2.5, f"time grew {t2 / t1:.2f}x when n doubled"

@@ -110,12 +110,13 @@ def greedy_dominating_intervals(rep: IntervalRepresentation, g: Graph) -> set[in
     the uncovered interval ending first is dominated by the neighbor
     reaching furthest right."""
     n = g.n
+    reach = rep.furthest_reach()
     covered = [False] * n
     chosen: set[int] = set()
     for v in sorted(range(n), key=rep.right):
         if covered[v]:
             continue
-        pick = max((v, *g.neighbors(v)), key=rep.right)
+        pick = reach[v]
         chosen.add(pick)
         covered[pick] = True
         for w in g.neighbors(pick):

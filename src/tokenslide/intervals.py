@@ -3,21 +3,16 @@
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 
 from .errors import InputError, InvariantError
 from .graphs import Graph, distances_from
 
-# Full pairwise re-verification after endpoint normalization is quadratic;
-# above this size only the O(n log n) degree check runs.
-_PAIRWISE_VERIFY_LIMIT = 500
-
 
 class IntervalRepresentation:
     """Per-vertex closed intervals with pairwise-distinct integer endpoints."""
 
-    __slots__ = ("_left", "_right", "_arrays")
+    __slots__ = ("_left", "_right", "_reach")
 
     def __init__(self, intervals: Iterable[tuple[int, int]]):
         left = []
@@ -32,23 +27,36 @@ class IntervalRepresentation:
             raise InputError("interval endpoints must be pairwise distinct")
         self._left = tuple(left)
         self._right = tuple(right)
-        self._arrays = None
+        self._reach = None
 
-    def endpoint_arrays(self):
-        """(lefts, rights) as numpy arrays, built once on demand; int32 when
-        the coordinates allow it (halves the memory traffic of sweeps)."""
-        import numpy as np
+    def furthest_reach(self) -> tuple[int, ...]:
+        """``reach[v]``: among the intervals with ``left < right(v)``, v
+        included, the one with the largest right endpoint.
 
-        if self._arrays is None:
+        Built on the first call and cached; later calls return the same
+        tuple.  An interval starting before v ends either inside v, so it
+        meets v, or before v starts, so it never beats v: ``reach[v]`` is v's
+        closed neighbour reaching furthest right, and v itself exactly when
+        no neighbour ends after v.
+        """
+        if self._reach is None:
+            import numpy as np
+
             lefts = np.asarray(self._left, dtype=np.int64)
             rights = np.asarray(self._right, dtype=np.int64)
-            lo = min(int(lefts.min()), -1) if len(self._left) else -1
-            hi = int(rights.max()) if len(self._left) else 1
-            if np.iinfo(np.int32).min < lo and hi < np.iinfo(np.int32).max:
-                lefts = lefts.astype(np.int32)
-                rights = rights.astype(np.int32)
-            self._arrays = (lefts, rights)
-        return self._arrays
+            by_left = np.argsort(lefts)
+            prefix_rights = rights[by_left]
+            best = np.maximum.accumulate(prefix_rights)
+            # position of each prefix maximum; rights are distinct, so the
+            # maximum is attained at exactly one position
+            at = np.maximum.accumulate(
+                np.where(prefix_rights == best, np.arange(len(by_left)), 0)
+            )
+            # the intervals with left < right(v) are the first
+            # searchsorted(right(v)) in left order, v among them
+            ends = np.searchsorted(lefts[by_left], rights) - 1
+            self._reach = tuple(by_left[at[ends]].tolist())
+        return self._reach
 
     @property
     def n(self) -> int:
@@ -128,10 +136,6 @@ def classify_relation(rep: IntervalRepresentation, u: int, v: int) -> Relation:
     return Relation.RIGHT_INTERSECTS
 
 
-def _raw_closed_intersects(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] <= b[1] and b[0] <= a[1]
-
-
 def normalize_representation(raw: Sequence[tuple[int, int]]) -> IntervalRepresentation:
     """Rank-compress endpoints to 1..2n while preserving closed intersections.
 
@@ -160,28 +164,26 @@ def normalize_representation(raw: Sequence[tuple[int, int]]) -> IntervalRepresen
 
 
 def _verify_normalization(raw: Sequence[tuple[int, int]], rep: IntervalRepresentation) -> None:
-    n = rep.n
-    if n <= _PAIRWISE_VERIFY_LIMIT:
-        for u in range(n):
-            for v in range(u + 1, n):
-                if _raw_closed_intersects(raw[u], raw[v]) != rep.intersects(u, v):
-                    raise InvariantError(
-                        f"normalization changed adjacency of vertices {u} and {v}"
-                    )
-        return
-    # degree-preservation check: counts of disjoint-left / disjoint-right
-    # intervals per vertex must agree between raw and normalized forms
-    raw_lefts = sorted(lo for lo, _ in raw)
-    raw_rights = sorted(hi for _, hi in raw)
-    new_lefts = sorted(rep.left(v) for v in range(n))
-    new_rights = sorted(rep.right(v) for v in range(n))
-    for v in range(n):
-        lo, hi = raw[v]
-        raw_deg = n - 1 - bisect_left(raw_rights, lo) - (n - bisect_right(raw_lefts, hi))
-        lo2, hi2 = rep.left(v), rep.right(v)
-        new_deg = n - 1 - bisect_left(new_rights, lo2) - (n - bisect_right(new_lefts, hi2))
-        if raw_deg != new_deg:
-            raise InvariantError(f"normalization changed the degree of vertex {v}")
+    """Check that the ranks keep every closed intersection of the raw intervals.
+
+    Placed at its rank, each raw endpoint reads (coordinate, 0 for a left
+    end, 1 for a right end), and the sequence must be non-decreasing.  With
+    lefts first at ties, raw ``lo_u <= hi_v`` then holds iff
+    ``rank(lo_u) < rank(hi_v)``, so two ranked intervals intersect exactly
+    when their raw closed intervals do.
+    """
+    size = 2 * rep.n
+    placed: list[tuple[int, int]] = [(0, 0)] * size
+    for v, (lo, hi) in enumerate(raw):
+        for rank, key in ((rep.left(v), (lo, 0)), (rep.right(v), (hi, 1))):
+            if not 1 <= rank <= size:
+                raise InvariantError(f"normalization gave vertex {v} rank {rank} outside 1..{size}")
+            placed[rank - 1] = key
+    for rank in range(1, size):
+        if placed[rank] < placed[rank - 1]:
+            raise InvariantError(
+                f"normalization ranks raw endpoint {placed[rank]} after {placed[rank - 1]}"
+            )
 
 
 def intersection_graph(rep: IntervalRepresentation) -> Graph:

@@ -9,13 +9,9 @@ greedy matcher for interval representations live alongside it.
 from __future__ import annotations
 
 import itertools
-from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from heapq import heappop, heappush
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InputError, InvariantError, MatchingError
 from .graphs import UNREACHABLE, Distances, Graph, require_same_size, succ_set
@@ -125,6 +121,9 @@ def min_cost_matching(
     require_same_size(a, b)
     if a.total == 0:
         return Matching(), 0
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
     left = _expand(a)
     right = _expand(b)
     k = len(left)
@@ -261,8 +260,11 @@ def fast_match_intervals(
     an event-driven sweep by increasing endpoint: a token pile that sees an
     opposite token on an adjacent vertex matches the one whose interval ends
     first, otherwise the whole pile slides to the neighbor reaching furthest
-    right.  All per-vertex precomputation is vectorized, so the interpreted
-    work is proportional to the number of tokens and slides, not to n.
+    right, read from the representation's cached ``furthest_reach()``
+    table.  Per call, the sweep reads that table and the endpoints only
+    for vertices holding tokens, and keeps its counts in dicts, so its
+    work and memory are proportional to the number of tokens and slides,
+    not to n.
     Returns (None, None) when some token can never reach the other side.
     """
     require_same_size(a, b)
@@ -279,37 +281,7 @@ def fast_match_intervals(
 
     right = rep.rights
     left = rep.lefts
-    l_arr, r_arr = rep.endpoint_arrays()
-    by_left = np.argsort(l_arr, kind="stable").astype(np.int32)
-    lefts_sorted = l_arr[by_left]
-    # best and second-best right endpoint over every prefix of the
-    # left-sorted order; lets any vertex look up its furthest-right
-    # neighbor (excluding itself) in O(log n)
-    vals = r_arr[by_left]
-    positions = np.arange(n, dtype=by_left.dtype)
-    best_val = np.maximum.accumulate(vals)
-    best_pos = np.maximum.accumulate(np.where(vals == best_val, positions, 0))
-    best_vtx = by_left[best_pos]
-    prev_best = np.empty(n, dtype=vals.dtype)
-    prev_best[0] = -1
-    prev_best[1:] = best_val[:-1]
-    prev_best_vtx = np.empty(n, dtype=by_left.dtype)
-    prev_best_vtx[0] = 0
-    prev_best_vtx[1:] = best_vtx[:-1]
-    contrib = np.minimum(vals, prev_best)
-    second_val = np.maximum.accumulate(contrib)
-    cand_vtx = np.where(vals < prev_best, by_left, prev_best_vtx)
-    second_pos = np.maximum.accumulate(np.where(contrib >= second_val, positions, 0))
-    second_vtx = cand_vtx[second_pos]
-    searchsorted = lefts_sorted.searchsorted
-
-    def slide_target(v: int, p: int) -> tuple[int, int]:
-        """Neighbor of v with the largest right endpoint, as (vertex, right)."""
-        j = int(searchsorted(p)) - 1  # all intervals with left end before p
-        w, wr = int(best_vtx[j]), int(best_val[j])
-        if w == v:
-            w, wr = int(second_vtx[j]), int(second_val[j])
-        return w, wr
+    reach = rep.furthest_reach()
 
     # events and heap entries are packed as coord * n + vertex, and matched
     # pairs as source * n + target: plain-int heaps, sorts and dict keys are
@@ -318,10 +290,9 @@ def fast_match_intervals(
     packed_pairs: Counter[int] = Counter()
     for v, c in inter._counts.items():
         packed_pairs[v * n + v] = c
-    cur = (array("i", bytes(4 * n)), array("i", bytes(4 * n)))
+    cur: tuple[defaultdict[int, int], defaultdict[int, int]] = (defaultdict(int), defaultdict(int))
     recs: tuple[dict[int, list[list[int]]], dict[int, list[list[int]]]] = ({}, {})
-    scheduled: set[int] = set()
-    proc_static: list[int] = []
+    event: dict[int, int] = {}  # scheduled vertex -> its event key
     acts: tuple[list[int], list[int]] = ([], [])
     for side, ms in ((0, rem_a), (1, rem_b)):
         curd = cur[side]
@@ -331,10 +302,9 @@ def fast_match_intervals(
             curd[v] = c
             recd[v] = [[v, c]]
             actd.append(left[v] * n + v)
-            if v not in scheduled:
-                scheduled.add(v)
-                proc_static.append(right[v] * n + v)
-    proc_static.sort()
+            if v not in event:
+                event[v] = right[v] * n + v
+    proc_static = sorted(event.values())
     acts[0].sort()
     acts[1].sort()
     proc_dynamic: list[int] = []  # arrivals of slid piles
@@ -363,12 +333,12 @@ def fast_match_intervals(
             x = acts0[a0] % n
             a0 += 1
             if cur0[x]:
-                heappush(active0, right[x] * n + x)
+                heappush(active0, event[x])
         while a1 < na1 and acts1[a1] < pn:
             x = acts1[a1] % n
             a1 += 1
             if cur1[x]:
-                heappush(active1, right[x] * n + x)
+                heappush(active1, event[x])
         c0 = cur0[v]
         c1 = cur1[v]
         if not (c0 or c1):
@@ -403,9 +373,15 @@ def fast_match_intervals(
                     remaining -= met
                     cnt -= met
                 else:
-                    w, wr = slide_target(v, p)
-                    if wr < p:
+                    # every event key is right(x) * n + x, so p == right(v)
+                    # and v lies in its own prefix.  Endpoints are distinct,
+                    # so the prefix's furthest reach ends at p only when it
+                    # is v; any other interval of the prefix ends before p,
+                    # so no second-best is needed: w == v means stranded
+                    w = reach[v]
+                    if w == v:
                         return None, None  # stranded in a component with no partner
+                    wr = right[w]
                     total += cnt
                     if own[w]:
                         dst = recs[side][w]
@@ -420,9 +396,9 @@ def fast_match_intervals(
                         own[w] = cnt
                         heappush(active0 if side == 0 else active1, wr * n + w)
                     recs[side][v] = []
-                    if w not in scheduled:
-                        scheduled.add(w)
-                        heappush(proc_dynamic, wr * n + w)
+                    if w not in event:
+                        event[w] = wr * n + w
+                        heappush(proc_dynamic, event[w])
                     cnt = 0
             own[v] = 0
     if remaining:

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from tokenslide.cli import main
@@ -161,6 +164,35 @@ class TestMatch:
         f.write_text("intervals 2\n0 1 2\n1 3 4\ntokens 1: 0\ntokens 1: 1\n")
         assert main(["match", str(f)]) == 2
         assert "unreachable" in capsys.readouterr().out
+
+
+def _heavy_modules_after(*argvs):
+    """Run each argv through the CLI in one fresh interpreter, every one
+    expected to exit 0; return which of numpy and scipy it imported."""
+    script = (
+        "import sys\n"
+        "from tokenslide.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert main(list(argv)) == 0, argv\n"
+        "print(*(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-400:]
+    return proc.stdout.splitlines()[-1].split()
+
+
+class TestStartUp:
+    def test_tree_commands_load_neither_numpy_nor_scipy(self, p4_file, tmp_path):
+        moves = tmp_path / "moves.txt"
+        moves.write_text("moves 2\n0 1 1\n2 3 1\n")
+        assert _heavy_modules_after(("solve", p4_file), ("verify", p4_file, str(moves))) == []
+
+    def test_fast_match_leaves_scipy_unloaded(self, tmp_path):
+        f = tmp_path / "iv.txt"
+        f.write_text("intervals 4\n0 1 4\n1 3 6\n2 5 8\n3 7 10\ntokens 2: 0 2\ntokens 2: 1 3\n")
+        assert "scipy" not in _heavy_modules_after(("match", str(f), "--fast"))
 
 
 class TestBench:

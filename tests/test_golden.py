@@ -3,19 +3,25 @@
 The hashes pin the exact text of ``tokenslide gen`` and ``tokenslide solve``
 for a few seeded instances, the exact hitting-set instances and tree
 solutions for a few seeds, the interval solver's matching-repair path on two
-small instances and on a chain of stuck gadgets, and its output on three
-seeded benchmark instances.  A change that alters any random draw, any scan
+small instances and on a chain of stuck gadgets, its output on three
+seeded benchmark instances, and the sweep matcher's pairs and costs on 200
+seeded representations.  A change that alters any random draw, any scan
 order or any tie-break shows up here as a hash mismatch.
 """
 
 import hashlib
+import random
 
 import pytest
 
 import tokenslide as ts
 from tokenslide import interval_reconfig
 from tokenslide.cli import main
-from tokenslide.generators import gen_bench_interval_instance, gen_hitting_instance
+from tokenslide.generators import (
+    gen_bench_interval_instance,
+    gen_hitting_instance,
+    random_interval_representation,
+)
 from tokenslide.instances import emit_moves
 
 
@@ -167,3 +173,52 @@ def test_gadget_chain_repairs_bytes(tmp_path, capsys):
     ts.reconf_interval(inst.rep, inst.d_s, inst.d_t, on_fix=on_fix)
     assert set(surplus_sides) == {"source", "target"}
     assert (_sha(moves), _sha(repr(fixes))) == GADGET_CHAIN_SHA
+
+
+def _fast_match_case(seed):
+    """A seeded representation and two token lists for the sweep matcher.
+
+    One seed in three lays two or three connected blocks side by side.  On
+    odd such seeds each token of b lands in the block of its partner in a,
+    so the cost is finite; on even ones tokens are mostly stranded.
+    """
+    rng = random.Random(seed)
+    spread = (None, 0.5, 2.0, 8.0)[seed % 4]
+    if seed % 3:
+        n = rng.randrange(2, 60)
+        rep = random_interval_representation(n, rng, connected=seed % 3 == 1, spread=spread)
+        k = rng.randrange(1, n + 1)
+        a = [rng.randrange(n) for _ in range(k)]
+        return rep, a, [rng.randrange(n) for _ in range(k)]
+    intervals, blocks = [], []
+    for _ in range(rng.randrange(2, 4)):
+        block = random_interval_representation(rng.randrange(1, 20), rng, spread=spread)
+        shift = 2 * len(intervals)
+        blocks.append(range(len(intervals), len(intervals) + block.n))
+        intervals += [(lo + shift, hi + shift) for lo, hi in block.intervals]
+    ids = list(range(len(intervals)))
+    rng.shuffle(ids)
+    rep = ts.IntervalRepresentation(intervals[i] for i in ids)
+    new_id = {old: new for new, old in enumerate(ids)}
+    k = rng.randrange(1, len(intervals) + 1)
+    a = [rng.randrange(len(intervals)) for _ in range(k)]
+    if seed % 2:
+        b = [rng.choice(next(bl for bl in blocks if x in bl)) for x in a]
+    else:
+        b = [rng.randrange(len(intervals)) for _ in range(k)]
+    return rep, [new_id[x] for x in a], [new_id[x] for x in b]
+
+
+# sha256 of the (sorted pairs or None, cost) list over seeds 0..199; 33 of
+# the 200 cases are unreachable
+FAST_MATCH_SHA = "958b87d024872540ec5d380331f78476696cd15a8062aa417da64c543292fd00"
+
+
+def test_fast_match_intervals_bytes():
+    out = []
+    for seed in range(200):
+        rep, a, b = _fast_match_case(seed)
+        m, cost = ts.fast_match_intervals(rep, ts.TokenMultiset(a), ts.TokenMultiset(b))
+        out.append((None if m is None else m.items(), cost))
+    assert sum(cost is None for _, cost in out) == 33
+    assert _sha(repr(out)) == FAST_MATCH_SHA

@@ -9,6 +9,7 @@ from tokenslide import (
     Graph,
     InputError,
     IntervalRepresentation,
+    InvariantError,
     Relation,
     SizeMismatchError,
     TokenMultiset,
@@ -28,6 +29,7 @@ from tokenslide import (
     verify_sequence,
 )
 from tokenslide.generators import random_interval_representation
+from tokenslide.intervals import _verify_normalization
 
 from helpers import bfs_path, harvest_interval_stalls, iter_interval_instances
 
@@ -66,6 +68,33 @@ class TestNormalizeRepresentation:
                 for v in range(u + 1, n):
                     raw_overlap = raw[u][0] <= raw[v][1] and raw[v][0] <= raw[u][1]
                     assert rep.intersects(u, v) == raw_overlap
+
+    @pytest.mark.parametrize("pads", [0, 600])
+    def test_swapped_ranks_with_equal_degrees_rejected(self, pads):
+        # vertices 0 and 2 both have one neighbour, so swapping their ranks
+        # keeps every degree but changes the adjacency
+        raw = [(0, 1), (1, 2), (10, 11), (11, 12)]
+        raw += [(20 + 3 * i, 21 + 3 * i) for i in range(pads)]
+        ranked = list(normalize_representation(raw).intervals)
+        ranked[0], ranked[2] = ranked[2], ranked[0]
+        with pytest.raises(InvariantError):
+            _verify_normalization(raw, IntervalRepresentation(ranked))
+
+
+class TestFurthestReach:
+    @settings(max_examples=200)
+    @given(
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from([None, 0.3, 1.0, 3.0]),
+    )
+    def test_is_the_closed_neighbour_reaching_furthest_right(self, n, seed, connected, spread):
+        rep = random_interval_representation(n, random.Random(seed), connected, spread)
+        g = intersection_graph(rep)
+        reach = rep.furthest_reach()
+        assert list(reach) == [max((v, *g.neighbors(v)), key=rep.right) for v in range(n)]
+        assert rep.furthest_reach() is reach
 
 
 class TestRepresentationValidation:

@@ -20,7 +20,7 @@ UNREACHABLE = -1
 class Graph:
     """Immutable undirected graph given by symmetric adjacency lists."""
 
-    __slots__ = ("n", "_adj", "_closed")
+    __slots__ = ("n", "_adj", "_closed", "_rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -35,6 +35,7 @@ class Graph:
             adj[v].add(u)
         self._adj = tuple(tuple(sorted(s)) for s in adj)
         self._closed: tuple[frozenset[int], ...] | None = None  # see closed_neighborhoods
+        self._rows: dict[int, list[int]] = {}  # BFS rows by source, see Distances
         self.n = n
 
     @property
@@ -93,20 +94,28 @@ def distances_from(g: Graph, s: int) -> list[int]:
 
 
 class Distances(dict):
-    """BFS rows of g, each computed the first time it is asked for.
+    """BFS rows of g, each computed the first time any table of g asks for it.
 
     ``dist[v][w]`` is the distance between v and w, so the table can stand
-    wherever a list of ``distances_from`` rows is read.
+    wherever a list of ``distances_from`` rows is read.  The rows are kept
+    on g: a table starts from the rows there and stores each row it
+    computes there, so each row is computed at most once per graph.  g
+    holds only rows, never a table, so no reference cycle forms.  Rows are
+    shared: never write into them.
     """
 
     __slots__ = ("graph",)
 
     def __init__(self, g: Graph):
-        super().__init__()
+        super().__init__(g._rows)
         self.graph = g
 
     def __missing__(self, v: int) -> list[int]:
-        row = self[v] = distances_from(self.graph, v)
+        rows = self.graph._rows
+        row = rows.get(v)
+        if row is None:
+            row = rows[v] = distances_from(self.graph, v)
+        self[v] = row
         return row
 
 
@@ -127,7 +136,7 @@ def succ_set(g: Graph, u: int, v: int) -> tuple[int, ...]:
     """
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise InputError("vertex out of range")
-    row = distances_from(g, v)
+    row = Distances(g)[v]
     if row[u] == UNREACHABLE:
         raise InputError(f"vertex {v} is unreachable from {u}")
     return steps_toward(g, u, row)

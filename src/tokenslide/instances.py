@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .graphs import Graph
+from .graphs import UNREACHABLE, Graph, distances_from
 from .intervals import IntervalRepresentation, intersection_graph
 from .multiset import TokenMultiset
 
@@ -127,12 +127,13 @@ def parse_instance(text: str) -> Instance:
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
         if kind == "tree":
-            from .graphs import RootedTree
-
-            try:
-                RootedTree(graph, 0)
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
+            # duplicate edges collapse in Graph, so n - 1 lines need not be n - 1 edges
+            if graph.edge_count != n - 1:
+                raise ParseError(
+                    lineno, f"tree on {n} vertices must have {n - 1} edges, got {graph.edge_count}"
+                )
+            if UNREACHABLE in distances_from(graph, 0):
+                raise ParseError(lineno, "tree is not connected")
 
     token_sets = []
     for _ in range(2):

@@ -192,7 +192,7 @@ def reconf_interval(
             raise InvariantError("matching repair did not enable a move")
         cur_s = TokenMultiset.from_counts_list(cs)
         cur_t = TokenMultiset.from_counts_list(ct)
-        repaired = fix_matching(rep, g, cur_s, cur_t, Matching(pairs), _dist=dist)
+        repaired = fix_matching(rep, g, cur_s, cur_t, Matching(pairs))
         if on_fix is not None:
             on_fix(cur_s, cur_t, repaired)
         pairs = repaired.pairs

@@ -6,13 +6,13 @@ import enum
 from collections.abc import Iterable, Sequence
 
 from .errors import InputError, InvariantError
-from .graphs import Graph, distances_from
+from .graphs import Distances, Graph
 
 
 class IntervalRepresentation:
-    """Per-vertex closed intervals with pairwise-distinct integer endpoints."""
+    """Per-vertex closed intervals with pairwise-distinct int64 endpoints."""
 
-    __slots__ = ("_left", "_right", "_reach")
+    __slots__ = ("_left", "_right", "_reach", "_graph")
 
     def __init__(self, intervals: Iterable[tuple[int, int]]):
         left = []
@@ -20,6 +20,10 @@ class IntervalRepresentation:
         for i, (lo, hi) in enumerate(intervals):
             if lo >= hi:
                 raise InputError(f"interval {i} is [{lo}, {hi}]; endpoints must satisfy l < r")
+            if lo < -(2**63) or hi >= 2**63:  # furthest_reach sorts them as int64
+                raise InputError(
+                    f"interval {i} is [{lo}, {hi}]; endpoints must fit in a signed 64-bit integer"
+                )
             left.append(lo)
             right.append(hi)
         endpoints = left + right
@@ -28,6 +32,7 @@ class IntervalRepresentation:
         self._left = tuple(left)
         self._right = tuple(right)
         self._reach = None
+        self._graph: Graph | None = None  # see intersection_graph
 
     def furthest_reach(self) -> tuple[int, ...]:
         """``reach[v]``: among the intervals with ``left < right(v)``, v
@@ -187,7 +192,14 @@ def _verify_normalization(raw: Sequence[tuple[int, int]], rep: IntervalRepresent
 
 
 def intersection_graph(rep: IntervalRepresentation) -> Graph:
-    """Graph with an edge wherever two intervals overlap; plane-sweep build."""
+    """Graph with an edge wherever two intervals overlap; plane-sweep build.
+
+    Built on the first call and cached on rep, so the parser, the solver
+    and every other caller share one graph, and with it its N[v] table and
+    BFS rows.
+    """
+    if rep._graph is not None:
+        return rep._graph
     events = []
     for v in range(rep.n):
         events.append((rep.left(v), 0, v))
@@ -201,7 +213,8 @@ def intersection_graph(rep: IntervalRepresentation) -> Graph:
             active.add(v)
         else:
             active.discard(v)
-    return Graph(rep.n, edges)
+    rep._graph = Graph(rep.n, edges)
+    return rep._graph
 
 
 def check_shortest_path_structure(rep: IntervalRepresentation, path: Sequence[int]) -> bool:
@@ -223,8 +236,7 @@ def check_shortest_path_structure(rep: IntervalRepresentation, path: Sequence[in
         if not rep.intersects(a, b):
             raise InputError(f"consecutive vertices {a} and {b} are not adjacent")
     g = intersection_graph(rep)
-    dist = distances_from(g, path[0])
-    if dist[path[-1]] != k - 1:
+    if Distances(g)[path[0]][path[-1]] != k - 1:
         raise InputError("not a shortest path")
     if k == 2:
         return True

@@ -96,7 +96,7 @@ def matching_cost(g: Graph, m: Matching) -> int | None:
     dist = Distances(g)
     total = 0
     for (u, v), c in m.items():
-        d = dist[u][v]
+        d = dist[v][u]
         if d == UNREACHABLE:
             return None
         total += d * c
@@ -128,21 +128,22 @@ def min_cost_matching(
     right = _expand(b)
     k = len(left)
     dist = Distances(g)
+    # priced column by column from the targets' rows, the rows the interval
+    # solver's scan reads next; distances are symmetric, so the matrix is
+    # the same as row by row
+    cost = np.empty((k, k), dtype=np.int64)
+    for j, v in enumerate(right):
+        row = dist[v]
+        cost[:, j] = [row[u] for u in left]
     # any value above the largest possible finite total makes the solver
     # avoid unreachable pairs whenever a finite assignment exists
     big = k * max(g.n, 1) + 1
-    cost = np.empty((k, k), dtype=np.int64)
-    for i, u in enumerate(left):
-        row = dist[u]
-        for j, v in enumerate(right):
-            d = row[v]
-            cost[i, j] = big if d == UNREACHABLE else d
+    cost[cost == UNREACHABLE] = big
     rows, cols = linear_sum_assignment(cost)
     pairs: Counter[tuple[int, int]] = Counter()
     total = 0
-    for i, j in zip(rows, cols):
-        d = dist[left[i]][right[j]]
-        if d == UNREACHABLE:
+    for i, j, d in zip(rows.tolist(), cols.tolist(), cost[rows, cols].tolist()):
+        if d == big:
             return None, None
         total += d
         pairs[(left[i], right[j])] += 1
@@ -164,7 +165,7 @@ def brute_force_matching(g: Graph, a: TokenMultiset, b: TokenMultiset) -> int | 
     left = _expand(a)
     right = _expand(b)
     dist = Distances(g)
-    table = [[dist[u][v] for v in right] for u in left]
+    table = [[dist[v][u] for v in right] for u in left]
     best: int | None = None
     for perm in itertools.permutations(range(k)):
         total = 0

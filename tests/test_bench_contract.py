@@ -1,8 +1,9 @@
 """The program names the benchmark in ``perfbench/`` reaches by attribute.
 
 The traced run (``perfbench/run.py --trace 1``) wraps module attributes
-listed by ``perfbench/tracing.py::patch_points``, and the repair check wraps
-``interval_reconfig.fix_matching`` with a fixed signature.  A refactor that
+listed by ``perfbench/tracing.py::patch_points``, the repair check wraps
+``interval_reconfig.fix_matching`` with a fixed signature, and the gadget
+search hands ``find_greedy_move`` a list of BFS rows.  A refactor that
 drops one of those names fails here rather than only in a traced run.
 """
 
@@ -33,3 +34,10 @@ def test_fix_matching_keeps_its_dist_keyword():
     params = inspect.signature(ts.interval_reconfig.fix_matching).parameters
     assert list(params) == ["rep", "g", "d_s", "d_t", "m", "_dist"]
     assert params["_dist"].default is None
+
+
+def test_find_greedy_move_keeps_its_dist_parameter():
+    params = list(inspect.signature(ts.interval_reconfig.find_greedy_move).parameters.values())
+    assert params[4].name == "dist"
+    assert params[4].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    assert params[4].default is None

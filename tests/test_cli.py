@@ -166,6 +166,22 @@ class TestMatch:
         assert "unreachable" in capsys.readouterr().out
 
 
+BEYOND_INT64 = (
+    "intervals 2\n0 1 100000000000000000000\n1 50 100000000000000000001\n"
+    "tokens 1: 0\ntokens 1: 1\n"
+)
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["match"], ["match", "--fast"]])
+def test_endpoints_beyond_int64_are_invalid_input(argv, tmp_path, capsys):
+    f = tmp_path / "huge.txt"
+    f.write_text(BEYOND_INT64)
+    assert main([argv[0], str(f), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "64-bit" in err
+    assert "Traceback" not in err
+
+
 def _heavy_modules_after(*argvs):
     """Run each argv through the CLI in one fresh interpreter, every one
     expected to exit 0; return which of numpy and scipy it imported."""

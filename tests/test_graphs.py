@@ -1,5 +1,7 @@
 import itertools
 import random
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from tokenslide import (
     is_hitting,
     succ_set,
 )
+from tokenslide import graphs
 from tokenslide.generators import random_subtree_family, random_token_multiset, random_tree
 from tokenslide.graphs import Coverage, Distances, closed_neighborhoods, steps_toward
 from tokenslide.interval_reconfig import find_greedy_move
@@ -251,6 +254,28 @@ def test_distance_table_and_successor_rule(n, density, seed):
             )
             assert steps_toward(g, u, row) == on_shortest_path
     assert sorted(table) == list(range(n))
+
+
+@given(st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_tables_of_one_graph_share_its_rows(n, density, seed):
+    rng = random.Random(seed)
+    g = _random_graph(n, density, rng)
+    sources = Counter()
+
+    def counting(graph, s):
+        sources[s] += 1
+        return distances_from(graph, s)
+
+    with mock.patch.object(graphs, "distances_from", counting):
+        first, second = Distances(g), Distances(g)
+        for v in rng.sample(range(n), n):
+            table, other = (first, second) if rng.random() < 0.5 else (second, first)
+            row = table[v]
+            assert other[v] is row
+            assert Distances(g)[v] is row  # a later table starts from the rows
+    assert sources == Counter(range(n))
+    for v in range(n):
+        assert first[v] == distances_from(g, v)
 
 
 @given(st.integers(1, 9), st.integers(1, 4), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))

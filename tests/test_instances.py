@@ -65,6 +65,18 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_instance(text)
 
+    def test_tree_with_an_unreachable_vertex_rejected(self):
+        # n - 1 edges, but a triangle leaves vertex 3 unreachable
+        text = "tree 4\n0 1\n1 2\n2 0\ntokens 1: 0\ntokens 1: 1\n"
+        with pytest.raises(ParseError, match="not connected"):
+            parse_instance(text)
+
+    def test_tree_with_a_duplicate_edge_rejected(self):
+        # two edge lines, but they collapse into one edge
+        text = "tree 3\n0 1\n1 0\ntokens 1: 0\ntokens 1: 1\n"
+        with pytest.raises(ParseError, match="must have 2 edges, got 1"):
+            parse_instance(text)
+
     def test_duplicate_interval_id_rejected(self):
         text = "intervals 2\n0 1 4\n0 3 6\ntokens 1: 0\ntokens 1: 1\n"
         with pytest.raises(ParseError) as err:

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from tokenslide import (
     verify_sequence,
 )
 from tokenslide.generators import random_interval_representation
+from tokenslide.instances import Instance, emit_instance, parse_instance
 from tokenslide.intervals import _verify_normalization
 
 from helpers import bfs_path, harvest_interval_stalls, iter_interval_instances
@@ -106,6 +108,14 @@ class TestRepresentationValidation:
         with pytest.raises(InputError):
             IntervalRepresentation([(3, 3)])
 
+    def test_endpoints_fill_int64_and_no_further(self):
+        lo, hi = -(2**63), 2**63 - 1
+        rep = IntervalRepresentation([(lo, 0), (-1, hi)])
+        assert rep.furthest_reach() == (1, 1)
+        for bad in ([(lo - 1, 0)], [(0, hi + 1)]):
+            with pytest.raises(InputError, match="64-bit"):
+                IntervalRepresentation(bad)
+
 
 class TestClassifyRelation:
     def test_disjoint(self):
@@ -150,6 +160,14 @@ class TestIntersectionGraph:
     def test_isolated_vertices(self):
         rep = IntervalRepresentation([(1, 2), (3, 4)])
         assert intersection_graph(rep) == Graph(2, [])
+
+    def test_built_once_per_representation(self):
+        rep = IntervalRepresentation([(1, 4), (3, 6), (5, 8)])
+        assert intersection_graph(rep) is intersection_graph(rep)
+
+    def test_parsed_instance_holds_the_graph_the_solver_reads(self):
+        inst = parse_instance("intervals 2\n0 1 4\n1 3 6\ntokens 1: 0\ntokens 1: 1\n")
+        assert inst.graph is intersection_graph(inst.rep)
 
     def test_matches_pairwise_relations_on_random_instances(self):
         rng = random.Random(17)
@@ -282,3 +300,25 @@ class TestFixMatching:
         m, _ = min_cost_matching(intersection_graph(P4), tokens, tokens)
         with pytest.raises(InputError):
             fix_matching(P4, intersection_graph(P4), tokens, tokens, m)
+
+
+def test_solving_and_repairing_leave_no_reference_cycle():
+    """The graph keeps BFS rows but no table pointing back at it, so
+    everything a solve builds is freed by reference counting alone."""
+    rep, _, d_s, d_t, m = harvest_interval_stalls(max_states=1)[0]
+    text = emit_instance(Instance("intervals", intersection_graph(rep), rep, d_s, d_t))
+
+    def solve_and_repair():
+        inst = parse_instance(text)
+        reconf_interval(inst.rep, inst.d_s, inst.d_t)
+        min_cost_matching(inst.graph, inst.d_s, inst.d_t)
+        fix_matching(inst.rep, inst.graph, inst.d_s, inst.d_t, m)
+
+    solve_and_repair()  # numpy and scipy are imported outside the measured run
+    gc.collect()
+    gc.disable()
+    try:
+        solve_and_repair()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

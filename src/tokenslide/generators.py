@@ -24,10 +24,9 @@ def random_tree(n: int, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
-def random_connected_graph(n: int, rng: random.Random, extra_edges: int | None = None) -> Graph:
-    """Random tree plus a few extra random edges."""
-    if extra_edges is None:
-        extra_edges = rng.randrange(0, n)
+def random_connected_graph(n: int, rng: random.Random) -> Graph:
+    """Random tree plus fewer than n extra random edges."""
+    extra_edges = rng.randrange(0, n)
     edges = {(min(u, v), max(u, v)) for u, v in random_tree(n, rng).edges()}
     for _ in range(extra_edges):
         u = rng.randrange(n)
@@ -155,14 +154,25 @@ def _pad_to_size(base: set[int], k: int, n: int, rng: random.Random) -> TokenMul
     return TokenMultiset(padded)
 
 
-def gen_instance(
-    kind: str,
-    n: int,
-    k: int,
-    seed: int,
-    diversify_steps: int | None = None,
-    spread: float | None = None,
+def _scrambled_instance(
+    graph: Graph, rep: IntervalRepresentation | None, base: set[int], k: int, rng: random.Random
 ) -> Instance:
+    """Pad the dominating set base to exactly k tokens, then scramble each
+    side with a walk of 2n random slide attempts that keep it feasible."""
+    n = graph.n
+    start = _pad_to_size(base, k, n, rng)
+    if k == n:
+        d_s = d_t = start
+    else:
+        hits = closed_neighborhoods(graph)
+        d_s = diversify_tokens(graph, Coverage(hits, n, start), rng, 2 * n)
+        d_t = diversify_tokens(graph, Coverage(hits, n, start), rng, 2 * n)
+    assert is_dominating(graph, d_s) and is_dominating(graph, d_t)
+    kind = "tree" if rep is None else "intervals"
+    return Instance(kind=kind, graph=graph, rep=rep, d_s=d_s, d_t=d_t)
+
+
+def gen_instance(kind: str, n: int, k: int, seed: int) -> Instance:
     """Deterministic random instance with two feasible equal-size token sets.
 
     Starts from a greedy dominating set, pads it to exactly k tokens, then
@@ -181,43 +191,32 @@ def gen_instance(
             rep = None
             base = greedy_dominating_tree(RootedTree(graph, 0))
         else:
-            rep = random_interval_representation(n, rng, connected=True, spread=spread)
+            rep = random_interval_representation(n, rng, connected=True)
             graph = intersection_graph(rep)
             base = greedy_dominating_intervals(rep, graph)
-        if len(base) > k:
-            continue
-        start = _pad_to_size(base, k, n, rng)
-        if k == n:
-            d_s = d_t = start
-        else:
-            steps = diversify_steps if diversify_steps is not None else 2 * n
-            hits = closed_neighborhoods(graph)
-            d_s = diversify_tokens(graph, Coverage(hits, n, start), rng, steps)
-            d_t = diversify_tokens(graph, Coverage(hits, n, start), rng, steps)
-        assert is_dominating(graph, d_s) and is_dominating(graph, d_t)
-        file_kind = "tree" if kind == "tree" else "intervals"
-        return Instance(kind=file_kind, graph=graph, rep=rep, d_s=d_s, d_t=d_t)
+        if len(base) <= k:
+            return _scrambled_instance(graph, rep, base, k, rng)
     raise InputError(f"no dominating set of size {k} found for kind={kind}, n={n} after retries")
 
 
-def gen_bench_interval_instance(n: int, seed: int, spread: float = 8.0) -> Instance:
+def gen_bench_interval_instance(n: int, seed: int) -> Instance:
     """Random sparse-ish interval instance with a token budget slightly above
     the minimum; sparse graphs need many tokens, which makes the solve
     non-trivial."""
     rng = random.Random(seed)
-    rep = random_interval_representation(n, rng, connected=True, spread=spread)
-    g = intersection_graph(rep)
-    k = min(n, len(greedy_dominating_intervals(rep, g)) + 2)
-    return gen_instance("interval", n, k, seed, spread=spread)
+    rep = random_interval_representation(n, rng, connected=True, spread=8.0)
+    graph = intersection_graph(rep)
+    base = greedy_dominating_intervals(rep, graph)
+    return _scrambled_instance(graph, rep, base, min(n, len(base) + 2), rng)
 
 
 def gen_hitting_instance(
-    n: int, seed: int, max_sets: int | None = None
+    n: int, seed: int
 ) -> tuple[RootedTree, SetSystem, TokenMultiset, TokenMultiset]:
     """Random tree, random connected-subtree family, two random hitting sets."""
     rng = random.Random(seed)
     tree = RootedTree(random_tree(n, rng), 0)
-    n_sets = rng.randrange(1, (max_sets or n) + 1)
+    n_sets = rng.randrange(1, n + 1)
     system = random_subtree_family(tree, rng, n_sets)
     # one hitting vertex per set: its member closest to the root
     base = {min(s, key=lambda v: (tree.depth[v], v)) for s in system.sets}

@@ -147,6 +147,8 @@ class RootedTree:
 
     ``order`` lists vertices by decreasing depth (ties by increasing id), so
     every vertex appears before its parent.  The root is its own parent.
+    ``depth`` is the graph's shared BFS row of the root (see ``Distances``),
+    so it is read-only like every row.
     """
 
     __slots__ = ("graph", "root", "parent", "depth", "order")
@@ -159,22 +161,16 @@ class RootedTree:
             raise InputError(f"root {root} out of range")
         if graph.edge_count != n - 1:
             raise InputError(f"tree on {n} vertices must have {n - 1} edges, got {graph.edge_count}")
-        parent = [UNREACHABLE] * n
-        depth = [UNREACHABLE] * n
-        parent[root] = root
-        depth[root] = 0
-        queue = deque([root])
-        seen = 1
-        while queue:
-            u = queue.popleft()
-            for w in graph.neighbors(u):
-                if depth[w] == UNREACHABLE:
-                    depth[w] = depth[u] + 1
-                    parent[w] = u
-                    seen += 1
-                    queue.append(w)
-        if seen != n:
+        depth = Distances(graph)[root]
+        if UNREACHABLE in depth:
             raise InputError("graph is not connected, cannot root it")
+        # in a tree each other vertex has exactly one neighbour one level up
+        parent = [root] * n
+        for u, nbrs in enumerate(graph.adjacency):
+            below = depth[u] + 1
+            for w in nbrs:
+                if depth[w] == below:
+                    parent[w] = u
         self.graph = graph
         self.root = root
         self.parent = parent

@@ -11,6 +11,10 @@ Format (``#`` starts a comment, blank lines are ignored)::
 
 Emitting is canonical (sorted edges and token lists), so parse and emit
 round-trip byte-identically on emitted files.
+
+A ``graph N`` file may list no edges, so N is capped at
+``MAX_GRAPH_VERTICES`` before anything is allocated per vertex; ``tree`` and
+``intervals`` files must list a line per edge or vertex.
 """
 
 from __future__ import annotations
@@ -18,11 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .graphs import UNREACHABLE, Graph, distances_from
+from .graphs import UNREACHABLE, Distances, Graph
 from .intervals import IntervalRepresentation, intersection_graph
 from .multiset import TokenMultiset
 
 KINDS = ("tree", "graph", "intervals")
+#: Largest N accepted in a ``graph N`` header.
+MAX_GRAPH_VERTICES = 100_000
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,8 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(lineno, f"bad vertex count {parts[1]!r}") from None
     if n < 1:
         raise ParseError(lineno, "vertex count must be positive")
+    if kind == "graph" and n > MAX_GRAPH_VERTICES:
+        raise ParseError(lineno, f"graph files allow at most {MAX_GRAPH_VERTICES} vertices, got {n}")
 
     pos = 1
     rep: IntervalRepresentation | None = None
@@ -132,7 +140,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(
                     lineno, f"tree on {n} vertices must have {n - 1} edges, got {graph.edge_count}"
                 )
-            if UNREACHABLE in distances_from(graph, 0):
+            if UNREACHABLE in Distances(graph)[0]:
                 raise ParseError(lineno, "tree is not connected")
 
     token_sets = []

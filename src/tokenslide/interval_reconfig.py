@@ -80,45 +80,41 @@ def fix_matching(
     """Swap partners of two matched pairs so that a greedy slide exists.
 
     Intended for the stuck state in which no matched token can slide along
-    a shortest path without breaking domination.  Let v be the vertex of
-    the symmetric difference whose interval ends first; when v carries
-    target-side surplus the problem is solved transposed, in place, and the
-    result is inverted back once.  Candidates y (target-side surplus,
-    adjacent to v) are scanned by increasing right endpoint, and the first
-    exchange ``(v, v'), (y', y)  ->  (v, y), (y', v')`` that keeps the
-    slide v -> y dominating without raising the matching cost is applied.
-    Such an exchange always exists here; failing to find one is reported
-    as an internal invariant violation.  One pass: the matching is
-    validated and normalised once, and the tracker reads the graph's
+    a shortest path without breaking domination.  Let v be the vertex whose
+    two counts differ and whose interval ends first; when v carries
+    target-side surplus the problem is solved transposed and the result is
+    transposed back once.  Candidates y (target-side surplus, adjacent to
+    v) are scanned by increasing right endpoint, partners v' of v and y' of
+    y by increasing id, and the first exchange
+    ``(v, v'), (y', y)  ->  (v, y), (y', v')`` that keeps the slide v -> y
+    dominating without raising the matching cost is applied.  Such an
+    exchange always exists here; failing to find one is reported as an
+    internal invariant violation.  One pass on one pairs dict: the matching
+    is validated and normalised once, and the tracker reads the graph's
     shared N[v] table.
     """
     if d_s == d_t:
         raise InputError("configurations are already equal; nothing to repair")
-    m = normalize_matching(g, m, d_s, d_t)
-    sym = d_s.symmetric_difference(d_t)
-    v = min(sym.support, key=rep.right)
-    transposed = d_t.count(v) > d_s.count(v)
+    pairs = normalize_matching(g, m, d_s, d_t).pairs
+    cs, ct = d_s._counts, d_t._counts  # Counters: 0 for a vertex without tokens
+    v = min((x for x in cs.keys() | ct.keys() if cs[x] != ct[x]), key=rep.right)
+    transposed = ct[v] > cs[v]
     if transposed:
-        d_s, d_t, m = d_t, d_s, m.inverse()
+        d_s, cs, ct = d_t, ct, cs
+        pairs = {(t, s): c for (s, t), c in pairs.items()}
 
     require_dominating(g, d_s, "source")
     dist = Distances(g) if _dist is None else _dist
     cover = Coverage(closed_neighborhoods(g), g.n, d_s)
-    surplus = d_t.difference(d_s)
-    for y in sorted(surplus.support, key=rep.right):
-        if not g.has_edge(v, y):
+    v_partners = sorted(t for s, t in pairs if s == v and t != v)
+    for y in sorted((x for x in ct if ct[x] > cs[x]), key=rep.right):
+        if not g.has_edge(v, y) or not cover.can_slide(v, y):
             continue
-        if not cover.can_slide(v, y):
-            continue
-        for v2, _ in m.matches_of(v):
-            if v2 == v:
-                continue
-            for y2, _ in m.matches_to(y):
-                if y2 == y:
-                    continue
+        y_partners = sorted(s for s, t in pairs if t == y and s != y)
+        for v2 in v_partners:
+            for y2 in y_partners:
                 d_y2v2, d_vv2, d_y2y = dist[y2][v2], dist[v][v2], dist[y2][y]
                 if min(d_y2v2, d_vv2, d_y2y) >= 0 and 1 + d_y2v2 - d_vv2 - d_y2y <= 0:
-                    pairs = m.pairs
                     _shift_pair(pairs, (v, v2), (v, y))
                     _shift_pair(pairs, (y2, y), (y2, v2))
                     logger.debug(
@@ -127,8 +123,9 @@ def fix_matching(
                     # No second normalize_matching: the exchange removes two
                     # non-self pairs and keeps the marginals, and self counts,
                     # already at their cap min(d_s, d_t), stay there.
-                    repaired = Matching(pairs)
-                    return repaired.inverse() if transposed else repaired
+                    if transposed:
+                        pairs = {(t, s): c for (s, t), c in pairs.items()}
+                    return Matching(pairs)
     raise InvariantError(
         "no cost-preserving repair found; the matching was not minimum or a move existed"
     )

@@ -53,10 +53,6 @@ class Matching:
         """Targets matched to source u as sorted (vertex, multiplicity) pairs."""
         return sorted((v, c) for (s, v), c in self._pairs.items() if s == u)
 
-    def matches_to(self, v: int) -> list[tuple[int, int]]:
-        """Sources matched to target v as sorted (vertex, multiplicity) pairs."""
-        return sorted((u, c) for (u, t), c in self._pairs.items() if t == v)
-
     def inverse(self) -> "Matching":
         return Matching({(v, u): c for (u, v), c in self._pairs.items()})
 
@@ -191,8 +187,8 @@ def normalize_matching(
     """
     m.validate_between(a, b)
     pairs = m.pairs
-    inter = a.intersection(b)
-    for v, want in inter.items():
+    for v in sorted(a.support & b.support):
+        want = min(a.count(v), b.count(v))
         while pairs.get((v, v), 0) < want:
             x = min(u for (u, t) in pairs if t == v and u != v)
             y = min(t for (u, t) in pairs if u == v and t != v)

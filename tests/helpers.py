@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import deque
@@ -94,13 +95,15 @@ def enumerate_min_matchings(g: ts.Graph, d_s: ts.TokenMultiset, d_t: ts.TokenMul
             yield ts.Matching(pairs)
 
 
+@functools.cache
 def harvest_interval_stalls(max_states: int, seed_cap: int = 400):
     """Stuck states for the matching repair: a representation, two dominating
     sets and a minimum-cost matching under which no token can slide along a
     shortest path to its match without breaking domination.
 
     Found by enumerating dominating-set pairs and all their minimum
-    matchings on small random interval graphs.
+    matchings on small random interval graphs.  The search takes seconds,
+    so its result is cached per argument and shared.
     """
     out = []
     for seed in range(seed_cap):
@@ -127,7 +130,7 @@ def harvest_interval_stalls(max_states: int, seed_cap: int = 400):
                     break
         if len(out) >= max_states:
             break
-    return out
+    return tuple(out)
 
 
 def unit_replay(g: ts.Graph, pred, start: ts.TokenMultiset, seq: ts.MoveSequence):

@@ -1,12 +1,13 @@
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 from tokenslide.cli import main
 from tokenslide.errors import InvariantError, MatchingError
 from tokenslide.generators import heavy_path_instance
-from tokenslide.graphs import RootedTree
+from tokenslide.graphs import Graph, RootedTree
 from tokenslide.instances import Instance, emit_instance, emit_moves, parse_instance
 from tokenslide.tree_reconfig import reconf_tree_dominating
 
@@ -180,6 +181,23 @@ def test_endpoints_beyond_int64_are_invalid_input(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "64-bit" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "graph 1000000000\ntokens 1: 0\ntokens 1: 0\n",
+        "tree 1000000000\n0 1\ntokens 1: 0\ntokens 1: 1\n",
+        "intervals 1000000000\n0 1 4\n",
+    ],
+)
+def test_huge_vertex_counts_are_invalid_input(text, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Graph, "__init__", mock.Mock(side_effect=AssertionError("built a graph")))
+    f = tmp_path / "huge.txt"
+    f.write_text(text)
+    assert main(["solve", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: line ")
 
 
 def _heavy_modules_after(*argvs):

@@ -4,13 +4,15 @@ The hashes pin the exact text of ``tokenslide gen`` and ``tokenslide solve``
 for a few seeded instances, the exact hitting-set instances and tree
 solutions for a few seeds, the interval solver's matching-repair path on two
 small instances and on a chain of stuck gadgets, its output on three
-seeded benchmark instances, and the sweep matcher's pairs and costs on 200
-seeded representations.  A change that alters any random draw, any scan
+seeded benchmark instances, the sweep matcher's pairs and costs on 200
+seeded representations, and the result or error of ``fix_matching`` on
+1 337 seeded states.  A change that alters any random draw, any scan
 order or any tie-break shows up here as a hash mismatch.
 """
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,9 +22,12 @@ from tokenslide.cli import main
 from tokenslide.generators import (
     gen_bench_interval_instance,
     gen_hitting_instance,
+    gen_instance,
     random_interval_representation,
 )
 from tokenslide.instances import emit_moves
+
+from helpers import harvest_interval_stalls
 
 
 def _sha(text: str) -> str:
@@ -222,3 +227,91 @@ def test_fast_match_intervals_bytes():
         out.append((None if m is None else m.items(), cost))
     assert sum(cost is None for _, cost in out) == 33
     assert _sha(repr(out)) == FAST_MATCH_SHA
+
+
+def _tokens(multiset):
+    return [v for v, c in multiset.items() for _ in range(c)]
+
+
+def _stacked(rep, g, d_s, d_t, m):
+    """The state with one more token on each side on the first-ending vertex
+    whose counts differ, so that the repair's v carries a self pair."""
+    v = min(d_s.symmetric_difference(d_t).support, key=rep.right)
+    one = ts.TokenMultiset([v])
+    pairs = Counter(m.pairs) + Counter({(v, v): 1})
+    return rep, g, d_s.union(one), d_t.union(one), ts.Matching(pairs)
+
+
+def _fix_matching_states():
+    """Seeded inputs for ``fix_matching``: the harvested stuck states and
+    their transposes, then small random interval instances, each with a
+    minimum, an arbitrary and a wrong-marginal matching, and with a random,
+    often non-dominating, configuration on either side.  Every state with
+    a minimum matching and unequal sides also comes with a token stacked on
+    the repair's v."""
+    states = []
+    for rep, g, d_s, d_t, m in harvest_interval_stalls(max_states=6):
+        for state in ((rep, g, d_s, d_t, m), (rep, g, d_t, d_s, m.inverse())):
+            states += [state, _stacked(*state)]
+    rng = random.Random(8)
+    for seed in range(200):
+        n = rng.randrange(3, 13)
+        try:
+            inst = gen_instance("interval", n, rng.randrange(1, min(n - 1, 5) + 1), seed)
+        except ts.InputError:
+            continue
+        rep, g, d_s, d_t = inst.rep, inst.graph, inst.d_s, inst.d_t
+        left, right = _tokens(d_s), _tokens(d_t)
+        rng.shuffle(right)
+        shuffled = Counter(zip(left, right))
+        wrong = shuffled.copy()
+        wrong[left[0], right[0]] -= 1
+        if seed % 2:
+            wrong[(left[0] + 1) % n, right[0]] += 1
+        else:
+            wrong[left[0], (right[0] + 1) % n] += 1
+        other = ts.TokenMultiset(rng.randrange(n) for _ in left)
+        to_other = ts.Matching(Counter(zip(_tokens(other), right)))
+        minimum = (rep, g, d_s, d_t, ts.min_cost_matching(g, d_s, d_t)[0])
+        arbitrary = (rep, g, d_s, d_t, ts.Matching(shuffled))
+        if d_s != d_t:
+            states += [_stacked(*minimum), _stacked(*arbitrary)]
+        states += [
+            minimum,
+            arbitrary,
+            (rep, g, d_s, d_t, ts.Matching(+wrong)),
+            (rep, g, other, d_t, to_other),
+            (rep, g, d_t, other, to_other.inverse()),
+        ]
+    # v's self pair is no partner: trying it would take another exchange here
+    rep = ts.IntervalRepresentation([(1, 6), (2, 5), (3, 8), (4, 7)])
+    left, right = [2, 3, 2, 3, 1], [1, 1, 0, 0, 1]
+    d_s, d_t = ts.TokenMultiset(left), ts.TokenMultiset(right)
+    states.append((rep, ts.intersection_graph(rep), d_s, d_t, ts.Matching(Counter(zip(left, right)))))
+    return states
+
+
+def _outcome(state):
+    """The repaired pairs, or the error class and text, of one repair."""
+    try:
+        return interval_reconfig.fix_matching(*state).items()
+    except Exception as exc:  # the error is part of the pinned behaviour
+        return f"{type(exc).__name__}: {exc}"
+
+
+# outcome -> how many of the states end in it, and the sha256 of every outcome
+FIX_MATCHING_KINDS = {
+    "repaired": 815,
+    "InputError": 166,
+    "MatchingError": 156,
+    "InvariantError": 118,
+    "FeasibilityError": 82,
+}
+FIX_MATCHING_SHA = "d758833af4689eab7b72bd5ea5c9e46cda08084621a1aa3d877b30fa14a919e3"
+
+
+def test_fix_matching_bytes():
+    out = [_outcome(state) for state in _fix_matching_states()]
+    kinds = Counter(o.split(":")[0] if isinstance(o, str) else "repaired" for o in out)
+    assert kinds == FIX_MATCHING_KINDS
+    assert _sha(repr(out)) == FIX_MATCHING_SHA

@@ -186,6 +186,32 @@ class TestClosedNeighborhoods:
             assert is_hitting(system, tokens) == is_dominating(tree.graph, tokens)
 
 
+def _reference_rooting(g, root):
+    """(parent, depth) of g rooted at root, by a BFS of its own."""
+    parent, depth = {root: root}, {root: 0}
+    queue = [root]
+    for u in queue:
+        for w in g.neighbors(u):
+            if w not in depth:
+                parent[w], depth[w] = u, depth[u] + 1
+                queue.append(w)
+    return [parent[v] for v in range(g.n)], [depth[v] for v in range(g.n)]
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
+def test_rooted_tree_matches_a_reference_bfs(n, seed, data):
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)  # ids need not grow away from vertex 0
+    g = Graph(n, [(perm[u], perm[v]) for u, v in random_tree(n, rng).edges()])
+    root = data.draw(st.integers(0, n - 1))
+    tree = RootedTree(g, root)
+    parent, depth = _reference_rooting(g, root)
+    assert (tree.parent, tree.depth) == (parent, depth)
+    assert tree.order == tuple(sorted(range(n), key=lambda v: (-depth[v], v)))
+    assert tree.depth is Distances(g)[root]  # the graph's shared row, not a copy
+
+
 @given(st.integers(2, 30), st.integers(0, 2**32 - 1))
 def test_random_tree_is_a_tree(n, seed):
     g = random_tree(n, random.Random(seed))

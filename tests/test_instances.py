@@ -1,8 +1,17 @@
+from unittest import mock
+
 import pytest
 
-from tokenslide import Graph, ParseError, TokenMultiset
+from tokenslide import Graph, ParseError, RootedTree, TokenMultiset, graphs
 from tokenslide.generators import gen_instance
-from tokenslide.instances import emit_instance, emit_moves, parse_instance, parse_moves
+from tokenslide.graphs import distances_from
+from tokenslide.instances import (
+    MAX_GRAPH_VERTICES,
+    emit_instance,
+    emit_moves,
+    parse_instance,
+    parse_moves,
+)
 
 P4_TREE = """tree 4
 0 1
@@ -77,6 +86,30 @@ class TestParse:
         with pytest.raises(ParseError, match="must have 2 edges, got 1"):
             parse_instance(text)
 
+    def test_graph_header_is_capped_before_any_allocation(self):
+        inst = parse_instance(f"graph {MAX_GRAPH_VERTICES}\ntokens 1: 0\ntokens 1: 0\n")
+        assert inst.n == MAX_GRAPH_VERTICES and inst.graph.edge_count == 0
+        for n in (MAX_GRAPH_VERTICES + 1, 10**9):
+            with mock.patch.object(Graph, "__init__", side_effect=AssertionError("built a graph")):
+                with pytest.raises(ParseError, match=f"at most {MAX_GRAPH_VERTICES} vertices") as err:
+                    parse_instance(f"graph {n}\ntokens 1: 0\ntokens 1: 0\n")
+            assert err.value.line == 1
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("tree 1000000000\n0 1\ntokens 1: 0\ntokens 1: 1\n", 1, "needs 999999999 edges, got 1"),
+            ("intervals 1000000000\n0 1 4\n", 2, "expected 1000000000 interval lines"),
+        ],
+    )
+    def test_huge_tree_and_interval_headers_fail_on_missing_lines(self, text, line, message):
+        # their files must list every edge or interval, so parsing stops at
+        # the first missing line, before anything is allocated per vertex
+        with mock.patch.object(Graph, "__init__", side_effect=AssertionError("built a graph")):
+            with pytest.raises(ParseError, match=message) as err:
+                parse_instance(text)
+        assert err.value.line == line
+
     def test_duplicate_interval_id_rejected(self):
         text = "intervals 2\n0 1 4\n0 3 6\ntokens 1: 0\ntokens 1: 1\n"
         with pytest.raises(ParseError) as err:
@@ -97,6 +130,21 @@ class TestParse:
         inst = parse_instance(text)
         assert inst.d_s == TokenMultiset({0: 2, 1: 1})
         assert inst.d_t == TokenMultiset({1: 3})
+
+
+@pytest.mark.parametrize("text", [P4_TREE, emit_instance(gen_instance("tree", 60, 20, 3))])
+def test_parse_and_root_run_one_bfs_per_tree_file(text):
+    sources = []
+
+    def counting(graph, s):
+        sources.append(s)
+        return distances_from(graph, s)
+
+    with mock.patch.object(graphs, "distances_from", counting):
+        inst = parse_instance(text)
+        tree = RootedTree(inst.graph, 0)
+    assert sources == [0]
+    assert tree.depth is graphs.Distances(inst.graph)[0]  # the row the parser checked
 
 
 class TestRoundTrip:

@@ -92,6 +92,12 @@ def fix_matching(
     internal invariant violation.  One pass on one pairs dict: the matching
     is validated and normalised once, and the tracker reads the graph's
     shared N[v] table.
+
+    On a state that is not stuck, v may already be matched to a candidate
+    y; the exchange then moves a unit from that pair back onto itself, and
+    the normalised input matching comes back unchanged.  So call this only
+    when ``find_greedy_move(...)`` is None; ``reconf_interval`` calls it
+    only after the same scan finds no move.
     """
     if d_s == d_t:
         raise InputError("configurations are already equal; nothing to repair")

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
+from itertools import accumulate
 
 from .errors import InputError, InvariantError
 from .graphs import Distances, Graph
 
 
 class IntervalRepresentation:
-    """Per-vertex closed intervals with pairwise-distinct int64 endpoints."""
+    """Per-vertex closed intervals with pairwise-distinct integer endpoints."""
 
     __slots__ = ("_left", "_right", "_reach", "_graph")
 
@@ -20,10 +22,6 @@ class IntervalRepresentation:
         for i, (lo, hi) in enumerate(intervals):
             if lo >= hi:
                 raise InputError(f"interval {i} is [{lo}, {hi}]; endpoints must satisfy l < r")
-            if lo < -(2**63) or hi >= 2**63:  # furthest_reach sorts them as int64
-                raise InputError(
-                    f"interval {i} is [{lo}, {hi}]; endpoints must fit in a signed 64-bit integer"
-                )
             left.append(lo)
             right.append(hi)
         endpoints = left + right
@@ -45,22 +43,14 @@ class IntervalRepresentation:
         no neighbour ends after v.
         """
         if self._reach is None:
-            import numpy as np
-
-            lefts = np.asarray(self._left, dtype=np.int64)
-            rights = np.asarray(self._right, dtype=np.int64)
-            by_left = np.argsort(lefts)
-            prefix_rights = rights[by_left]
-            best = np.maximum.accumulate(prefix_rights)
-            # position of each prefix maximum; rights are distinct, so the
-            # maximum is attained at exactly one position
-            at = np.maximum.accumulate(
-                np.where(prefix_rights == best, np.arange(len(by_left)), 0)
-            )
+            right = self._right
+            by_left = sorted(range(self.n), key=self._left.__getitem__)
+            starts = [self._left[v] for v in by_left]
+            # at[i]: the interval with the largest right end among by_left[: i + 1]
+            at = list(accumulate(by_left, lambda best, v: v if right[v] > right[best] else best))
             # the intervals with left < right(v) are the first
-            # searchsorted(right(v)) in left order, v among them
-            ends = np.searchsorted(lefts[by_left], rights) - 1
-            self._reach = tuple(by_left[at[ends]].tolist())
+            # bisect_left(starts, right(v)) in left order, v among them
+            self._reach = tuple(at[bisect_left(starts, r) - 1] for r in right)
         return self._reach
 
     @property
@@ -192,7 +182,12 @@ def _verify_normalization(raw: Sequence[tuple[int, int]], rep: IntervalRepresent
 
 
 def intersection_graph(rep: IntervalRepresentation) -> Graph:
-    """Graph with an edge wherever two intervals overlap; plane-sweep build.
+    """Graph with an edge wherever two intervals overlap.
+
+    Two intervals meet iff one starts inside the other, and the intervals
+    starting inside v are those after v in left-end order up to the first
+    that starts after v ends: each edge is listed once, from the interval
+    that starts first.
 
     Built on the first call and cached on rep, so the parser, the solver
     and every other caller share one graph, and with it its N[v] table and
@@ -200,19 +195,11 @@ def intersection_graph(rep: IntervalRepresentation) -> Graph:
     """
     if rep._graph is not None:
         return rep._graph
-    events = []
-    for v in range(rep.n):
-        events.append((rep.left(v), 0, v))
-        events.append((rep.right(v), 1, v))
-    events.sort()
-    active: set[int] = set()
+    by_left = sorted(range(rep.n), key=rep.lefts.__getitem__)
+    starts = [rep.left(v) for v in by_left]
     edges = []
-    for _, kind, v in events:
-        if kind == 0:
-            edges.extend((v, u) for u in active)
-            active.add(v)
-        else:
-            active.discard(v)
+    for i, v in enumerate(by_left):
+        edges.extend((v, u) for u in by_left[i + 1 : bisect_left(starts, rep.right(v))])
     rep._graph = Graph(rep.n, edges)
     return rep._graph
 

@@ -155,7 +155,13 @@ def reconfig_component(
     g: Graph, pred: Predicate, start: TokenMultiset, cap: int = DEFAULT_STATE_CAP
 ) -> tuple[set[Key], set[tuple[Key, Key]]]:
     """Configurations reachable from start, the first ``cap`` of them in
-    breadth-first order, and the slides between those as ordered key pairs."""
+    breadth-first order, and the slides between those as ordered key pairs.
+
+    Raises FeasibilityError when start itself is infeasible, as
+    ``reconfig_distance_bfs`` does.
+    """
+    if not pred(start.support_mask):
+        raise FeasibilityError("start configuration is infeasible")
     seen = {start.key()}
     slides: set[tuple[Key, Key]] = set()
     frontier = deque([(start.key(), start.support_mask)])

@@ -1,15 +1,23 @@
+import functools
+import re
 import subprocess
 import sys
 from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tokenslide.cli import main
 from tokenslide.errors import InvariantError, MatchingError
 from tokenslide.generators import heavy_path_instance
 from tokenslide.graphs import Graph, RootedTree
 from tokenslide.instances import Instance, emit_instance, emit_moves, parse_instance
+from tokenslide.interval_reconfig import reconf_interval
+from tokenslide.intervals import normalize_representation
 from tokenslide.tree_reconfig import reconf_tree_dominating
+
+from helpers import iter_interval_instances, iter_tree_instances
 
 P4_TREE = "tree 4\n0 1\n1 2\n2 3\ntokens 2: 0 2\ntokens 2: 1 3\n"
 C4_GRAPH = "graph 4\n0 1\n1 2\n2 3\n0 3\ntokens 2: 0 2\ntokens 2: 1 3\n"
@@ -115,6 +123,20 @@ class TestOracle:
         assert main(["oracle", p4_file, "--cap", "1"]) == 2
         assert "undecided" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dot", [[], ["--dot"]], ids=["distance", "dot"])
+    @pytest.mark.parametrize(
+        "pred, start, goal",
+        [("dominating", "1: 0", "1: 3"), ("independent", "2: 0 1", "2: 0 3")],
+        ids=["dominating", "independent"],
+    )
+    def test_infeasible_start(self, pred, start, goal, dot, tmp_path, capsys):
+        f = tmp_path / "p4.txt"
+        f.write_text(f"tree 4\n0 1\n1 2\n2 3\ntokens {start}\ntokens {goal}\n")
+        assert main(["oracle", str(f), "--pred", pred, *dot]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "infeasible: start configuration is infeasible\n"
+
     def test_dot_output(self, p4_file, capsys):
         assert main(["oracle", p4_file, "--dot"]) == 0
         out = capsys.readouterr().out
@@ -171,16 +193,26 @@ BEYOND_INT64 = (
     "intervals 2\n0 1 100000000000000000000\n1 50 100000000000000000001\n"
     "tokens 1: 0\ntokens 1: 1\n"
 )
+BELOW_INT64 = (
+    "intervals 3\n0 -100000000000000000000 -99999999999999999990\n"
+    "1 -99999999999999999995 7\n2 5 9\ntokens 2: 0 1\ntokens 2: 1 2\n"
+)
 
 
 @pytest.mark.parametrize("argv", [["solve"], ["match"], ["match", "--fast"]])
-def test_endpoints_beyond_int64_are_invalid_input(argv, tmp_path, capsys):
-    f = tmp_path / "huge.txt"
-    f.write_text(BEYOND_INT64)
-    assert main([argv[0], str(f), *argv[1:]]) == 1
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "64-bit" in err
-    assert "Traceback" not in err
+def test_endpoints_beyond_int64_act_like_their_ranks(argv, tmp_path, capsys):
+    for text in (BEYOND_INT64, BELOW_INT64):
+        inst = parse_instance(text)
+        ranked = Instance(
+            inst.kind, inst.graph, normalize_representation(inst.rep.intervals), inst.d_s, inst.d_t
+        )
+        printed = []
+        for name, body in (("huge.txt", text), ("ranked.txt", emit_instance(ranked))):
+            f = tmp_path / name
+            f.write_text(body)
+            assert main([argv[0], str(f), *argv[1:]]) == 0
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1]
 
 
 @pytest.mark.parametrize(
@@ -198,6 +230,68 @@ def test_huge_vertex_counts_are_invalid_input(text, tmp_path, capsys, monkeypatc
     assert main(["solve", str(f)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: line ")
+
+
+# Tokens a mutation may insert, besides those of the file it mutates.
+FUZZ_TOKENS = (
+    "0", "1", "-1", "3", "100000000000000000000", "1:",
+    "tokens", "tree", "intervals", "graph", "moves", "#", "x", "\n",
+)
+
+
+@functools.cache
+def _fuzz_fixtures():
+    """Instance and move files as in acceptance criterion 10, each split into
+    whitespace-separated tokens and line breaks."""
+    files = []
+    for inst in [
+        *iter_tree_instances(3, base_seed=10_000, max_n=9, max_k=3),
+        *iter_interval_instances(3, base_seed=20_000, max_n=9, max_k=3),
+    ]:
+        if inst.kind == "tree":
+            seq = reconf_tree_dominating(RootedTree(inst.graph, 0), inst.d_s, inst.d_t)
+        else:
+            seq = reconf_interval(inst.rep, inst.d_s, inst.d_t)
+        texts = (emit_instance(inst), emit_moves(list(seq.moves), seq.total_length))
+        files.append(tuple(tuple(re.findall(r"\S+|\n", t)) for t in texts))
+    return files
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_mutated_files_end_in_an_exit_code_and_one_line(tmp_path, capsys, data):
+    """Tokens inserted, deleted or replaced in an instance or move file:
+    every command exits 0, 1 or 2 with at most one stderr line, and no
+    exception escapes ``main``."""
+    files = list(data.draw(st.sampled_from(_fuzz_fixtures())))
+    for _ in range(data.draw(st.integers(1, 3))):
+        which = data.draw(st.integers(0, 1))
+        tokens = files[which] = list(files[which])
+        new = data.draw(st.sampled_from(FUZZ_TOKENS + tuple(tokens)))
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            tokens.insert(data.draw(st.integers(0, len(tokens))), new)
+        elif tokens:
+            i = data.draw(st.integers(0, len(tokens) - 1))
+            tokens[i : i + 1] = [new] if op == "replace" else []
+    inst, moves = tmp_path / "inst.txt", tmp_path / "moves.txt"
+    inst.write_text(" ".join(files[0]))
+    moves.write_text(" ".join(files[1]))
+    for argv in (
+        ["solve", inst],
+        ["verify", inst, moves, "--optimal", "--cap", "1000"],
+        ["match", inst],
+        ["match", inst, "--fast"],
+        ["oracle", inst, "--cap", "1000"],
+    ):
+        assert main([str(a) for a in argv]) in (0, 1, 2), argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) <= 1, (argv, err)
 
 
 def _heavy_modules_after(*argvs):
@@ -226,7 +320,10 @@ class TestStartUp:
     def test_fast_match_leaves_scipy_unloaded(self, tmp_path):
         f = tmp_path / "iv.txt"
         f.write_text("intervals 4\n0 1 4\n1 3 6\n2 5 8\n3 7 10\ntokens 2: 0 2\ntokens 2: 1 3\n")
-        assert "scipy" not in _heavy_modules_after(("match", str(f), "--fast"))
+        gen = ("gen", "--kind", "interval", "--n", "40", "--k", "8", "--seed", "3")
+        loaded = _heavy_modules_after(gen, ("match", str(f), "--fast"))
+        assert "scipy" not in loaded
+        assert "numpy" not in loaded
 
 
 class TestBench:

@@ -89,14 +89,21 @@ class TestFurthestReach:
         st.integers(1, 40),
         st.integers(0, 2**32 - 1),
         st.booleans(),
-        st.sampled_from([None, 0.3, 1.0, 3.0]),
+        st.sampled_from([None, 0.3, 1.0, 3.0, 8.0]),
     )
     def test_is_the_closed_neighbour_reaching_furthest_right(self, n, seed, connected, spread):
         rep = random_interval_representation(n, random.Random(seed), connected, spread)
         g = intersection_graph(rep)
-        reach = rep.furthest_reach()
-        assert list(reach) == [max((v, *g.neighbors(v)), key=rep.right) for v in range(n)]
-        assert rep.furthest_reach() is reach
+        expected = [max((v, *g.neighbors(v)), key=rep.right) for v in range(n)]
+        # the same order of endpoints far outside a machine integer
+        huge = IntervalRepresentation(
+            (lo * 10**20 - 10**21, hi * 10**20 - 10**21) for lo, hi in rep.intervals
+        )
+        assert intersection_graph(huge) == g
+        for r in (rep, huge):
+            reach = r.furthest_reach()
+            assert list(reach) == expected
+            assert r.furthest_reach() is reach
 
 
 class TestRepresentationValidation:
@@ -107,14 +114,6 @@ class TestRepresentationValidation:
     def test_degenerate_interval_rejected(self):
         with pytest.raises(InputError):
             IntervalRepresentation([(3, 3)])
-
-    def test_endpoints_fill_int64_and_no_further(self):
-        lo, hi = -(2**63), 2**63 - 1
-        rep = IntervalRepresentation([(lo, 0), (-1, hi)])
-        assert rep.furthest_reach() == (1, 1)
-        for bad in ([(lo - 1, 0)], [(0, hi + 1)]):
-            with pytest.raises(InputError, match="64-bit"):
-                IntervalRepresentation(bad)
 
 
 class TestClassifyRelation:
@@ -171,13 +170,15 @@ class TestIntersectionGraph:
 
     def test_matches_pairwise_relations_on_random_instances(self):
         rng = random.Random(17)
-        for _ in range(40):
-            n = rng.randrange(1, 15)
-            rep = random_interval_representation(n, rng, connected=False)
-            g = intersection_graph(rep)
-            for u in range(n):
-                for v in range(u + 1, n):
-                    assert g.has_edge(u, v) == rep.intersects(u, v)
+        shapes = [(False, None)] + [(True, s) for s in (None, 0.3, 1.0, 3.0, 8.0)]
+        for connected, spread in shapes:
+            for _ in range(40):
+                n = rng.randrange(1, 15)
+                rep = random_interval_representation(n, rng, connected, spread)
+                g = intersection_graph(rep)
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        assert g.has_edge(u, v) == rep.intersects(u, v)
 
 
 class TestShortestPathStructure:

@@ -105,7 +105,7 @@ def _config_label(key: tuple[tuple[int, int], ...]) -> str:
 
 def _emit_dot(inst: Instance, pred, cap: int) -> None:
     """DOT drawing of the reachable component around the start configuration."""
-    states, slides = reconfig_component(inst.graph, pred, inst.d_s, cap)
+    states, slides = reconfig_component(inst.graph, pred, inst.d_s, inst.d_t, cap)
     start, goal = inst.d_s.key(), inst.d_t.key()
     print("graph reconfiguration {")
     for key in sorted(states):

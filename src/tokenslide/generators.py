@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from bisect import insort
+from collections.abc import Iterable, Sequence
 
 from .errors import InputError
 from .graphs import Coverage, Graph, RootedTree, SetSystem, closed_neighborhoods, is_dominating
@@ -55,10 +56,7 @@ def random_interval_representation(
             anchor = lefts[i + 1] if i + 1 < n else lo
             hi = anchor + rng.random() * reach + 1e-9
             raw.append((lo, hi))
-        # rank-compress the floats to distinct integers
-        coords = sorted({c for pair in raw for c in pair})
-        rank = {c: 2 * i + 1 for i, c in enumerate(coords)}
-        return normalize_representation([(rank[lo], rank[hi]) for lo, hi in raw])
+        return normalize_representation(raw)
     ranks = list(range(1, 2 * n + 1))
     rng.shuffle(ranks)
     raw = []
@@ -89,14 +87,14 @@ def random_subtree_family(tree: RootedTree, rng: random.Random, n_sets: int) -> 
     return SetSystem(sets, tree=tree)
 
 
-def greedy_dominating_tree(tree: RootedTree) -> set[int]:
-    """Minimum dominating set of a tree: deepest uncovered vertex picks its parent."""
-    g = tree.graph
+def _greedy_dominating(g: Graph, order: Iterable[int], pick_of: Sequence[int]) -> set[int]:
+    """Each vertex of ``order`` still uncovered adds ``pick_of[v]``, which
+    covers its closed neighbourhood."""
     covered = [False] * g.n
     chosen: set[int] = set()
-    for v in tree.order:
+    for v in order:
         if not covered[v]:
-            pick = tree.parent[v] if v != tree.root else v
+            pick = pick_of[v]
             chosen.add(pick)
             covered[pick] = True
             for w in g.neighbors(pick):
@@ -104,23 +102,17 @@ def greedy_dominating_tree(tree: RootedTree) -> set[int]:
     return chosen
 
 
+def greedy_dominating_tree(tree: RootedTree) -> set[int]:
+    """Minimum dominating set of a tree: deepest uncovered vertex picks its
+    parent (the root is its own parent)."""
+    return _greedy_dominating(tree.graph, tree.order, tree.parent)
+
+
 def greedy_dominating_intervals(rep: IntervalRepresentation, g: Graph) -> set[int]:
     """Minimum dominating set of an interval graph by a left-to-right sweep:
     the uncovered interval ending first is dominated by the neighbor
     reaching furthest right."""
-    n = g.n
-    reach = rep.furthest_reach()
-    covered = [False] * n
-    chosen: set[int] = set()
-    for v in sorted(range(n), key=rep.right):
-        if covered[v]:
-            continue
-        pick = reach[v]
-        chosen.add(pick)
-        covered[pick] = True
-        for w in g.neighbors(pick):
-            covered[w] = True
-    return chosen
+    return _greedy_dominating(g, sorted(range(g.n), key=rep.right), rep.furthest_reach())
 
 
 def diversify_tokens(g: Graph, cover: Coverage, rng: random.Random, steps: int) -> TokenMultiset:

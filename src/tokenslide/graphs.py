@@ -20,7 +20,7 @@ UNREACHABLE = -1
 class Graph:
     """Immutable undirected graph given by symmetric adjacency lists."""
 
-    __slots__ = ("n", "_adj", "_closed", "_rows")
+    __slots__ = ("n", "edge_count", "_adj", "_closed", "_rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -34,6 +34,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = tuple(tuple(sorted(s)) for s in adj)
+        self.edge_count = sum(map(len, adj)) // 2
         self._closed: tuple[frozenset[int], ...] | None = None  # see closed_neighborhoods
         self._rows: dict[int, list[int]] = {}  # BFS rows by source, see Distances
         self.n = n
@@ -55,10 +56,6 @@ class Graph:
         nbrs = self._adj[u]
         i = bisect_left(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(a) for a in self._adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
@@ -142,6 +139,18 @@ def succ_set(g: Graph, u: int, v: int) -> tuple[int, ...]:
     return steps_toward(g, u, row)
 
 
+def check_tree(graph: Graph, root: int = 0) -> list[int]:
+    """The BFS row of root in graph (see ``Distances``), after checking that
+    graph is a tree: n - 1 distinct edges and every vertex reachable."""
+    n = graph.n
+    if graph.edge_count != n - 1:
+        raise InputError(f"tree on {n} vertices must have {n - 1} edges, got {graph.edge_count}")
+    depth = Distances(graph)[root]
+    if UNREACHABLE in depth:
+        raise InputError("tree is not connected")
+    return depth
+
+
 class RootedTree:
     """A connected acyclic graph with parent/depth data and a processing order.
 
@@ -159,11 +168,7 @@ class RootedTree:
             raise InputError("tree needs at least one vertex")
         if not 0 <= root < n:
             raise InputError(f"root {root} out of range")
-        if graph.edge_count != n - 1:
-            raise InputError(f"tree on {n} vertices must have {n - 1} edges, got {graph.edge_count}")
-        depth = Distances(graph)[root]
-        if UNREACHABLE in depth:
-            raise InputError("graph is not connected, cannot root it")
+        depth = check_tree(graph, root)
         # in a tree each other vertex has exactly one neighbour one level up
         parent = [root] * n
         for u, nbrs in enumerate(graph.adjacency):

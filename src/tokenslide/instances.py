@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .graphs import UNREACHABLE, Distances, Graph
+from .graphs import Graph, check_tree
 from .intervals import IntervalRepresentation, intersection_graph
 from .multiset import TokenMultiset
 
@@ -132,16 +132,11 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(lineno, f"tree on {n} vertices needs {expected} edges, got {len(edges)}")
         try:
             graph = Graph(n, edges)
+            if kind == "tree":
+                # duplicate edges collapse in Graph, so n - 1 lines need not be n - 1 edges
+                check_tree(graph)
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
-        if kind == "tree":
-            # duplicate edges collapse in Graph, so n - 1 lines need not be n - 1 edges
-            if graph.edge_count != n - 1:
-                raise ParseError(
-                    lineno, f"tree on {n} vertices must have {n - 1} edges, got {graph.edge_count}"
-                )
-            if UNREACHABLE in Distances(graph)[0]:
-                raise ParseError(lineno, "tree is not connected")
 
     token_sets = []
     for _ in range(2):

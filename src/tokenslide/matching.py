@@ -287,32 +287,29 @@ def fast_match_intervals(
     packed_pairs: Counter[int] = Counter()
     for v, c in inter._counts.items():
         packed_pairs[v * n + v] = c
+    # per side (0 for a, 1 for b): token counts, origin records and the heap
+    # of started piles.  A vertex never holds tokens of both sides: the
+    # starting supports are disjoint, and a pile slides only when no
+    # opposite pile has started before right(v), while reach[v] starts
+    # before right(v), so a slid pile never lands on opposite tokens
     cur: tuple[defaultdict[int, int], defaultdict[int, int]] = (defaultdict(int), defaultdict(int))
     recs: tuple[dict[int, list[list[int]]], dict[int, list[list[int]]]] = ({}, {})
+    active: tuple[list[int], list[int]] = ([], [])
     event: dict[int, int] = {}  # scheduled vertex -> its event key
-    acts: tuple[list[int], list[int]] = ([], [])
+    acts: list[int] = []  # token vertices by left end
     for side, ms in ((0, rem_a), (1, rem_b)):
-        curd = cur[side]
-        recd = recs[side]
-        actd = acts[side]
         for v, c in ms._counts.items():
-            curd[v] = c
-            recd[v] = [[v, c]]
-            actd.append(left[v] * n + v)
-            if v not in event:
-                event[v] = right[v] * n + v
+            cur[side][v] = c
+            recs[side][v] = [[v, c]]
+            acts.append(left[v] * n + v)
+            event[v] = right[v] * n + v
     proc_static = sorted(event.values())
-    acts[0].sort()
-    acts[1].sort()
+    acts.sort()
+    b_starts = rem_b._counts  # x in b_starts is the side index of x's starting pile
     proc_dynamic: list[int] = []  # arrivals of slid piles
 
-    cur0, cur1 = cur
-    acts0, acts1 = acts
-    na0, na1 = len(acts0), len(acts1)
-    active0: list[int] = []
-    active1: list[int] = []
-    a0 = a1 = 0
-    sp = 0
+    na = len(acts)
+    started = sp = 0
     n_static = len(proc_static)
     total = 0
     while remaining:
@@ -323,81 +320,67 @@ def fast_match_intervals(
             sp += 1
         else:
             break
-        p, v = divmod(key, n)
-        pn = key - v  # p * n, for packed comparisons
-        # activate token vertices whose interval has started before p
-        while a0 < na0 and acts0[a0] < pn:
-            x = acts0[a0] % n
-            a0 += 1
-            if cur0[x]:
-                heappush(active0, event[x])
-        while a1 < na1 and acts1[a1] < pn:
-            x = acts1[a1] % n
-            a1 += 1
-            if cur1[x]:
-                heappush(active1, event[x])
-        c0 = cur0[v]
-        c1 = cur1[v]
-        if not (c0 or c1):
+        v = key % n
+        pn = key - v  # right(v) * n, for packed comparisons
+        # start the token vertices whose interval begins before right(v);
+        # nothing reaches or leaves a vertex before it starts, so each still
+        # holds its starting pile
+        while started < na and acts[started] < pn:
+            x = acts[started] % n
+            started += 1
+            heappush(active[x in b_starts], event[x])
+        side = 0 if cur[0][v] else 1
+        own = cur[side]
+        cnt = own[v]
+        if not cnt:
             continue
-        if c0 and c1:
-            # opposite piles met on the same vertex: match at distance zero
-            met = c0 if c0 < c1 else c1
-            _drain_match(recs[0][v], recs[1][v], met, packed_pairs, n)
-            cur0[v] = c0 = c0 - met
-            cur1[v] = c1 = c1 - met
+        opp = cur[1 - side]
+        heap = active[1 - side]
+        while cnt:
+            while heap and not opp[heap[0] % n]:
+                heappop(heap)
+            if not heap:
+                break
+            x = heap[0] % n
+            cx = opp[x]
+            met = cnt if cnt < cx else cx
+            if side:
+                _drain_match(recs[0][x], recs[1][v], met, packed_pairs, n)
+            else:
+                _drain_match(recs[0][v], recs[1][x], met, packed_pairs, n)
+            total += met  # matched across one edge
+            opp[x] = cx - met
             remaining -= met
-        for side in (0, 1):
-            cnt = c0 if side == 0 else c1
-            if not cnt:
-                continue
-            own = cur0 if side == 0 else cur1
-            opp = cur1 if side == 0 else cur0
-            heap = active1 if side == 0 else active0
-            while cnt:
-                while heap and not opp[heap[0] % n]:
-                    heappop(heap)
-                if heap:
-                    x = heap[0] % n
-                    cx = opp[x]
-                    met = cnt if cnt < cx else cx
-                    if side == 0:
-                        _drain_match(recs[0][v], recs[1][x], met, packed_pairs, n)
-                    else:
-                        _drain_match(recs[0][x], recs[1][v], met, packed_pairs, n)
-                    total += met  # matched across one edge
-                    opp[x] = cx - met
-                    remaining -= met
-                    cnt -= met
-                else:
-                    # every event key is right(x) * n + x, so p == right(v)
-                    # and v lies in its own prefix.  Endpoints are distinct,
-                    # so the prefix's furthest reach ends at p only when it
-                    # is v; any other interval of the prefix ends before p,
-                    # so no second-best is needed: w == v means stranded
-                    w = reach[v]
-                    if w == v:
-                        return None, None  # stranded in a component with no partner
-                    wr = right[w]
-                    total += cnt
-                    if own[w]:
-                        dst = recs[side][w]
-                        src = recs[side][v]
-                        if len(dst) < len(src):
-                            src, dst = dst, src
-                            recs[side][w] = dst
-                        dst.extend(src)
-                        own[w] += cnt
-                    else:
-                        recs[side][w] = recs[side][v]
-                        own[w] = cnt
-                        heappush(active0 if side == 0 else active1, wr * n + w)
-                    recs[side][v] = []
-                    if w not in event:
-                        event[w] = wr * n + w
-                        heappush(proc_dynamic, event[w])
-                    cnt = 0
-            own[v] = 0
+            cnt -= met
+        own[v] = 0
+        if not cnt:
+            continue
+        # every event key is right(x) * n + x, so v lies in its own prefix.
+        # Endpoints are distinct, so the prefix's furthest reach ends at
+        # right(v) only when it is v; any other interval of the prefix ends
+        # before, so no second-best is needed: w == v means stranded
+        w = reach[v]
+        if w == v:
+            return None, None  # stranded in a component with no partner
+        total += cnt
+        wkey = right[w] * n + w
+        rec = recs[side]
+        if own[w]:
+            dst = rec[w]
+            src = rec[v]
+            if len(dst) < len(src):
+                src, dst = dst, src
+                rec[w] = dst
+            dst.extend(src)
+            own[w] += cnt
+        else:
+            rec[w] = rec[v]
+            own[w] = cnt
+            heappush(active[side], wkey)
+        rec[v] = []
+        if w not in event:
+            event[w] = wkey
+            heappush(proc_dynamic, wkey)
     if remaining:
         raise InvariantError("sweep finished with unmatched tokens")
     return Matching((divmod(key, n), c) for key, c in packed_pairs.items()), total

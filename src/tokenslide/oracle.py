@@ -112,6 +112,14 @@ def _slides(adj, pred: Predicate, key: Key, mask: int):
             yield new_key, new_mask
 
 
+def _check_ends(pred: Predicate, start: TokenMultiset, goal: TokenMultiset) -> None:
+    require_same_size(start, goal)
+    if not pred(start.support_mask):
+        raise FeasibilityError("start configuration is infeasible")
+    if not pred(goal.support_mask):
+        raise FeasibilityError("goal configuration is infeasible")
+
+
 def reconfig_distance_bfs(
     g: Graph,
     pred: Predicate,
@@ -125,11 +133,7 @@ def reconfig_distance_bfs(
     edge.  Returns None when the goal is not in the start's component;
     raises StateCapExceeded after visiting more than ``cap`` states.
     """
-    require_same_size(start, goal)
-    if not pred(start.support_mask):
-        raise FeasibilityError("start configuration is infeasible")
-    if not pred(goal.support_mask):
-        raise FeasibilityError("goal configuration is infeasible")
+    _check_ends(pred, start, goal)
     start_key = start.key()
     goal_key = goal.key()
     if start_key == goal_key:
@@ -152,16 +156,19 @@ def reconfig_distance_bfs(
 
 
 def reconfig_component(
-    g: Graph, pred: Predicate, start: TokenMultiset, cap: int = DEFAULT_STATE_CAP
+    g: Graph,
+    pred: Predicate,
+    start: TokenMultiset,
+    goal: TokenMultiset,
+    cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[set[Key], set[tuple[Key, Key]]]:
     """Configurations reachable from start, the first ``cap`` of them in
     breadth-first order, and the slides between those as ordered key pairs.
 
-    Raises FeasibilityError when start itself is infeasible, as
-    ``reconfig_distance_bfs`` does.
+    Checks sizes and both ends as ``reconfig_distance_bfs`` does, with the
+    same errors, although only start decides what is explored.
     """
-    if not pred(start.support_mask):
-        raise FeasibilityError("start configuration is infeasible")
+    _check_ends(pred, start, goal)
     seen = {start.key()}
     slides: set[tuple[Key, Key]] = set()
     frontier = deque([(start.key(), start.support_mask)])

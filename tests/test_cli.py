@@ -125,17 +125,22 @@ class TestOracle:
 
     @pytest.mark.parametrize("dot", [[], ["--dot"]], ids=["distance", "dot"])
     @pytest.mark.parametrize(
-        "pred, start, goal",
-        [("dominating", "1: 0", "1: 3"), ("independent", "2: 0 1", "2: 0 3")],
-        ids=["dominating", "independent"],
+        "pred, start, goal, bad",
+        [
+            ("dominating", "1: 0", "1: 3", "start"),
+            ("independent", "2: 0 1", "2: 0 3", "start"),
+            ("dominating", "2: 1 2", "2: 0 0", "goal"),
+            ("independent", "2: 0 2", "2: 2 3", "goal"),
+        ],
+        ids=["dominating", "independent", "dominating-goal", "independent-goal"],
     )
-    def test_infeasible_start(self, pred, start, goal, dot, tmp_path, capsys):
+    def test_infeasible_start(self, pred, start, goal, bad, dot, tmp_path, capsys):
         f = tmp_path / "p4.txt"
         f.write_text(f"tree 4\n0 1\n1 2\n2 3\ntokens {start}\ntokens {goal}\n")
         assert main(["oracle", str(f), "--pred", pred, *dot]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "infeasible: start configuration is infeasible\n"
+        assert captured.err == f"infeasible: {bad} configuration is infeasible\n"
 
     def test_dot_output(self, p4_file, capsys):
         assert main(["oracle", p4_file, "--dot"]) == 0

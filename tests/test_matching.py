@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokenslide import (
     Graph,
     InputError,
+    IntervalRepresentation,
     Matching,
     MatchingError,
     SizeMismatchError,
@@ -310,3 +313,36 @@ class TestFastMatchIntervals:
             if fc is not None:
                 fm.validate_between(a, b)
                 assert matching_cost(g, fm) == fc
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_exact_solver_up_to_sixty_intervals(self, data):
+        # sizes beyond the tests above: up to 60 intervals, connected,
+        # disconnected or two to three connected blocks side by side, and
+        # 1 to 2n tokens per side with repeats
+        rng = data.draw(st.randoms(use_true_random=False))
+        layout = data.draw(st.sampled_from(["connected", "disconnected", "blocks"]))
+        spread = data.draw(st.sampled_from([None, 0.5, 2.0, 8.0]))
+        if layout == "blocks":
+            intervals = []
+            for size in data.draw(st.lists(st.integers(1, 20), min_size=2, max_size=3)):
+                block = random_interval_representation(size, rng, spread=spread)
+                shift = 2 * len(intervals)
+                intervals += [(lo + shift, hi + shift) for lo, hi in block.intervals]
+            rng.shuffle(intervals)
+            rep = IntervalRepresentation(intervals)
+        else:
+            n = data.draw(st.integers(1, 60))
+            rep = random_interval_representation(n, rng, layout == "connected", spread)
+        k = data.draw(st.integers(1, 2 * rep.n))
+        tokens = st.lists(st.integers(0, rep.n - 1), min_size=k, max_size=k)
+        a = TokenMultiset(data.draw(tokens))
+        b = TokenMultiset(data.draw(tokens))
+        g = intersection_graph(rep)
+        fm, fc = fast_match_intervals(rep, a, b)
+        _, ec = min_cost_matching(g, a, b)
+        assert fc == ec
+        assert (fm is None) == (fc is None)
+        if fc is not None:
+            fm.validate_between(a, b)
+            assert matching_cost(g, fm) == fc

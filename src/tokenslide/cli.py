@@ -26,7 +26,7 @@ from .oracle import (
     independent_set_predicate,
     reconfig_component,
     reconfig_distance_bfs,
-    verify_sequence,
+    sequence_failure,
 )
 from .tree_reconfig import reconf_tree_dominating
 
@@ -40,7 +40,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -73,29 +73,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _, triples = parse_moves(_read(args.moves))
     seq = MoveSequence(triples)
     pred = dominating_predicate(inst.graph)
-    ok, final, failure = verify_sequence(inst.graph, pred, inst.d_s, seq)
-    if not ok:
-        print(f"invalid: {failure}")
+    try:
+        failure = sequence_failure(inst.graph, pred, inst.d_s, inst.d_t, seq, args.optimal, args.cap)
+    except StateCapExceeded:
+        print(f"undecided: more than {args.cap} configurations visited")
         return EXIT_INFEASIBLE
-    if final != inst.d_t:
-        print("invalid: sequence does not end in the target configuration")
+    if failure is not None:
+        print(failure)
         return EXIT_INFEASIBLE
-    if args.optimal:
-        try:
-            d = reconfig_distance_bfs(inst.graph, pred, inst.d_s, inst.d_t, cap=args.cap)
-        except StateCapExceeded:
-            print(f"undecided: more than {args.cap} configurations visited")
-            return EXIT_INFEASIBLE
-        if d != seq.total_length:
-            print(f"suboptimal: sequence has {seq.total_length} moves, optimum is {d}")
-            return EXIT_INFEASIBLE
-        _, cost = min_cost_matching(inst.graph, inst.d_s, inst.d_t)
-        if cost != seq.total_length:
-            print(f"suboptimal: matching bound {cost} differs from length {seq.total_length}")
-            return EXIT_INFEASIBLE
-        print(f"valid optimal ({seq.total_length} moves)")
-    else:
-        print(f"valid ({seq.total_length} moves)")
+    print(f"valid{' optimal' if args.optimal else ''} ({seq.total_length} moves)")
     return EXIT_OK
 
 
@@ -181,9 +167,9 @@ def _bench_verify_point(n: int) -> tuple[int, float]:
     seq = reconf_tree_dominating(RootedTree(graph, 0), d_s, d_t)
     pred = dominating_predicate(graph)
     t0 = time.perf_counter()
-    ok, final, failure = verify_sequence(graph, pred, d_s, seq)
+    failure = sequence_failure(graph, pred, d_s, d_t, seq, optimal=False)
     elapsed = time.perf_counter() - t0
-    if not ok or final != d_t:
+    if failure is not None:
         raise InvariantError(f"the tree solver's sequence does not verify: {failure}")
     return seq.total_length, elapsed * 1000.0
 

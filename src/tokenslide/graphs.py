@@ -46,9 +46,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             return False

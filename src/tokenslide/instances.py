@@ -67,7 +67,7 @@ def _parse_ints(lineno: int, line: str, expect: int | None = None) -> list[int]:
 def _parse_tokens(lineno: int, line: str, n: int) -> TokenMultiset:
     head, _, rest = line.partition(":")
     parts = head.split()
-    if len(parts) != 2 or parts[0] != "tokens" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "tokens" or not parts[1].isdecimal():
         raise ParseError(lineno, f"expected 'tokens k: v1 ... vk', got {line!r}")
     k = int(parts[1])
     ids = _parse_ints(lineno, rest)

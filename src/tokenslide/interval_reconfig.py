@@ -13,10 +13,10 @@ from __future__ import annotations
 import logging
 from typing import Callable
 
-from .errors import InputError, InvariantError
+from .errors import FeasibilityError, InputError, InvariantError
 from .graphs import Coverage, Distances, Graph, closed_neighborhoods, steps_toward
 from .graphs import distances_from  # noqa: F401  perfbench's --trace 1 patches it here
-from .graphs import require_dominating, require_same_size
+from .graphs import require_same_size
 from .intervals import IntervalRepresentation, intersection_graph
 from .matching import Matching, _shift_pair, min_cost_matching, normalize_matching
 from .moves import MoveSequence, compress_moves
@@ -69,6 +69,14 @@ def find_greedy_move(
     return _scan(g, dist, m.pairs, Coverage(hits, g.n, d_s), Coverage(hits, g.n, d_t))
 
 
+def _dominating_cover(g: Graph, tokens: TokenMultiset, label: str) -> Coverage:
+    """The tracker of tokens on g's N[v] table; raises unless they dominate g."""
+    cover = Coverage(closed_neighborhoods(g), g.n, tokens)
+    if not cover.feasible:
+        raise FeasibilityError(f"{label} configuration is not dominating")
+    return cover
+
+
 def fix_matching(
     rep: IntervalRepresentation,
     g: Graph,
@@ -91,7 +99,7 @@ def fix_matching(
     exchange always exists here; failing to find one is reported as an
     internal invariant violation.  One pass on one pairs dict: the matching
     is validated and normalised once, and the tracker reads the graph's
-    shared N[v] table.
+    shared N[v] table and also checks that the source side dominates.
 
     On a state that is not stuck, v may already be matched to a candidate
     y; the exchange then moves a unit from that pair back onto itself, and
@@ -109,9 +117,8 @@ def fix_matching(
         d_s, cs, ct = d_t, ct, cs
         pairs = {(t, s): c for (s, t), c in pairs.items()}
 
-    require_dominating(g, d_s, "source")
+    cover = _dominating_cover(g, d_s, "source")
     dist = Distances(g) if _dist is None else _dist
-    cover = Coverage(closed_neighborhoods(g), g.n, d_s)
     v_partners = sorted(t for s, t in pairs if s == v and t != v)
     for y in sorted((x for x in ct if ct[x] > cs[x]), key=rep.right):
         if not g.has_edge(v, y) or not cover.can_slide(v, y):
@@ -152,8 +159,8 @@ def reconf_interval(
     """
     g = intersection_graph(rep)
     require_same_size(d_s, d_t)
-    require_dominating(g, d_s, "start")
-    require_dominating(g, d_t, "target")
+    cover_s = _dominating_cover(g, d_s, "start")
+    cover_t = _dominating_cover(g, d_t, "target")
     if d_s == d_t:
         return MoveSequence(())
     m, cost = min_cost_matching(g, d_s, d_t)
@@ -161,11 +168,7 @@ def reconf_interval(
         return None
     m = normalize_matching(g, m, d_s, d_t)
 
-    n = g.n
     dist = Distances(g)
-    hits = closed_neighborhoods(g)
-    cover_s = Coverage(hits, n, d_s)
-    cover_t = Coverage(hits, n, d_t)
     cs, ct = cover_s.counts, cover_t.counts
     pairs = m.pairs
 

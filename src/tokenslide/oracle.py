@@ -236,6 +236,34 @@ def verify_sequence(
     return VerifyResult(True, TokenMultiset.from_counts_list(counts), None)
 
 
+def sequence_failure(
+    g: Graph,
+    pred: Predicate,
+    start: TokenMultiset,
+    goal: TokenMultiset,
+    seq: MoveSequence,
+    optimal: bool = True,
+    cap: int = DEFAULT_STATE_CAP,
+) -> str | None:
+    """The first failed check as the one line ``tokenslide verify`` prints, or
+    None: the replay, the goal, and with ``optimal`` the BFS distance (which
+    may raise StateCapExceeded) and the matching bound."""
+    ok, final, failure = verify_sequence(g, pred, start, seq)
+    if not ok:
+        return f"invalid: {failure}"
+    if final != goal:
+        return "invalid: sequence does not end in the target configuration"
+    length = seq.total_length
+    if optimal:
+        d = reconfig_distance_bfs(g, pred, start, goal, cap=cap)
+        if d != length:
+            return f"suboptimal: sequence has {length} moves, optimum is {d}"
+        _, cost = min_cost_matching(g, start, goal)
+        if cost != length:
+            return f"suboptimal: matching bound {cost} differs from length {length}"
+    return None
+
+
 def certify_optimality(
     g: Graph,
     pred: Predicate,
@@ -246,11 +274,4 @@ def certify_optimality(
 ) -> bool:
     """True iff seq is valid, reaches the goal, and its length equals both
     the exhaustive BFS distance and the minimum-cost matching bound."""
-    ok, final, _ = verify_sequence(g, pred, start, seq)
-    if not ok or final != goal:
-        return False
-    d = reconfig_distance_bfs(g, pred, start, goal, cap=cap)
-    if d != seq.total_length:
-        return False
-    _, cost = min_cost_matching(g, start, goal)
-    return cost == seq.total_length
+    return sequence_failure(g, pred, start, goal, seq, cap=cap) is None

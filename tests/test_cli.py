@@ -96,6 +96,23 @@ class TestVerify:
         mf.write_text("moves 1\n0 1 1\n")
         assert main(["verify", p4_file, str(mf)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "{bad}"], ["verify", "{bad}", "{moves}"], ["verify", "{inst}", "{bad}"]],
+        ids=["solve-instance", "verify-instance", "verify-moves"],
+    )
+    def test_non_utf8_file_is_invalid_input(self, argv, p4_file, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"tree 2\n0 1\n\xff\n")
+        moves = tmp_path / "moves.txt"
+        moves.write_text("moves 2\n0 1 1\n2 3 1\n")
+        paths = {"bad": bad, "moves": moves, "inst": p4_file}
+        assert main([a.format(**paths) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
+        assert len(captured.err.splitlines()) == 1
+
     def test_billions_of_moves(self, tmp_path, capsys):
         n = 100_000
         graph, d_s, d_t = heavy_path_instance(n, n // 3)
@@ -239,7 +256,7 @@ def test_huge_vertex_counts_are_invalid_input(text, tmp_path, capsys, monkeypatc
 
 # Tokens a mutation may insert, besides those of the file it mutates.
 FUZZ_TOKENS = (
-    "0", "1", "-1", "3", "100000000000000000000", "1:",
+    "0", "1", "-1", "3", "100000000000000000000", "1:", "²:",
     "tokens", "tree", "intervals", "graph", "moves", "#", "x", "\n",
 )
 

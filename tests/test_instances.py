@@ -125,6 +125,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_instance(text)
 
+    @pytest.mark.parametrize("count", ["²", "-1", "x"], ids=["superscript", "negative", "letter"])
+    def test_token_count_must_be_a_decimal_number(self, count):
+        # "²".isdigit() holds but int("²") raises
+        text = f"tree 2\n0 1\ntokens {count}: 0\ntokens 1: 1\n"
+        with pytest.raises(ParseError, match="expected 'tokens k: v1 ... vk'") as err:
+            parse_instance(text)
+        assert err.value.line == 3
+
     def test_multiplicities_via_repeats(self):
         text = "tree 2\n0 1\ntokens 3: 0 0 1\ntokens 3: 1 1 1\n"
         inst = parse_instance(text)

@@ -257,6 +257,15 @@ class TestReconfIntervalExamples:
         with pytest.raises(FeasibilityError):
             reconf_interval(P4, TokenMultiset([0]), TokenMultiset([3]))
 
+    def test_start_is_checked_before_target(self):
+        # the target's vertex 7 is outside P4, but the start fails first
+        with pytest.raises(FeasibilityError, match="^start configuration is not dominating$"):
+            reconf_interval(P4, TokenMultiset([0]), TokenMultiset([7]))
+        with pytest.raises(FeasibilityError, match="^target configuration is not dominating$"):
+            reconf_interval(P4, TokenMultiset([0, 2]), TokenMultiset([0, 1]))
+        with pytest.raises(InputError, match="^token on vertex 7 outside the graph$"):
+            reconf_interval(P4, TokenMultiset([0, 2]), TokenMultiset([0, 7]))
+
 
 class TestReconfIntervalOptimality:
     def test_matches_oracle_and_matching_bound(self):

@@ -20,7 +20,7 @@ UNREACHABLE = -1
 class Graph:
     """Immutable undirected graph given by symmetric adjacency lists."""
 
-    __slots__ = ("n", "edge_count", "_adj", "_closed", "_rows")
+    __slots__ = ("n", "edge_count", "_adj", "_closed", "_rows", "_chains")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -36,7 +36,8 @@ class Graph:
         self._adj = tuple(tuple(sorted(s)) for s in adj)
         self.edge_count = sum(map(len, adj)) // 2
         self._closed: tuple[frozenset[int], ...] | None = None  # see closed_neighborhoods
-        self._rows: dict[int, list[int]] = {}  # BFS rows by source, see Distances
+        self._rows: dict[int, list[int]] = {}  # distance rows by source, see Distances
+        self._chains = None  # an interval graph's row builder, see Distances
         self.n = n
 
     @property
@@ -88,14 +89,17 @@ def distances_from(g: Graph, s: int) -> list[int]:
 
 
 class Distances(dict):
-    """BFS rows of g, each computed the first time any table of g asks for it.
+    """Distance rows of g, each computed the first time any table of g asks
+    for it.
 
     ``dist[v][w]`` is the distance between v and w, so the table can stand
-    wherever a list of ``distances_from`` rows is read.  The rows are kept
-    on g: a table starts from the rows there and stores each row it
-    computes there, so each row is computed at most once per graph.  g
-    holds only rows, never a table, so no reference cycle forms.  Rows are
-    shared: never write into them.
+    wherever a list of ``distances_from`` rows is read.  A graph built by
+    ``intersection_graph`` reads its rows off the intervals' greedy chains
+    (``g._chains``); every other graph runs ``distances_from``, a BFS.  The
+    rows are kept on g: a table starts from the rows there and stores each
+    row it computes there, so each row is computed at most once per graph.
+    g holds only rows and the chain tables, never a table, so no reference
+    cycle forms.  Rows are shared: never write into them.
     """
 
     __slots__ = ("graph",)
@@ -105,10 +109,16 @@ class Distances(dict):
         self.graph = g
 
     def __missing__(self, v: int) -> list[int]:
-        rows = self.graph._rows
+        g = self.graph
+        rows = g._rows
         row = rows.get(v)
         if row is None:
-            row = rows[v] = distances_from(self.graph, v)
+            chains = g._chains
+            if chains is None or not 0 <= v < g.n:  # distances_from rejects v out of range
+                row = distances_from(g, v)
+            else:
+                row = chains.row(v, g.neighbors(v))
+            rows[v] = row
         self[v] = row
         return row
 
@@ -116,7 +126,7 @@ class Distances(dict):
 def steps_toward(g: Graph, u: int, row: list[int]) -> tuple[int, ...]:
     """Neighbors w of u with ``row[w] == row[u] - 1``, by increasing id.
 
-    With row the BFS row of v, these are the first steps of the shortest
+    With row the distance row of v, these are the first steps of the shortest
     u-v paths: empty for u == v and when v lies in another component.
     """
     target = row[u] - 1
@@ -255,6 +265,8 @@ def is_dominating(g: Graph, tokens: TokenMultiset) -> bool:
     covered = [False] * g.n
     for v in tokens.support:
         if not 0 <= v < g.n:
+            # the support is unordered: name the lowest offender, as Coverage does
+            v = min(u for u in tokens.support if not 0 <= u < g.n)
             raise InputError(f"token on vertex {v} outside the graph")
         covered[v] = True
         for w in g.neighbors(v):

@@ -8,7 +8,7 @@ from collections.abc import Iterable, Sequence
 from itertools import accumulate
 
 from .errors import InputError, InvariantError
-from .graphs import Distances, Graph
+from .graphs import UNREACHABLE, Distances, Graph
 
 
 class IntervalRepresentation:
@@ -43,14 +43,7 @@ class IntervalRepresentation:
         no neighbour ends after v.
         """
         if self._reach is None:
-            right = self._right
-            by_left = sorted(range(self.n), key=self._left.__getitem__)
-            starts = [self._left[v] for v in by_left]
-            # at[i]: the interval with the largest right end among by_left[: i + 1]
-            at = list(accumulate(by_left, lambda best, v: v if right[v] > right[best] else best))
-            # the intervals with left < right(v) are the first
-            # bisect_left(starts, right(v)) in left order, v among them
-            self._reach = tuple(at[bisect_left(starts, r) - 1] for r in right)
+            self._reach = _greedy_chain(self._left, self._right)[2]
         return self._reach
 
     @property
@@ -85,6 +78,78 @@ class IntervalRepresentation:
 
     def __repr__(self) -> str:
         return f"IntervalRepresentation(n={self.n})"
+
+
+def _greedy_chain(
+    lo: Sequence[int], hi: Sequence[int]
+) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """``(order, cut, reach)`` for intervals ``[lo[v], hi[v]]``.
+
+    ``order`` lists the ids by increasing lo, and ``order[: cut[v]]`` are
+    the intervals with ``lo < hi(v)``, v among them.  ``reach[v]`` is the
+    one of those with the largest hi.  On the coordinates (left, right)
+    that is ``furthest_reach``; on (-right, -left), the mirror image, it is
+    the interval reaching furthest left.
+    """
+    order = sorted(range(len(lo)), key=lo.__getitem__)
+    starts = [lo[v] for v in order]
+    cut = [bisect_left(starts, h) for h in hi]
+    # at[i]: the interval with the largest hi among order[: i + 1]
+    at = list(accumulate(order, lambda best, v: v if hi[v] > hi[best] else best))
+    return order, cut, tuple(at[c - 1] for c in cut)
+
+
+class _ChainRows:
+    """Distance rows of an interval graph, read off its two greedy chains.
+
+    The intervals within i hops of s cover one segment.  To the right
+    of s it ends at the right end of x_i, where x_0 = s and
+    ``x_(i+1) = reach[x_i]``, so an interval starting after s ends lies at
+    i + 1 hops for the first i with ``right(x_i) > left(v)``.  The chain
+    stops where ``reach[x] == x``: s's component ends there, and every
+    interval starting later is unreachable.  The left side is the same walk
+    on mirrored coordinates.
+
+    Holds only tuples and lists of ints, never the representation or the
+    graph, so a graph can keep it without forming a reference cycle.  The
+    chains are built on the first row, since many graphs never need one.
+    """
+
+    __slots__ = ("_left", "_right", "_sides")
+
+    def __init__(self, left: tuple[int, ...], right: tuple[int, ...]):
+        self._left = left
+        self._right = right
+        self._sides: tuple | None = None
+
+    def row(self, s: int, neighbors: Iterable[int]) -> list[int]:
+        """Distances from s; ``neighbors`` are s's neighbours in the graph."""
+        sides = self._sides
+        if sides is None:
+            left, right = self._left, self._right
+            mirrored = (tuple(-x for x in right), tuple(-x for x in left))
+            sides = self._sides = (_greedy_chain(left, right), _greedy_chain(*mirrored))
+        row = [UNREACHABLE] * len(self._left)
+        row[s] = 0
+        for w in neighbors:
+            row[w] = 1
+        for order, cut, reach in sides:
+            n = len(order)
+            # order[cut[s]:] start after s ends: 2 or more hops away
+            i = cut[s]
+            x, d = s, 1
+            while i < n:
+                y = reach[x]
+                if y == x:
+                    break
+                x = y
+                d += 1
+                j = cut[x]
+                for v in order[i:j]:
+                    row[v] = d
+                i = j
+        return row
+
 
 
 class Relation(enum.Enum):
@@ -191,7 +256,8 @@ def intersection_graph(rep: IntervalRepresentation) -> Graph:
 
     Built on the first call and cached on rep, so the parser, the solver
     and every other caller share one graph, and with it its N[v] table and
-    BFS rows.
+    distance rows.  The graph reads its rows off the representation's
+    greedy chains (``_ChainRows``) instead of running a BFS per row.
     """
     if rep._graph is not None:
         return rep._graph
@@ -200,8 +266,10 @@ def intersection_graph(rep: IntervalRepresentation) -> Graph:
     edges = []
     for i, v in enumerate(by_left):
         edges.extend((v, u) for u in by_left[i + 1 : bisect_left(starts, rep.right(v))])
-    rep._graph = Graph(rep.n, edges)
-    return rep._graph
+    g = Graph(rep.n, edges)
+    g._chains = _ChainRows(rep.lefts, rep.rights)
+    rep._graph = g
+    return g
 
 
 def check_shortest_path_structure(rep: IntervalRepresentation, path: Sequence[int]) -> bool:

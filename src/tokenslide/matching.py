@@ -1,9 +1,11 @@
 """Minimum-cost matchings between equal-size token multisets under graph distance.
 
 The exact solver expands multiplicities into unit tokens, prices them with
-BFS distances and hands the square assignment problem to scipy's shortest
-augmenting path solver.  A factorial brute-force oracle and a near-linear
-greedy matcher for interval representations live alongside it.
+the graph's distance rows (``graphs.Distances``: read off the greedy chains
+on interval graphs, a BFS on other graphs) and hands the square assignment
+problem to scipy's shortest augmenting path solver.  A factorial
+brute-force oracle and a near-linear greedy matcher for interval
+representations live alongside it.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import gc
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +27,13 @@ from tokenslide import (
     min_cost_matching,
     normalize_representation,
     reconf_interval,
+    reconf_tree_dominating,
     reconfig_distance_bfs,
     verify_sequence,
 )
-from tokenslide.generators import random_interval_representation
+from tokenslide import graphs
+from tokenslide.generators import gen_bench_interval_instance, random_interval_representation
+from tokenslide.graphs import Distances, RootedTree
 from tokenslide.instances import Instance, emit_instance, parse_instance
 from tokenslide.intervals import _verify_normalization
 
@@ -104,6 +108,59 @@ class TestFurthestReach:
             reach = r.furthest_reach()
             assert list(reach) == expected
             assert r.furthest_reach() is reach
+
+
+@st.composite
+def interval_layouts(draw):
+    """Raw closed intervals: placed anywhere (nested, crossing, disjoint), or
+    laid left to right, where a step shorter than the last interval makes
+    them overlap, path-like, and a longer one leaves a gap between
+    components."""
+    n = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        lefts = draw(st.lists(st.integers(0, 4 * n), min_size=n, max_size=n))
+        lengths = draw(st.lists(st.integers(0, 4 * n), min_size=n, max_size=n))
+        return [(lo, lo + length) for lo, length in zip(lefts, lengths)]
+    raw, x = [], 0
+    for _ in range(n):
+        length = draw(st.integers(1, 6))
+        raw.append((x, x + length))
+        x += draw(st.integers(1, length + 3))
+    return raw
+
+
+class TestChainRows:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(interval_layouts())
+    def test_chain_rows_are_the_bfs_rows(self, raw):
+        rep = normalize_representation(raw)
+        g = intersection_graph(rep)
+        table = Distances(g)
+        for s in range(rep.n):
+            assert table[s] == distances_from(g, s)
+
+    def test_interval_paths_build_no_bfs_row_and_graph_files_do(self):
+        inst = parse_instance(emit_instance(gen_bench_interval_instance(60, 5)))
+        rep, g = inst.rep, inst.graph
+        s_rep, _, s_start, s_target, s_matching = harvest_interval_stalls(max_states=6)[0]
+        stall = Instance("intervals", intersection_graph(s_rep), s_rep, s_start, s_target)
+        stuck = parse_instance(emit_instance(stall))
+        as_graph = parse_instance(emit_instance(Instance("graph", g, None, inst.d_s, inst.d_t)))
+        # from the interval ending first to the one ending last: 11 hops
+        path = bfs_path(g, min(range(rep.n), key=rep.right), max(range(rep.n), key=rep.right))
+
+        def no_bfs(graph, s):
+            raise AssertionError(f"BFS row from {s}")
+
+        with mock.patch.object(graphs, "distances_from", no_bfs):
+            seq = reconf_interval(rep, inst.d_s, inst.d_t)
+            m, cost = min_cost_matching(g, inst.d_s, inst.d_t)
+            assert seq.total_length == cost == matching_cost(g, m)
+            fix_matching(stuck.rep, stuck.graph, stuck.d_s, stuck.d_t, s_matching)
+            assert len(path) == 12 and check_shortest_path_structure(rep, path)
+            assert g._rows and stuck.graph._rows  # rows were read, all off the chains
+            with pytest.raises(AssertionError, match="^BFS row from"):
+                matching_cost(as_graph.graph, m)
 
 
 class TestRepresentationValidation:
@@ -266,6 +323,16 @@ class TestReconfIntervalExamples:
         with pytest.raises(InputError, match="^token on vertex 7 outside the graph$"):
             reconf_interval(P4, TokenMultiset([0, 2]), TokenMultiset([0, 7]))
 
+    @pytest.mark.parametrize("tokens, named", [([9, 5], 5), ([-1, 100], -1)])
+    def test_both_solvers_name_the_lowest_vertex_outside_the_graph(self, tokens, named):
+        path4 = RootedTree(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+        start, target = TokenMultiset(tokens), TokenMultiset([1, 2])
+        message = f"^token on vertex {named} outside the graph$"
+        with pytest.raises(InputError, match=message):
+            reconf_tree_dominating(path4, start, target)
+        with pytest.raises(InputError, match=message):
+            reconf_interval(P4, start, target)
+
 
 class TestReconfIntervalOptimality:
     def test_matches_oracle_and_matching_bound(self):
@@ -313,8 +380,9 @@ class TestFixMatching:
 
 
 def test_solving_and_repairing_leave_no_reference_cycle():
-    """The graph keeps BFS rows but no table pointing back at it, so
-    everything a solve builds is freed by reference counting alone."""
+    """The graph keeps distance rows and chain tables but nothing pointing
+    back at it or at the representation, so everything a solve builds is
+    freed by reference counting alone."""
     rep, _, d_s, d_t, m = harvest_interval_stalls(max_states=6)[0]
     text = emit_instance(Instance("intervals", intersection_graph(rep), rep, d_s, d_t))
 
@@ -323,6 +391,7 @@ def test_solving_and_repairing_leave_no_reference_cycle():
         reconf_interval(inst.rep, inst.d_s, inst.d_t)
         min_cost_matching(inst.graph, inst.d_s, inst.d_t)
         fix_matching(inst.rep, inst.graph, inst.d_s, inst.d_t, m)
+        assert inst.graph._chains._sides is not None  # the chain tables were built
 
     solve_and_repair()  # numpy and scipy are imported outside the measured run
     gc.collect()

@@ -14,7 +14,7 @@ from .graphs import UNREACHABLE, Distances, Graph
 class IntervalRepresentation:
     """Per-vertex closed intervals with pairwise-distinct integer endpoints."""
 
-    __slots__ = ("_left", "_right", "_reach", "_graph")
+    __slots__ = ("_left", "_right", "_chain", "_graph")
 
     def __init__(self, intervals: Iterable[tuple[int, int]]):
         left = []
@@ -29,22 +29,20 @@ class IntervalRepresentation:
             raise InputError("interval endpoints must be pairwise distinct")
         self._left = tuple(left)
         self._right = tuple(right)
-        self._reach = None
+        # one left-end sort for the edges, the distance rows and the matcher
+        self._chain = _greedy_chain(self._left, self._right)
         self._graph: Graph | None = None  # see intersection_graph
 
     def furthest_reach(self) -> tuple[int, ...]:
         """``reach[v]``: among the intervals with ``left < right(v)``, v
         included, the one with the largest right endpoint.
 
-        Built on the first call and cached; later calls return the same
-        tuple.  An interval starting before v ends either inside v, so it
-        meets v, or before v starts, so it never beats v: ``reach[v]`` is v's
-        closed neighbour reaching furthest right, and v itself exactly when
-        no neighbour ends after v.
+        An interval starting before v ends either inside v, so it meets v, or
+        before v starts, so it never beats v: ``reach[v]`` is v's closed
+        neighbour reaching furthest right, and v itself exactly when no
+        neighbour ends after v.
         """
-        if self._reach is None:
-            self._reach = _greedy_chain(self._left, self._right)[2]
-        return self._reach
+        return self._chain[2]
 
     @property
     def n(self) -> int:
@@ -111,24 +109,24 @@ class _ChainRows:
     on mirrored coordinates.
 
     Holds only tuples and lists of ints, never the representation or the
-    graph, so a graph can keep it without forming a reference cycle.  The
-    chains are built on the first row, since many graphs never need one.
+    graph, so a graph can keep it without forming a reference cycle.  It
+    takes the right-hand chain from the representation and builds the
+    mirrored one on the first row, since many graphs never need one.
     """
 
     __slots__ = ("_left", "_right", "_sides")
 
-    def __init__(self, left: tuple[int, ...], right: tuple[int, ...]):
+    def __init__(self, left: tuple[int, ...], right: tuple[int, ...], chain: tuple):
         self._left = left
         self._right = right
-        self._sides: tuple | None = None
+        self._sides = [chain]
 
     def row(self, s: int, neighbors: Iterable[int]) -> list[int]:
         """Distances from s; ``neighbors`` are s's neighbours in the graph."""
         sides = self._sides
-        if sides is None:
-            left, right = self._left, self._right
-            mirrored = (tuple(-x for x in right), tuple(-x for x in left))
-            sides = self._sides = (_greedy_chain(left, right), _greedy_chain(*mirrored))
+        if len(sides) == 1:
+            mirrored = (tuple(-x for x in self._right), tuple(-x for x in self._left))
+            sides.append(_greedy_chain(*mirrored))
         row = [UNREACHABLE] * len(self._left)
         row[s] = 0
         for w in neighbors:
@@ -251,8 +249,9 @@ def intersection_graph(rep: IntervalRepresentation) -> Graph:
 
     Two intervals meet iff one starts inside the other, and the intervals
     starting inside v are those after v in left-end order up to the first
-    that starts after v ends: each edge is listed once, from the interval
-    that starts first.
+    that starts after v ends (the representation's greedy chain holds that
+    order and cut): each edge is listed once, from the interval that
+    starts first.
 
     Built on the first call and cached on rep, so the parser, the solver
     and every other caller share one graph, and with it its N[v] table and
@@ -261,13 +260,12 @@ def intersection_graph(rep: IntervalRepresentation) -> Graph:
     """
     if rep._graph is not None:
         return rep._graph
-    by_left = sorted(range(rep.n), key=rep.lefts.__getitem__)
-    starts = [rep.left(v) for v in by_left]
+    order, cut, _ = rep._chain
     edges = []
-    for i, v in enumerate(by_left):
-        edges.extend((v, u) for u in by_left[i + 1 : bisect_left(starts, rep.right(v))])
+    for i, v in enumerate(order):
+        edges.extend((v, u) for u in order[i + 1 : cut[v]])
     g = Graph(rep.n, edges)
-    g._chains = _ChainRows(rep.lefts, rep.rights)
+    g._chains = _ChainRows(rep.lefts, rep.rights, rep._chain)
     rep._graph = g
     return g
 

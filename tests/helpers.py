@@ -162,3 +162,41 @@ def unit_replay(g: ts.Graph, pred, start: ts.TokenMultiset, seq: ts.MoveSequence
             mask = new_mask
             i += 1
     return ts.VerifyResult(True, ts.TokenMultiset(counts), None)
+
+
+def shortest_slide_sequence(g: ts.Graph, pred, start: ts.TokenMultiset, goal: ts.TokenMultiset):
+    """Some shortest slide sequence from start to goal as unit triples, by
+    breadth-first search over token-count tuples; None if unreachable."""
+
+    def mask(counts):
+        return sum(1 << v for v, c in enumerate(counts) if c)
+
+    def tup(t):
+        counts = [0] * g.n
+        for v, c in t.items():
+            counts[v] = c
+        return tuple(counts)
+
+    source, target = tup(start), tup(goal)
+    parent = {source: None}
+    queue = deque([source])
+    while queue and target not in parent:
+        counts = queue.popleft()
+        for u in range(g.n):
+            if not counts[u]:
+                continue
+            for v in g.neighbors(u):
+                nxt = list(counts)
+                nxt[u] -= 1
+                nxt[v] += 1
+                nxt = tuple(nxt)
+                if nxt not in parent and pred(mask(nxt)):
+                    parent[nxt] = (counts, (u, v, 1))
+                    queue.append(nxt)
+    if target not in parent:
+        return None
+    moves = []
+    while parent[target] is not None:
+        target, move = parent[target]
+        moves.append(move)
+    return ts.MoveSequence(moves[::-1])

@@ -83,7 +83,20 @@ class TestVerify:
         mf = tmp_path / "moves.txt"
         mf.write_text("moves 4\n0 1 1\n1 0 1\n0 1 1\n2 3 1\n")
         assert main(["verify", p4_file, str(mf), "--optimal"]) == 2
-        assert "suboptimal" in capsys.readouterr().out
+        assert capsys.readouterr().out == "suboptimal: matching bound 2 differs from length 4\n"
+
+    def test_optimal_runs_no_configuration_bfs(self, tmp_path, capsys, monkeypatch):
+        def no_bfs(*args, **kwargs):
+            raise AssertionError("verify --optimal ran the configuration BFS")
+
+        monkeypatch.setattr("tokenslide.oracle.reconfig_distance_bfs", no_bfs)
+        inst, moves = tmp_path / "iv.txt", tmp_path / "moves.txt"
+        assert main(["gen", "--kind", "interval", "--n", "400", "--k", "80", "--seed", "3"]) == 0
+        inst.write_text(capsys.readouterr().out)
+        assert main(["solve", str(inst)]) == 0
+        moves.write_text(capsys.readouterr().out)
+        assert main(["verify", str(inst), str(moves), "--optimal"]) == 0
+        assert capsys.readouterr().out == "valid optimal (70 moves)\n"
 
     def test_rejects_invalid_moves(self, p4_file, tmp_path, capsys):
         mf = tmp_path / "moves.txt"
@@ -306,7 +319,7 @@ def test_mutated_files_end_in_an_exit_code_and_one_line(tmp_path, capsys, data):
     moves.write_text(" ".join(files[1]))
     for argv in (
         ["solve", inst],
-        ["verify", inst, moves, "--optimal", "--cap", "1000"],
+        ["verify", inst, moves, "--optimal"],
         ["match", inst],
         ["match", inst, "--fast"],
         ["oracle", inst, "--cap", "1000"],
@@ -374,6 +387,14 @@ class TestBench:
 
     def test_bad_sizes(self):
         assert main(["bench", "--kind", "tree", "--sizes", "a,b"]) == 1
+
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    @pytest.mark.parametrize("kind", ["tree", "interval", "verify"])
+    def test_sizes_below_one(self, kind, size, capsys):
+        assert main(["bench", "--kind", kind, "--sizes", f"40,{size}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad size '{size}'\n"
 
 
 class TestInternalError:

@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenslide import (
@@ -19,7 +19,9 @@ from tokenslide import (
     dominating_predicate,
     hitting_predicate,
     independent_set_predicate,
+    intersection_graph,
     min_cost_matching,
+    reconf_interval,
     reconf_tree_dominating,
     reconfig_distance_bfs,
     verify_sequence,
@@ -28,12 +30,15 @@ from tokenslide import (
 from tokenslide.generators import (
     heavy_path_instance,
     random_connected_graph,
+    random_interval_representation,
     random_subtree_family,
     random_token_multiset,
     random_tree,
 )
 
-from helpers import unit_replay
+from tokenslide.oracle import sequence_failure
+
+from helpers import shortest_slide_sequence, unit_replay
 
 
 def path(n):
@@ -271,3 +276,68 @@ class TestCertify:
         assert certify_optimality(
             g, dominating_predicate(g), tokens, tokens, MoveSequence([])
         )
+
+
+def _feasible_tokens(n, pred, rng):
+    """A few random tokens, then one on each new vertex in random order
+    until the multiset is feasible."""
+    picks = rng.choices(range(n), k=rng.randrange(1, 4))
+    fresh = rng.sample(range(n), n)
+    while not pred(TokenMultiset(picks).support_mask):
+        v = fresh.pop()
+        if v not in picks:
+            picks.append(v)
+    return picks
+
+
+def _detour(g, pred, start, seq):
+    """seq after one slide out of start and back, or None if no slide out
+    of start keeps it feasible."""
+    for u in sorted(start.support):
+        for v in g.neighbors(u):
+            if pred(start.slide(u, v).support_mask):
+                return MoveSequence([(u, v, 1), (v, u, 1), *seq.moves])
+    return None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(["graph", "tree", "interval", "hitting"]), st.integers(0, 2**32 - 1))
+def test_certifier_agrees_with_the_bfs_distance(kind, seed):
+    """``sequence_failure(..., optimal=True)`` passes a sequence exactly when
+    the exhaustive BFS distance, its length and the matching bound agree."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 8)
+    rep = None
+    if kind == "graph":
+        g = random_connected_graph(n, rng)
+    elif kind == "interval":
+        rep = random_interval_representation(n, rng, connected=rng.random() < 0.8)
+        g = intersection_graph(rep)
+    else:
+        g = random_tree(n, rng)
+    if kind == "hitting":
+        pred = hitting_predicate(random_subtree_family(RootedTree(g, 0), rng, rng.randrange(1, n + 1)))
+    else:
+        pred = dominating_predicate(g)
+    a, b = _feasible_tokens(n, pred, rng), _feasible_tokens(n, pred, rng)
+    fewer, more = sorted((a, b), key=len)
+    fewer.extend(rng.choices(range(n), k=len(more) - len(fewer)))  # extra tokens keep it feasible
+    start, goal = TokenMultiset(a), TokenMultiset(b)
+
+    d = reconfig_distance_bfs(g, pred, start, goal)
+    shortest = shortest_slide_sequence(g, pred, start, goal)
+    if shortest is None:
+        assert d is None
+        return
+    assert shortest.total_length == d
+    _, c = min_cost_matching(g, start, goal)
+    seqs = [shortest, _detour(g, pred, start, shortest)]
+    if kind == "tree":
+        seqs.append(reconf_tree_dominating(RootedTree(g, 0), start, goal))
+    elif kind == "interval":
+        seqs.append(reconf_interval(rep, start, goal))
+    for seq in seqs:
+        if seq is not None:
+            length = seq.total_length
+            certified = sequence_failure(g, pred, start, goal, seq, optimal=True) is None
+            assert certified == (d == length == c), (seq.moves, d, c)

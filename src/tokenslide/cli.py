@@ -8,10 +8,12 @@ Set REC_LOG=debug for trace logging of greedy scans and matching repairs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 from .errors import FeasibilityError, InputError, InvariantError, MatchingError, StateCapExceeded
 from .graphs import RootedTree
@@ -48,6 +50,21 @@ def _load_instance(path: str) -> Instance:
     return parse_instance(_read(path))
 
 
+@contextmanager
+def _naming_instance(path: str):
+    """Append the first 12 hex digits of the instance file's SHA-256 to an
+    internal error raised inside, so that a report names its input."""
+    try:
+        yield
+    except (InvariantError, MatchingError) as exc:
+        try:
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()[:12]
+        except OSError:
+            raise exc from None
+        raise type(exc)(f"{exc} (instance sha256 {digest})") from exc
+
+
 def _solve_instance(inst: Instance, root: int) -> MoveSequence | None:
     if inst.kind == "tree":
         tree = RootedTree(inst.graph, root)
@@ -60,7 +77,8 @@ def _solve_instance(inst: Instance, root: int) -> MoveSequence | None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.file)
-    seq = _solve_instance(inst, args.root)
+    with _naming_instance(args.file):
+        seq = _solve_instance(inst, args.root)
     if seq is None:
         print("unreachable")
         return EXIT_INFEASIBLE
@@ -73,7 +91,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     _, triples = parse_moves(_read(args.moves))
     seq = MoveSequence(triples)
     pred = dominating_predicate(inst.graph)
-    failure = sequence_failure(inst.graph, pred, inst.d_s, inst.d_t, seq, args.optimal)
+    with _naming_instance(args.file):
+        failure = sequence_failure(inst.graph, pred, inst.d_s, inst.d_t, seq, args.optimal)
     if failure is not None:
         print(failure)
         return EXIT_INFEASIBLE
@@ -170,6 +189,15 @@ def _bench_verify_point(n: int) -> tuple[int, float]:
     return seq.total_length, elapsed * 1000.0
 
 
+def _bench_parse_point(n: int) -> tuple[int, float]:
+    graph, d_s, d_t = _heavy_path_pile(n)
+    text = emit_instance(Instance("tree", graph, None, d_s, d_t))
+    t0 = time.perf_counter()
+    tree = RootedTree(parse_instance(text).graph, 0)
+    elapsed = time.perf_counter() - t0
+    return reconf_tree_dominating(tree, d_s, d_t).total_length, elapsed * 1000.0
+
+
 def _bench_interval_point(n: int, seed: int) -> tuple[int, float]:
     inst = gen_bench_interval_instance(n, seed)
     assert inst.rep is not None
@@ -199,6 +227,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             total, ms = _bench_tree_point(n)
         elif args.kind == "verify":
             total, ms = _bench_verify_point(n)
+        elif args.kind == "parse":
+            total, ms = _bench_parse_point(n)
         else:
             total, ms = _bench_interval_point(n, args.seed + n)
         print(f"{n},{total},{ms:.2f}")
@@ -248,9 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="CSV timing ladder")
     p.add_argument(
         "--kind",
-        choices=("tree", "interval", "verify"),
+        choices=("tree", "interval", "verify", "parse"),
         required=True,
-        help="time the tree solver, the interval solver, or verify_sequence on the tree ladder",
+        help="time the tree solver, the interval solver, verify_sequence on the tree ladder, "
+        "or parse_instance and RootedTree on the tree ladder's emitted instances",
     )
     p.add_argument("--sizes", required=True, help="comma-separated vertex counts")
     p.add_argument("--seed", type=int, default=0)

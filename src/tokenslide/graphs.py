@@ -9,6 +9,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Sequence
+from itertools import chain, islice
+from operator import eq, itemgetter
 
 from .errors import FeasibilityError, InputError
 from .multiset import TokenMultiset
@@ -25,15 +27,29 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InputError(f"vertex count must be non-negative, got {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = tuple(tuple(sorted(s)) for s in adj)
+            adj[u].append(v)
+            adj[v].append(u)
+        for row in adj:
+            row.sort()
+        # A repeated edge leaves two equal neighbours side by side in both its
+        # rows.  Laid end to end, the rows also meet where one row's last entry
+        # equals the next row's first; all other equal neighbours are repeats.
+        ends = list(chain.from_iterable(adj))
+        repeats = sum(map(eq, ends, islice(ends, 1, None)))
+        if repeats:
+            rows = list(filter(None, adj))
+            repeats -= sum(map(eq, map(itemgetter(-1), rows), map(itemgetter(0), islice(rows, 1, None))))
+        if repeats:
+            for row in adj:
+                if len(set(row)) < len(row):
+                    row[:] = sorted(set(row))
+        self._adj = tuple(map(tuple, adj))
         self.edge_count = sum(map(len, adj)) // 2
         self._closed: tuple[frozenset[int], ...] | None = None  # see closed_neighborhoods
         self._rows: dict[int, list[int]] = {}  # distance rows by source, see Distances
@@ -176,13 +192,15 @@ class RootedTree:
         if not 0 <= root < n:
             raise InputError(f"root {root} out of range")
         depth = check_tree(graph, root)
-        # in a tree each other vertex has exactly one neighbour one level up
+        # in a tree each other vertex has exactly one neighbour one level up:
+        # each row is read only up to it
         parent = [root] * n
-        for u, nbrs in enumerate(graph.adjacency):
-            below = depth[u] + 1
-            for w in nbrs:
-                if depth[w] == below:
+        for w, nbrs in enumerate(graph.adjacency):
+            up = depth[w] - 1
+            for u in nbrs:
+                if depth[u] == up:
                     parent[w] = u
+                    break
         self.graph = graph
         self.root = root
         self.parent = parent

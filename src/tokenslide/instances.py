@@ -19,7 +19,10 @@ A ``graph N`` file may list no edges, so N is capped at
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ge
 
 from .errors import ParseError
 from .graphs import Graph, check_tree
@@ -29,6 +32,8 @@ from .multiset import TokenMultiset
 KINDS = ("tree", "graph", "intervals")
 #: Largest N accepted in a ``graph N`` header.
 MAX_GRAPH_VERTICES = 100_000
+#: A comment, up to the next line boundary of ``str.splitlines``.
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
 @dataclass(frozen=True)
@@ -44,13 +49,11 @@ class Instance:
         return self.graph.n
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((i, line))
-    return out
+def _content_lines(text: str) -> tuple[list[int], list[str]]:
+    """The lines holding more than a comment, stripped, and their 1-based
+    line numbers, as two parallel lists."""
+    stripped = list(map(str.strip, _COMMENT.sub("", text).splitlines()))
+    return list(compress(count(1), stripped)), list(filter(None, stripped))
 
 
 def _parse_ints(lineno: int, line: str, expect: int | None = None) -> list[int]:
@@ -64,27 +67,119 @@ def _parse_ints(lineno: int, line: str, expect: int | None = None) -> list[int]:
     return values
 
 
+def _read_block(lines: list[str], width: int) -> list[int] | None:
+    """The integers of ``lines`` in order, or None unless every line holds
+    exactly ``width`` of them.
+
+    One split and one ``int`` pass over the whole block.  The lines are
+    joined around a ``|`` token, which is no integer.  With the right token
+    count, dropping every ``width + 1``-th token drops as many tokens as
+    there are separators; if only integers are left, the dropped tokens were
+    the separators, so every line held exactly ``width`` integers.
+    """
+    if not lines:
+        return []
+    tokens = " | ".join(lines).split()
+    if len(tokens) != (width + 1) * len(lines) - 1:
+        return None
+    del tokens[width :: width + 1]
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        return None
+
+
+def _read_lines(nums: list[int], lines: list[str], width: int, check=None) -> list[int]:
+    """What ``_read_block`` reads, line by line, for blocks it rejects: the
+    first line in file order that does not hold ``width`` integers, or whose
+    values fail ``check(lineno, values)``, raises its ParseError."""
+    out: list[int] = []
+    for ln, line in zip(nums, lines):
+        values = _parse_ints(ln, line, expect=width)
+        if check is not None:
+            check(ln, values)
+        out += values
+    return out
+
+
 def _parse_tokens(lineno: int, line: str, n: int) -> TokenMultiset:
     head, _, rest = line.partition(":")
     parts = head.split()
     if len(parts) != 2 or parts[0] != "tokens" or not parts[1].isdecimal():
         raise ParseError(lineno, f"expected 'tokens k: v1 ... vk', got {line!r}")
     k = int(parts[1])
-    ids = _parse_ints(lineno, rest)
+    try:
+        ids = list(map(int, rest.split()))
+    except ValueError:
+        raise ParseError(lineno, f"expected integers, got {rest!r}") from None
     if len(ids) != k:
         raise ParseError(lineno, f"token line declares {k} tokens but lists {len(ids)}")
-    for v in ids:
-        if not 0 <= v < n:
-            raise ParseError(lineno, f"token vertex {v} out of range for {n} vertices")
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        v = next(v for v in ids if not 0 <= v < n)
+        raise ParseError(lineno, f"token vertex {v} out of range for {n} vertices")
     return TokenMultiset(ids)
+
+
+def _parse_intervals(nums: list[int], lines: list[str], header: int, n: int) -> IntervalRepresentation:
+    """The representation from the n lines after the header."""
+    block = lines[1 : n + 1]
+    flat = _read_block(block, 3)
+    if flat is not None and len(block) == n:
+        ids = flat[::3]
+        lefts, rights = flat[1::3], flat[2::3]
+        if min(ids) >= 0 and max(ids) < n and len(set(ids)) == n and not any(map(ge, lefts, rights)):
+            if ids != list(range(n)):
+                by_id = sorted(range(n), key=ids.__getitem__)
+                lefts = list(map(lefts.__getitem__, by_id))
+                rights = list(map(rights.__getitem__, by_id))
+            try:
+                return IntervalRepresentation(zip(lefts, rights))
+            except ValueError as exc:
+                raise ParseError(header, str(exc)) from None
+    seen: set[int] = set()
+
+    def check(ln: int, values: list[int]) -> None:
+        v, lo, hi = values
+        if not 0 <= v < n:
+            raise ParseError(ln, f"interval id {v} out of range")
+        if v in seen:
+            raise ParseError(ln, f"duplicate interval id {v}")
+        if lo >= hi:
+            raise ParseError(ln, f"interval [{lo}, {hi}] must have left < right")
+        seen.add(v)
+
+    _read_lines(nums[1 : n + 1], block, 3, check)
+    raise ParseError(nums[-1], f"expected {n} interval lines")
+
+
+def _parse_edges(nums: list[int], lines: list[str], header: int, kind: str, n: int) -> tuple[Graph, int]:
+    """The graph from the edge lines after the header, which run up to the
+    first line starting with ``tokens``, and the index of that line."""
+    # no line holds a newline, so the first "\ntokens" starts that line
+    joined = "\n".join(lines)
+    at = joined.find("\ntokens")
+    stop = joined.count("\n", 0, at) + 1 if at >= 0 else len(lines)
+    flat = _read_block(lines[1:stop], 2)
+    if flat is None:
+        flat = _read_lines(nums[1:stop], lines[1:stop], 2)
+    if kind == "tree" and len(flat) != 2 * (n - 1):
+        raise ParseError(header, f"tree on {n} vertices needs {n - 1} edges, got {len(flat) // 2}")
+    try:
+        graph = Graph(n, zip(flat[::2], flat[1::2]))
+        if kind == "tree":
+            # duplicate edges collapse in Graph, so n - 1 lines need not be n - 1 edges
+            check_tree(graph)
+    except ValueError as exc:
+        raise ParseError(header, str(exc)) from None
+    return graph, stop
 
 
 def parse_instance(text: str) -> Instance:
     """Parse an instance file; raises ParseError with a line number on bad input."""
-    lines = _content_lines(text)
+    nums, lines = _content_lines(text)
     if not lines:
         raise ParseError(1, "empty instance")
-    lineno, header = lines[0]
+    lineno, header = nums[0], lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] not in KINDS:
         raise ParseError(lineno, f"expected header 'tree|graph|intervals N', got {header!r}")
@@ -98,57 +193,25 @@ def parse_instance(text: str) -> Instance:
     if kind == "graph" and n > MAX_GRAPH_VERTICES:
         raise ParseError(lineno, f"graph files allow at most {MAX_GRAPH_VERTICES} vertices, got {n}")
 
-    pos = 1
     rep: IntervalRepresentation | None = None
     if kind == "intervals":
-        seen: dict[int, tuple[int, int]] = {}
-        for _ in range(n):
-            if pos >= len(lines):
-                raise ParseError(lines[-1][0], f"expected {n} interval lines")
-            ln, line = lines[pos]
-            pos += 1
-            v, lo, hi = _parse_ints(ln, line, expect=3)
-            if not 0 <= v < n:
-                raise ParseError(ln, f"interval id {v} out of range")
-            if v in seen:
-                raise ParseError(ln, f"duplicate interval id {v}")
-            if lo >= hi:
-                raise ParseError(ln, f"interval [{lo}, {hi}] must have left < right")
-            seen[v] = (lo, hi)
-        try:
-            rep = IntervalRepresentation(seen[v] for v in range(n))
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
+        rep = _parse_intervals(nums, lines, lineno, n)
         graph = intersection_graph(rep)
+        pos = n + 1
     else:
-        edges = []
-        expected = n - 1 if kind == "tree" else None
-        while pos < len(lines) and not lines[pos][1].startswith("tokens"):
-            ln, line = lines[pos]
-            pos += 1
-            u, v = _parse_ints(ln, line, expect=2)
-            edges.append((u, v))
-        if expected is not None and len(edges) != expected:
-            raise ParseError(lineno, f"tree on {n} vertices needs {expected} edges, got {len(edges)}")
-        try:
-            graph = Graph(n, edges)
-            if kind == "tree":
-                # duplicate edges collapse in Graph, so n - 1 lines need not be n - 1 edges
-                check_tree(graph)
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
+        graph, pos = _parse_edges(nums, lines, lineno, kind, n)
 
     token_sets = []
     for _ in range(2):
         if pos >= len(lines):
-            raise ParseError(lines[-1][0], "expected two token lines")
-        ln, line = lines[pos]
+            raise ParseError(nums[-1], "expected two token lines")
+        ln, line = nums[pos], lines[pos]
         pos += 1
         if not line.startswith("tokens"):
             raise ParseError(ln, f"expected a token line, got {line!r}")
         token_sets.append(_parse_tokens(ln, line, n))
     if pos < len(lines):
-        raise ParseError(lines[pos][0], "unexpected trailing content")
+        raise ParseError(nums[pos], "unexpected trailing content")
     d_s, d_t = token_sets
     if d_s.total != d_t.total:
         raise ParseError(lineno, f"token blocks differ in size: {d_s.total} vs {d_t.total}")
@@ -179,10 +242,10 @@ def emit_instance(inst: Instance) -> str:
 
 def parse_moves(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     """Parse solver output: a 'moves N' header then one 'u v count' per line."""
-    lines = _content_lines(text)
+    nums, lines = _content_lines(text)
     if not lines:
         raise ParseError(1, "empty move file")
-    lineno, header = lines[0]
+    lineno, header = nums[0], lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] != "moves":
         raise ParseError(lineno, f"expected 'moves N', got {header!r}")
@@ -190,17 +253,19 @@ def parse_moves(text: str) -> tuple[int, list[tuple[int, int, int]]]:
         declared = int(parts[1])
     except ValueError:
         raise ParseError(lineno, f"bad move count {parts[1]!r}") from None
-    triples = []
-    total = 0
-    for ln, line in lines[1:]:
-        u, v, c = _parse_ints(ln, line, expect=3)
-        if c < 1:
-            raise ParseError(ln, f"move count {c} must be positive")
-        triples.append((u, v, c))
-        total += c
+    flat = _read_block(lines[1:], 3)
+    if flat is None or flat and min(flat[2::3]) < 1:
+
+        def check(ln: int, values: list[int]) -> None:
+            if values[2] < 1:
+                raise ParseError(ln, f"move count {values[2]} must be positive")
+
+        flat = _read_lines(nums[1:], lines[1:], 3, check)
+    counts = flat[2::3]
+    total = sum(counts)
     if total != declared:
         raise ParseError(lineno, f"header declares {declared} moves but lines sum to {total}")
-    return declared, triples
+    return declared, list(zip(flat[::3], flat[1::3], counts))
 
 
 def emit_moves(moves: list[tuple[int, int, int]], total: int) -> str:

@@ -8,7 +8,12 @@ import random
 from collections import deque
 
 import tokenslide as ts
+from tokenslide.errors import InputError, ParseError
 from tokenslide.generators import gen_instance, random_interval_representation
+from tokenslide.graphs import check_tree
+from tokenslide.instances import KINDS, MAX_GRAPH_VERTICES, Instance
+from tokenslide.intervals import IntervalRepresentation, intersection_graph
+from tokenslide.multiset import TokenMultiset
 
 
 def bfs_path(g: ts.Graph, s: int, t: int) -> list[int] | None:
@@ -200,3 +205,169 @@ def shortest_slide_sequence(g: ts.Graph, pred, start: ts.TokenMultiset, goal: ts
         target, move = parent[target]
         moves.append(move)
     return ts.MoveSequence(moves[::-1])
+
+
+# The line-by-line instance and move reader, kept as the reference that the
+# bulk reader in ``tokenslide.instances`` must agree with: same instances,
+# same error texts.  It builds graphs the same way too, with a set per vertex.
+
+
+class ReferenceGraph(ts.Graph):
+    """A Graph whose adjacency is built with a set per vertex."""
+
+    __slots__ = ()
+
+    def __init__(self, n, edges=()):
+        if n < 0:
+            raise InputError(f"vertex count must be non-negative, got {n}")
+        adj: list[set[int]] = [set() for _ in range(n)]
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(f"edge ({u}, {v}) out of range for {n} vertices")
+            if u == v:
+                raise InputError(f"self-loop at vertex {u}")
+            adj[u].add(v)
+            adj[v].add(u)
+        self._adj = tuple(tuple(sorted(s)) for s in adj)
+        self.edge_count = sum(map(len, adj)) // 2
+        self._closed = None
+        self._rows = {}
+        self._chains = None
+        self.n = n
+
+
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    out = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((i, line))
+    return out
+
+
+def _parse_ints(lineno: int, line: str, expect: int | None = None) -> list[int]:
+    parts = line.split()
+    try:
+        values = [int(p) for p in parts]
+    except ValueError:
+        raise ParseError(lineno, f"expected integers, got {line!r}") from None
+    if expect is not None and len(values) != expect:
+        raise ParseError(lineno, f"expected {expect} integers, got {len(values)}")
+    return values
+
+
+def _parse_tokens(lineno: int, line: str, n: int) -> TokenMultiset:
+    head, _, rest = line.partition(":")
+    parts = head.split()
+    if len(parts) != 2 or parts[0] != "tokens" or not parts[1].isdecimal():
+        raise ParseError(lineno, f"expected 'tokens k: v1 ... vk', got {line!r}")
+    k = int(parts[1])
+    ids = _parse_ints(lineno, rest)
+    if len(ids) != k:
+        raise ParseError(lineno, f"token line declares {k} tokens but lists {len(ids)}")
+    for v in ids:
+        if not 0 <= v < n:
+            raise ParseError(lineno, f"token vertex {v} out of range for {n} vertices")
+    return TokenMultiset(ids)
+
+
+def reference_parse_instance(text: str) -> Instance:
+    """Parse an instance file; raises ParseError with a line number on bad input."""
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError(1, "empty instance")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] not in KINDS:
+        raise ParseError(lineno, f"expected header 'tree|graph|intervals N', got {header!r}")
+    kind = parts[0]
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise ParseError(lineno, f"bad vertex count {parts[1]!r}") from None
+    if n < 1:
+        raise ParseError(lineno, "vertex count must be positive")
+    if kind == "graph" and n > MAX_GRAPH_VERTICES:
+        raise ParseError(lineno, f"graph files allow at most {MAX_GRAPH_VERTICES} vertices, got {n}")
+
+    pos = 1
+    rep: IntervalRepresentation | None = None
+    if kind == "intervals":
+        seen: dict[int, tuple[int, int]] = {}
+        for _ in range(n):
+            if pos >= len(lines):
+                raise ParseError(lines[-1][0], f"expected {n} interval lines")
+            ln, line = lines[pos]
+            pos += 1
+            v, lo, hi = _parse_ints(ln, line, expect=3)
+            if not 0 <= v < n:
+                raise ParseError(ln, f"interval id {v} out of range")
+            if v in seen:
+                raise ParseError(ln, f"duplicate interval id {v}")
+            if lo >= hi:
+                raise ParseError(ln, f"interval [{lo}, {hi}] must have left < right")
+            seen[v] = (lo, hi)
+        try:
+            rep = IntervalRepresentation(seen[v] for v in range(n))
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+        graph = intersection_graph(rep)
+    else:
+        edges = []
+        expected = n - 1 if kind == "tree" else None
+        while pos < len(lines) and not lines[pos][1].startswith("tokens"):
+            ln, line = lines[pos]
+            pos += 1
+            u, v = _parse_ints(ln, line, expect=2)
+            edges.append((u, v))
+        if expected is not None and len(edges) != expected:
+            raise ParseError(lineno, f"tree on {n} vertices needs {expected} edges, got {len(edges)}")
+        try:
+            graph = ReferenceGraph(n, edges)
+            if kind == "tree":
+                # duplicate edges collapse in Graph, so n - 1 lines need not be n - 1 edges
+                check_tree(graph)
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+
+    token_sets = []
+    for _ in range(2):
+        if pos >= len(lines):
+            raise ParseError(lines[-1][0], "expected two token lines")
+        ln, line = lines[pos]
+        pos += 1
+        if not line.startswith("tokens"):
+            raise ParseError(ln, f"expected a token line, got {line!r}")
+        token_sets.append(_parse_tokens(ln, line, n))
+    if pos < len(lines):
+        raise ParseError(lines[pos][0], "unexpected trailing content")
+    d_s, d_t = token_sets
+    if d_s.total != d_t.total:
+        raise ParseError(lineno, f"token blocks differ in size: {d_s.total} vs {d_t.total}")
+    return Instance(kind=kind, graph=graph, rep=rep, d_s=d_s, d_t=d_t)
+
+
+def reference_parse_moves(text: str) -> tuple[int, list[tuple[int, int, int]]]:
+    """Parse solver output: a 'moves N' header then one 'u v count' per line."""
+    lines = _content_lines(text)
+    if not lines:
+        raise ParseError(1, "empty move file")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "moves":
+        raise ParseError(lineno, f"expected 'moves N', got {header!r}")
+    try:
+        declared = int(parts[1])
+    except ValueError:
+        raise ParseError(lineno, f"bad move count {parts[1]!r}") from None
+    triples = []
+    total = 0
+    for ln, line in lines[1:]:
+        u, v, c = _parse_ints(ln, line, expect=3)
+        if c < 1:
+            raise ParseError(ln, f"move count {c} must be positive")
+        triples.append((u, v, c))
+        total += c
+    if total != declared:
+        raise ParseError(lineno, f"header declares {declared} moves but lines sum to {total}")
+    return declared, triples

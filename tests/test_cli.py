@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import re
 import subprocess
 import sys
@@ -385,11 +386,20 @@ class TestBench:
         tree_lines = capsys.readouterr().out.strip().splitlines()
         assert [line.split(",")[:2] for line in lines] == [line.split(",")[:2] for line in tree_lines]
 
+    def test_parse_csv(self, capsys):
+        assert main(["bench", "--kind", "parse", "--sizes", "300,3000"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "n,total_moves,wall_ms"
+        # the tree ladder's heavy-path piles, parsed from their emitted text
+        assert main(["bench", "--kind", "tree", "--sizes", "300,3000"]) == 0
+        tree_lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[:2] for line in lines] == [line.split(",")[:2] for line in tree_lines]
+
     def test_bad_sizes(self):
         assert main(["bench", "--kind", "tree", "--sizes", "a,b"]) == 1
 
     @pytest.mark.parametrize("size", ["0", "-5"])
-    @pytest.mark.parametrize("kind", ["tree", "interval", "verify"])
+    @pytest.mark.parametrize("kind", ["tree", "interval", "verify", "parse"])
     def test_sizes_below_one(self, kind, size, capsys):
         assert main(["bench", "--kind", kind, "--sizes", f"40,{size}"]) == 1
         captured = capsys.readouterr()
@@ -408,5 +418,19 @@ class TestInternalError:
         f.write_text("intervals 3\n0 1 4\n1 2 5\n2 3 6\ntokens 1: 0\ntokens 1: 2\n")
         assert main(["solve", str(f)]) == 3
         err = capsys.readouterr().err
-        assert err.splitlines() == ["internal error: emitted 3 moves but the matching bound is 2"]
+        digest = hashlib.sha256(f.read_bytes()).hexdigest()[:12]
+        assert err.splitlines() == [
+            f"internal error: emitted 3 moves but the matching bound is 2 (instance sha256 {digest})"
+        ]
         assert "Traceback" not in err
+
+    def test_verify_names_the_instance(self, p4_file, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InvariantError("replay lost a token")
+
+        monkeypatch.setattr("tokenslide.cli.sequence_failure", broken)
+        moves = tmp_path / "moves.txt"
+        moves.write_text("moves 2\n0 1 1\n2 3 1\n")
+        assert main(["verify", p4_file, str(moves)]) == 3
+        digest = hashlib.sha256(open(p4_file, "rb").read()).hexdigest()[:12]
+        assert capsys.readouterr().err == f"internal error: replay lost a token (instance sha256 {digest})\n"

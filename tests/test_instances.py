@@ -1,17 +1,26 @@
+import functools
+import random
+import re
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tokenslide import Graph, ParseError, RootedTree, TokenMultiset, graphs
-from tokenslide.generators import gen_instance
+from helpers import ReferenceGraph, reference_parse_instance, reference_parse_moves
+from tokenslide import Graph, InputError, ParseError, RootedTree, TokenMultiset, graphs, instances
+from tokenslide.generators import gen_instance, heavy_path_instance
 from tokenslide.graphs import distances_from
 from tokenslide.instances import (
     MAX_GRAPH_VERTICES,
+    Instance,
     emit_instance,
     emit_moves,
     parse_instance,
     parse_moves,
 )
+from tokenslide.interval_reconfig import reconf_interval
+from tokenslide.tree_reconfig import reconf_tree_dominating
 
 P4_TREE = """tree 4
 0 1
@@ -202,3 +211,181 @@ class TestMoveFiles:
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_moves("m 1\n0 1 1\n")
+
+
+def _outcome(parse, text):
+    """What a reader makes of text: the canonical emitted form (or the move
+    list), or the error type and its message."""
+    try:
+        result = parse(text)
+    except ValueError as exc:  # ParseError and InputError among them
+        return type(exc).__name__, str(exc)
+    return "ok", emit_instance(result) if isinstance(result, Instance) else result
+
+
+@functools.cache
+def _reader_fixtures():
+    """(kind of file, lines) pairs: tree, graph and interval instances, one
+    interval file with its lines shuffled, and the move files their solvers emit."""
+    rng = random.Random(5)
+    out = []
+    for seed in range(3):
+        for inst in (gen_instance("tree", 7 + seed, 3, seed), gen_instance("interval", 6 + seed, 2, seed)):
+            out.append(("instance", emit_instance(inst).splitlines()))
+            if inst.kind == "tree":
+                seq = reconf_tree_dominating(RootedTree(inst.graph, 0), inst.d_s, inst.d_t)
+            else:
+                seq = reconf_interval(inst.rep, inst.d_s, inst.d_t)
+            out.append(("moves", emit_moves(list(seq.moves), seq.total_length).splitlines()))
+        n = 6 + seed
+        edges = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(2 * n)})
+        body = [f"{u} {v}" for u, v in edges]
+        out.append(("instance", [f"graph {n}", *body, "tokens 2: 0 1", "tokens 2: 2 2"]))
+    lines = emit_instance(gen_instance("interval", 8, 3, 9)).splitlines()
+    body = lines[1:9]
+    rng.shuffle(body)
+    out.append(("instance", [lines[0], *body, *lines[9:]]))
+    return out
+
+
+# Tokens a mutation may put in place of another: signs, underscores and
+# non-ASCII digits that int() accepts, ids at and beyond the ends of the
+# range, and text that is no integer.
+READER_TOKENS = (
+    "+3", "1_0", "\u0663", "\uff13", "-1", "0", "1", "2", "5", "8", "9", "12", "00",
+    "x", "tokens", "|", "1|2", "\u00b2", "1e3", "tokens 1:",
+)
+LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+READER_OPS = (
+    "comment", "comment_break", "blank", "break", "extra", "drop", "shift", "replace", "loop", "repeat",
+    "delete", "trail",
+)
+
+
+@settings(max_examples=1200, derandomize=True, deadline=None)
+@given(st.data())
+def test_bulk_reader_agrees_with_the_line_by_line_reader(data):
+    """Comments, blank lines, other line breaks, extra or missing fields,
+    odd integer spellings, out-of-range ids, self-loops, repeated lines and
+    missing or trailing lines: the bulk reader gives the same instance, or
+    the same error text, as the line-by-line reader it replaced."""
+    kind, lines = data.draw(st.sampled_from(_reader_fixtures()))
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(READER_OPS))
+        i = data.draw(st.integers(0, len(lines) - 1)) if lines else 0
+        fields = lines[i].split(" ") if lines else []
+        if op == "comment":
+            if data.draw(st.booleans()):
+                lines.insert(i, "# a comment")
+            elif lines:
+                lines[i] += "  # 7 8"
+        elif op == "comment_break" and i + 1 < len(lines):
+            # any line break ends a comment: the next line is still read
+            brk = data.draw(st.sampled_from(LINE_BREAKS))
+            lines[i : i + 2] = [f"{lines[i]} # c{brk}{lines[i + 1]}"]
+        elif op == "blank":
+            lines.insert(i, data.draw(st.sampled_from(["", "   ", "\t"])))
+        elif op == "break" and lines:
+            j = data.draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:j] + data.draw(st.sampled_from(LINE_BREAKS)) + lines[i][j:]
+        elif op == "extra" and lines:
+            lines[i] += " " + data.draw(st.sampled_from(READER_TOKENS))
+        elif op == "drop" and len(fields) > 1:
+            lines[i] = " ".join(fields[:-1])
+        elif op == "shift" and len(fields) > 1:
+            # one line a field short and another a field long: the token count still fits
+            lines[i] = " ".join(fields[:-1])
+            j = data.draw(st.integers(0, len(lines) - 1))
+            lines[j] += " " + fields[-1]
+        elif op == "replace" and fields:
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(st.sampled_from(READER_TOKENS))
+            lines[i] = " ".join(fields)
+        elif op == "loop" and len(fields) > 1:
+            lines[i] = " ".join([fields[0], fields[0], *fields[2:]])
+        elif op == "repeat" and lines:
+            lines.insert(i, lines[i])
+        elif op == "delete" and lines:
+            del lines[i]
+        elif op == "trail" and lines:
+            lines.append(lines[i])
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + data.draw(st.sampled_from(["", newline]))
+    if kind == "instance":
+        assert _outcome(parse_instance, text) == _outcome(reference_parse_instance, text)
+    else:
+        assert _outcome(parse_moves, text) == _outcome(reference_parse_moves, text)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1)), max_size=3 * n + 2),
+        )
+    )
+)
+def test_graph_matches_the_set_per_vertex_build(case):
+    """Repeated edges in either direction, self-loops and out-of-range ends:
+    the same adjacency and edge count, or the same error text."""
+    n, edges = case
+
+    def build(cls):
+        try:
+            g = cls(n, iter(edges))
+        except InputError as exc:
+            return str(exc)
+        return g.adjacency, g.edge_count
+
+    assert build(Graph) == build(ReferenceGraph)
+
+
+@functools.cache
+def _big_files():
+    """A 10^4-vertex tree, intervals and move file, each 10^4 lines long."""
+    n = 10_000
+    graph, d_s, d_t = heavy_path_instance(n, n // 10)
+    tree = emit_instance(Instance("tree", graph, None, d_s, d_t))
+    ids = list(range(n))
+    random.Random(3).shuffle(ids)  # lines out of id order
+    rows = "".join(f"{v} {2 * v} {2 * v + 3}\n" for v in ids)
+    intervals = f"intervals {n}\n{rows}tokens 2: 0 {n - 1}\ntokens 2: 1 1\n"
+    moves = f"moves {n}\n" + "".join(f"{v} {v + 1} 1\n" for v in range(n))
+    return tree, intervals, moves
+
+
+def test_valid_files_never_read_line_by_line():
+    tree, intervals, moves = _big_files()
+    boom = AssertionError("read line by line")
+    with mock.patch.object(instances, "_parse_ints", side_effect=boom), mock.patch.object(
+        instances, "_read_lines", side_effect=boom
+    ):
+        inst = parse_instance(tree)
+        RootedTree(inst.graph, 0)
+        assert parse_instance(intervals).n == 10_000
+        assert parse_moves(moves)[0] == 10_000
+
+
+@pytest.mark.parametrize(
+    "which,bad,message",
+    [
+        (0, "5 x 1", "line {}: expected integers, got '5 x 1'"),
+        (0, "1", "line {}: expected 2 integers, got 1"),
+        (0, "7 7", "line 1: self-loop at vertex 7"),
+        (1, "3 3 3 3", "line {}: expected 3 integers, got 4"),
+        (1, "-4 2 9", "line {}: interval id -4 out of range"),
+        (2, "1 2 0", "line {}: move count 0 must be positive"),
+    ],
+)
+def test_a_bad_line_near_the_end_is_named(which, bad, message):
+    lines = _big_files()[which].splitlines()
+    lines[-5] = bad
+    text = "\n".join(lines) + "\n"
+    if which == 2:
+        parse, reference = parse_moves, reference_parse_moves
+    else:
+        parse, reference = parse_instance, reference_parse_instance
+    with pytest.raises(ParseError, match=f"^{re.escape(message.format(len(lines) - 4))}$"):
+        parse(text)
+    assert _outcome(parse, text) == _outcome(reference, text)

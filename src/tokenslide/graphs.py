@@ -20,9 +20,14 @@ UNREACHABLE = -1
 
 
 class Graph:
-    """Immutable undirected graph given by symmetric adjacency lists."""
+    """Immutable undirected graph given by symmetric adjacency lists.
 
-    __slots__ = ("n", "edge_count", "_adj", "_closed", "_rows", "_chains")
+    A tree from ``peel_tree`` holds its parent array and the depth row of
+    vertex 0, and builds its adjacency from the parent array on the first
+    read; it equals the one ``Graph(n, edges)`` builds.
+    """
+
+    __slots__ = ("n", "edge_count", "_adj", "_closed", "_rows", "_chains", "_parent")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -54,6 +59,7 @@ class Graph:
         self._closed: tuple[frozenset[int], ...] | None = None  # see closed_neighborhoods
         self._rows: dict[int, list[int]] = {}  # distance rows by source, see Distances
         self._chains = None  # an interval graph's row builder, see Distances
+        self._parent: list[int] | None = None  # a peeled tree's parents, see peel_tree
         self.n = n
 
     @property
@@ -84,6 +90,43 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+class _PeeledTree(Graph):
+    """A tree from ``peel_tree``: its parent array (vertex 0 is the root, its
+    own parent) and the depth row of vertex 0, with the adjacency left unset.
+
+    The solve path of a tree never reads the adjacency, so it is built from
+    the parent array on the first read instead of by the parser.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, parent: list[int], depth: list[int]):
+        self.n = len(parent)
+        self.edge_count = self.n - 1
+        self._parent = parent
+        self._closed = None
+        self._rows = {0: depth}
+        self._chains = None
+
+    def __getattr__(self, name: str):
+        # Python calls this only when the normal lookup fails: for _adj, on
+        # its first read.  It also slows every other lookup on the class,
+        # which is why eager graphs are plain Graphs and this one turns into
+        # one as soon as its adjacency is built.
+        if name != "_adj":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for v, p in enumerate(self._parent):
+            if v != p:
+                adj[p].append(v)
+                adj[v].append(p)
+        for row in adj:
+            row.sort()
+        self._adj = adj = tuple(map(tuple, adj))
+        self.__class__ = Graph
+        return adj
 
 
 def distances_from(g: Graph, s: int) -> list[int]:
@@ -174,13 +217,61 @@ def check_tree(graph: Graph, root: int = 0) -> list[int]:
     return depth
 
 
+def peel_tree(n: int, ends: list[int]) -> Graph | None:
+    """The tree on vertices 0..n-1 with the edges (ends[0], ends[1]),
+    (ends[2], ends[3]), ..., rooted at 0, or None unless these edges,
+    repeats and self-loops counted, are exactly the edges of such a tree.
+
+    Leaf peeling: deg[v] counts v's edges not yet peeled and xr[v] is the XOR
+    of their other ends, so at degree 1 xr[v] is v's one neighbour left, its
+    parent.  Each peel removes one edge that is no self-loop (a loop adds 2 to
+    a degree for good), so n - 1 peels use up all n - 1 edges, and they join
+    every vertex but 0 to a vertex peeled later or to 0: a tree.  Conversely
+    a tree loses a leaf other than 0 until only 0 is left.  The returned
+    graph builds its adjacency only when first read.
+    """
+    if len(ends) != 2 * (n - 1) or ends and (min(ends) < 0 or max(ends) >= n):
+        return None
+    deg = [0] * n
+    xr = [0] * n
+    for u, v in zip(ends[::2], ends[1::2]):
+        deg[u] += 1
+        deg[v] += 1
+        xr[u] ^= v
+        xr[v] ^= u
+    order: list[int] = []
+    peeled = order.append
+    for v in [v for v in range(1, n) if deg[v] == 1]:
+        # peel v, then its parent while that is left with one edge: a vertex
+        # gets down to one edge only when a child is peeled.  A leaf listed
+        # here may have lost its edge since: the other end of a two-vertex
+        # component, which must not be peeled towards 0 (xr[v] = 0)
+        while v and deg[v] == 1:
+            peeled(v)
+            p = xr[v]
+            xr[p] ^= v
+            deg[p] -= 1
+            v = p
+    if len(order) != n - 1:
+        return None
+    # a peeled v keeps xr[v] = its parent; 0 is left with xr[0] = 0
+    depth = [0] * n
+    for v in reversed(order):
+        depth[v] = depth[xr[v]] + 1
+    return _PeeledTree(xr, depth)
+
+
 class RootedTree:
     """A connected acyclic graph with parent/depth data and a processing order.
 
     ``order`` lists vertices by decreasing depth (ties by increasing id), so
     every vertex appears before its parent.  The root is its own parent.
-    ``depth`` is the graph's shared BFS row of the root (see ``Distances``),
-    so it is read-only like every row.
+    ``depth`` is the graph's shared distance row of the root (see
+    ``Distances``), so it is read-only like every row, and so is ``parent``.
+    Rooted at 0, a graph from ``peel_tree`` hands over its parents and
+    depths, and neither a BFS nor the adjacency is needed; any other graph
+    or root is checked by ``check_tree`` and the parents come from its BFS
+    row.
     """
 
     __slots__ = ("graph", "root", "parent", "depth", "order")
@@ -191,16 +282,20 @@ class RootedTree:
             raise InputError("tree needs at least one vertex")
         if not 0 <= root < n:
             raise InputError(f"root {root} out of range")
-        depth = check_tree(graph, root)
-        # in a tree each other vertex has exactly one neighbour one level up:
-        # each row is read only up to it
-        parent = [root] * n
-        for w, nbrs in enumerate(graph.adjacency):
-            up = depth[w] - 1
-            for u in nbrs:
-                if depth[u] == up:
-                    parent[w] = u
-                    break
+        parent = graph._parent if root == 0 else None
+        if parent is not None:
+            depth = graph._rows[0]
+        else:
+            depth = check_tree(graph, root)
+            # in a tree each other vertex has exactly one neighbour one level
+            # up: each row is read only up to it
+            parent = [root] * n
+            for w, nbrs in enumerate(graph.adjacency):
+                up = depth[w] - 1
+                for u in nbrs:
+                    if depth[u] == up:
+                        parent[w] = u
+                        break
         self.graph = graph
         self.root = root
         self.parent = parent
@@ -290,6 +385,21 @@ def is_dominating(g: Graph, tokens: TokenMultiset) -> bool:
         for w in g.neighbors(v):
             covered[w] = True
     return all(covered)
+
+
+def is_dominating_tree(tree: RootedTree, tokens: TokenMultiset) -> bool:
+    """``is_dominating(tree.graph, tokens)`` read off the parent array: v is
+    dominated iff v, its parent or one of its children holds a token."""
+    n = tree.n
+    support = tokens.support
+    if support and (min(support) < 0 or max(support) >= n):
+        v = min(u for u in support if not 0 <= u < n)
+        raise InputError(f"token on vertex {v} outside the graph")
+    parent = tree.parent
+    covered = [p in support for p in parent]  # the parent holds a token
+    for v in support:
+        covered[v] = covered[parent[v]] = True
+    return False not in covered
 
 
 def is_hitting(system: SetSystem, tokens: TokenMultiset) -> bool:
@@ -386,11 +496,6 @@ def require_same_size(a: TokenMultiset, b: TokenMultiset) -> None:
 
     if a.total != b.total:
         raise SizeMismatchError(f"token multisets differ in size: {a.total} vs {b.total}")
-
-
-def require_dominating(g: Graph, tokens: TokenMultiset, label: str) -> None:
-    if not is_dominating(g, tokens):
-        raise FeasibilityError(f"{label} configuration is not dominating")
 
 
 def require_hitting(system: SetSystem, tokens: TokenMultiset, label: str) -> None:

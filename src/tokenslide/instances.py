@@ -25,7 +25,7 @@ from itertools import compress, count
 from operator import ge
 
 from .errors import ParseError
-from .graphs import Graph, check_tree
+from .graphs import Graph, check_tree, peel_tree
 from .intervals import IntervalRepresentation, intersection_graph
 from .multiset import TokenMultiset
 
@@ -154,7 +154,11 @@ def _parse_intervals(nums: list[int], lines: list[str], header: int, n: int) -> 
 
 def _parse_edges(nums: list[int], lines: list[str], header: int, kind: str, n: int) -> tuple[Graph, int]:
     """The graph from the edge lines after the header, which run up to the
-    first line starting with ``tokens``, and the index of that line."""
+    first line starting with ``tokens``, and the index of that line.
+
+    A tree file whose edges form a tree gets the rooted graph of
+    ``peel_tree``; any other edge list is built eagerly and, in a tree file,
+    ``check_tree`` names what is wrong with it."""
     # no line holds a newline, so the first "\ntokens" starts that line
     joined = "\n".join(lines)
     at = joined.find("\ntokens")
@@ -162,8 +166,13 @@ def _parse_edges(nums: list[int], lines: list[str], header: int, kind: str, n: i
     flat = _read_block(lines[1:stop], 2)
     if flat is None:
         flat = _read_lines(nums[1:stop], lines[1:stop], 2)
-    if kind == "tree" and len(flat) != 2 * (n - 1):
-        raise ParseError(header, f"tree on {n} vertices needs {n - 1} edges, got {len(flat) // 2}")
+    if kind == "tree":
+        if len(flat) != 2 * (n - 1):
+            raise ParseError(header, f"tree on {n} vertices needs {n - 1} edges, got {len(flat) // 2}")
+        graph = peel_tree(n, flat)
+        if graph is not None:
+            return graph, stop
+        # not a tree: the eager build and check_tree below name the fault
     try:
         graph = Graph(n, zip(flat[::2], flat[1::2]))
         if kind == "tree":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import eq, itemgetter
 
 from .errors import InputError
 
@@ -10,25 +11,26 @@ from .errors import InputError
 class MoveSequence:
     """Ordered slides, run-length compressed.
 
-    A triple (u, v, c) stands for c consecutive slides of one token from u
-    to v.  ``total_length`` is the number of unit moves, which may be far
-    larger than the number of triples.
+    A triple (u, v, c), a tuple, stands for c consecutive slides of one
+    token from u to v.  ``total_length`` is the number of unit moves, which
+    may be far larger than the number of triples.
     """
 
     __slots__ = ("moves", "total_length")
 
     def __init__(self, moves: Iterable[tuple[int, int, int]] = ()):
-        out = []
-        total = 0
-        for u, v, c in moves:
-            if u == v:
-                raise InputError(f"move ({u}, {v}) does not change anything")
-            if c < 1:
-                raise InputError(f"move ({u}, {v}) has count {c} < 1")
-            out.append((u, v, c))
-            total += c
-        self.moves = tuple(out)
-        self.total_length = total
+        # checked column by column; the loop runs only to name the first
+        # offender, in order, with the per-triple check's text
+        moves = tuple(moves)
+        counts = list(map(itemgetter(2), moves))
+        if any(map(eq, map(itemgetter(0), moves), map(itemgetter(1), moves))) or counts and min(counts) < 1:
+            for u, v, c in moves:
+                if u == v:
+                    raise InputError(f"move ({u}, {v}) does not change anything")
+                if c < 1:
+                    raise InputError(f"move ({u}, {v}) has count {c} < 1")
+        self.moves = moves
+        self.total_length = sum(counts)
 
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
         return iter(self.moves)

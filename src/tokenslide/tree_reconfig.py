@@ -11,8 +11,8 @@ run-length compressed to at most one triple per vertex.
 
 from __future__ import annotations
 
-from .errors import InvariantError
-from .graphs import RootedTree, SetSystem, require_dominating, require_hitting, require_same_size
+from .errors import FeasibilityError, InvariantError
+from .graphs import RootedTree, SetSystem, is_dominating_tree, require_hitting, require_same_size
 from .graphs import closed_neighborhood_system  # noqa: F401  perfbench's --trace 1 patches it here
 from .moves import MoveSequence
 from .multiset import TokenMultiset
@@ -40,11 +40,13 @@ def reconf_tree_dominating(
     """Dominating-set specialization: hit the family of closed neighborhoods.
 
     Every closed neighborhood of a tree is a star, hence a subtree, so the
-    family needs no validation and is never built.
+    family needs no validation and is never built: domination is checked on
+    the parent array, and the tree's adjacency is never read.
     """
     require_same_size(d_s, d_t)
-    require_dominating(tree.graph, d_s, "start")
-    require_dominating(tree.graph, d_t, "target")
+    for tokens, label in ((d_s, "start"), (d_t, "target")):
+        if not is_dominating_tree(tree, tokens):
+            raise FeasibilityError(f"{label} configuration is not dominating")
     return _sweep(tree, d_s, d_t)
 
 

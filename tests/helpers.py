@@ -233,6 +233,7 @@ class ReferenceGraph(ts.Graph):
         self._closed = None
         self._rows = {}
         self._chains = None
+        self._parent = None
         self.n = n
 
 

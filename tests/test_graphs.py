@@ -4,7 +4,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokenslide import (
@@ -24,7 +24,15 @@ from tokenslide import (
 )
 from tokenslide import graphs
 from tokenslide.generators import random_subtree_family, random_token_multiset, random_tree
-from tokenslide.graphs import Coverage, Distances, closed_neighborhoods, steps_toward
+from tokenslide.graphs import (
+    Coverage,
+    Distances,
+    check_tree,
+    closed_neighborhoods,
+    is_dominating_tree,
+    peel_tree,
+    steps_toward,
+)
 from tokenslide.interval_reconfig import find_greedy_move
 from tokenslide.matching import Matching
 
@@ -210,6 +218,115 @@ def test_rooted_tree_matches_a_reference_bfs(n, seed, data):
     assert (tree.parent, tree.depth) == (parent, depth)
     assert tree.order == tuple(sorted(range(n), key=lambda v: (-depth[v], v)))
     assert tree.depth is Distances(g)[root]  # the graph's shared row, not a copy
+
+
+def _shuffled_tree_ends(n, rng):
+    """The edges of a random tree on 0..n-1 as a flat list, in random order,
+    each edge either way round, and ids that need not grow away from 0."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u]) for u, v in random_tree(n, rng).edges()]
+    rng.shuffle(edges)
+    return [x for e in edges for x in e]
+
+
+def _eager_tree(n, ends):
+    """Graph(n, edges) if check_tree accepts it, else None."""
+    try:
+        g = Graph(n, zip(ends[::2], ends[1::2]))
+        check_tree(g)
+    except InputError:
+        return None
+    return g
+
+
+PEEL_OPS = ("dup", "loop", "range", "rewire", "detach")
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.lists(st.sampled_from(PEEL_OPS), max_size=3))
+def test_peel_accepts_exactly_the_trees(n, seed, ops):
+    """Repeated edges, self-loops, out-of-range ids, rewired edges (cycles and
+    several components) and a detached two-vertex component whose edge was
+    spent on a self-loop at 0: the peel succeeds exactly when the eager
+    Graph and check_tree accept the edges, and then roots them as a BFS
+    does and builds the same adjacency on first read."""
+    rng = random.Random(seed)
+    ends = _shuffled_tree_ends(n, rng)
+    m = len(ends) // 2
+    for op in ops if m else ():
+        i = rng.randrange(m)
+        if op == "dup":
+            j = rng.randrange(m)
+            ends[2 * i : 2 * i + 2] = ends[2 * j : 2 * j + 2]
+        elif op == "loop":
+            ends[2 * i + 1] = ends[2 * i]
+        elif op == "range":
+            ends[2 * i + rng.randrange(2)] = rng.choice([-1, n, n + 5])
+        elif op == "rewire":
+            ends[2 * i : 2 * i + 2] = [rng.randrange(n), rng.randrange(n)]
+        elif op == "detach" and n >= 3:
+            # a fresh edge between two other vertices, and vertex 0's loop to pay for it
+            a, b = rng.sample(range(1, n), 2)
+            j = (i + 1) % m
+            ends[2 * i : 2 * i + 2] = [a, b]
+            ends[2 * j : 2 * j + 2] = [0, 0]
+    peeled = peel_tree(n, list(ends))
+    eager = _eager_tree(n, ends)
+    assert (peeled is None) == (eager is None)
+    if eager is None:
+        return
+    tree = RootedTree(peeled, 0)
+    with pytest.raises(AttributeError):
+        Graph._adj.__get__(peeled)  # the slot itself, without __getattr__ filling it
+    expected = RootedTree(eager, 0)
+    assert (tree.parent, tree.depth, tree.order) == (expected.parent, expected.depth, expected.order)
+    assert peeled.edge_count == eager.edge_count == n - 1
+    assert peeled.adjacency == eager.adjacency  # built now, from the parent array
+    assert type(peeled) is Graph  # and later lookups take the plain path
+    assert peeled == eager and peeled.edges() == eager.edges()
+    root = rng.randrange(n)  # any other root roots the lazily built adjacency by BFS
+    other, expected = RootedTree(peeled, root), RootedTree(eager, root)
+    assert (other.parent, other.depth, other.order) == (expected.parent, expected.depth, expected.order)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        # 5-6 is peeled from 6, which empties 5 before it is popped
+        (7, [(0, 1), (1, 2), (0, 3), (3, 4), (5, 6), (0, 0)]),
+        (4, [(2, 3), (0, 1), (0, 1)]),
+        (3, [(1, 2), (2, 1)]),
+    ],
+)
+def test_peel_rejects_a_detached_component(n, edges):
+    assert peel_tree(n, [x for e in edges for x in e]) is None
+    assert _eager_tree(n, [x for e in edges for x in e]) is None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.lists(st.integers(-2, 13), max_size=8),
+)
+def test_domination_on_the_parent_array(n, seed, peeled, ids):
+    """is_dominating_tree agrees with is_dominating on the eager graph, for
+    any root, and names the same lowest vertex outside the graph."""
+    rng = random.Random(seed)
+    ends = _shuffled_tree_ends(n, rng)
+    g = Graph(n, zip(ends[::2], ends[1::2]))
+    tree = RootedTree(peel_tree(n, ends), 0) if peeled else RootedTree(g, rng.randrange(n))
+    tokens = TokenMultiset(ids)
+
+    def outcome(check, *args):
+        try:
+            return check(*args)
+        except InputError as exc:
+            return str(exc)
+
+    assert outcome(is_dominating_tree, tree, tokens) == outcome(is_dominating, g, tokens)
 
 
 @given(st.integers(2, 30), st.integers(0, 2**32 - 1))

@@ -160,8 +160,18 @@ def test_parse_and_root_run_one_bfs_per_tree_file(text):
     with mock.patch.object(graphs, "distances_from", counting):
         inst = parse_instance(text)
         tree = RootedTree(inst.graph, 0)
-    assert sources == [0]
-    assert tree.depth is graphs.Distances(inst.graph)[0]  # the row the parser checked
+    assert sources == []  # the parser roots the tree by leaf peeling
+    assert tree.depth is graphs.Distances(inst.graph)[0]  # the row the parser stored
+
+
+@pytest.mark.parametrize("text", [P4_TREE, emit_instance(gen_instance("tree", 60, 20, 3))])
+def test_tree_solve_path_never_builds_the_adjacency(text):
+    inst = parse_instance(text)
+    seq = reconf_tree_dominating(RootedTree(inst.graph, 0), inst.d_s, inst.d_t)
+    emit_moves(list(seq.moves), seq.total_length)
+    with pytest.raises(AttributeError):
+        Graph._adj.__get__(inst.graph)  # the slot itself, without __getattr__ filling it
+    assert inst.graph == reference_parse_instance(text).graph  # filled on this first read
 
 
 class TestRoundTrip:

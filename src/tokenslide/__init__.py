@@ -39,9 +39,8 @@ from .matching import (
     min_cost_matching,
     normalize_matching,
     rematch_after_slide,
-    succ_toward_matches,
 )
-from .moves import MoveSequence, compress_moves, expand_moves
+from .moves import MoveSequence, compress_moves
 from .multiset import TokenMultiset
 from .oracle import (
     DEFAULT_STATE_CAP,
@@ -84,7 +83,6 @@ __all__ = [
     "distances_from",
     "dominating_predicate",
     "emit_instance",
-    "expand_moves",
     "fast_match_intervals",
     "find_greedy_move",
     "fix_matching",
@@ -104,6 +102,5 @@ __all__ = [
     "reconfig_distance_bfs",
     "rematch_after_slide",
     "succ_set",
-    "succ_toward_matches",
     "verify_sequence",
 ]

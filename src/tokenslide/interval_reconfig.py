@@ -5,12 +5,25 @@ repeatedly slides some token one step along a shortest path to its match,
 provided the configuration stays dominating.  When no matched token can
 move, the matching is repaired by swapping the partners of two pairs; the
 repair never increases the cost and always re-enables a move, so every
-emitted move lowers the matching bound by exactly one.
+emitted move lowers the matching bound by exactly one, and the loop stops
+when the bound is spent.
+
+The loop finds its next slide on a worklist (``_Worklist``), not by
+rescanning every pair: a pair found blocked stays off the list until a
+slide on its side could free it, and a repair queues only the pairs it
+creates.  The slide taken is still the first feasible one in (source,
+target) order, source side first, as ``_scan`` finds it for
+``find_greedy_move``.  Each repair is one call of the module-level
+``fix_matching`` with the current configurations, the pairs dict wrapped
+as a ``Matching`` without a copy, and the loop's distance rows; it
+validates and normalises the matching and reads partners from one index
+per call.
 """
 
 from __future__ import annotations
 
 import logging
+from heapq import heappop, heappush
 from typing import Callable
 
 from .errors import FeasibilityError, InputError, InvariantError
@@ -47,6 +60,109 @@ def _scan(
                 if cover_t.can_slide(v, v2):
                     return ("t", v, v2, u)
     return None
+
+
+class _Worklist:
+    """The matched pairs of ``reconf_interval`` that may have a feasible slide.
+
+    One heap of non-self pair keys per side, in (source, target) order:
+    the source side slides a pair's source toward its target, the target
+    side its target toward its source.  ``first`` returns what ``_scan``
+    returns.  It pops the keys at the top that have no feasible step and
+    files them as blocked, so every non-self pair that is not queued is
+    blocked.
+
+    A blocked pair's mover u holds one token, and for each step w some set
+    in N[u] is hit once and not gained by w.  A slide a -> a2 on the pair's
+    side frees it only if u is a2, whose count rose, or such a set lies in
+    N[a2] and its hit count rose from 1 to 2; only those pairs are queued
+    again.  The tail a cannot free it: a step onto an emptied a gains N[a],
+    but before the slide the tokens on a and on u both hit every set in
+    N[a] and N[u], so none of those was hit once.  A slide leaves the other side's tracker as it was and a
+    repair leaves both, so otherwise only new keys are queued.  Keys that
+    left the matching are dropped when they reach the top.
+    """
+
+    __slots__ = ("g", "dist", "pairs", "covers", "heaps", "queued", "blocked")
+
+    def __init__(
+        self,
+        g: Graph,
+        dist: Distances,
+        pairs: dict[tuple[int, int], int],
+        cover_s: Coverage,
+        cover_t: Coverage,
+    ):
+        self.g = g
+        self.dist = dist
+        self.pairs = pairs
+        self.covers = (cover_s, cover_t)
+        keys = sorted(key for key in pairs if key[0] != key[1])  # a sorted list is a heap
+        self.heaps = (keys, keys[:])
+        self.queued = (set(keys), set(keys))
+        # per side: mover -> the other ends of its blocked pairs
+        self.blocked: tuple[dict[int, set[int]], dict[int, set[int]]] = ({}, {})
+
+    def _queue(self, side: int, key: tuple[int, int]) -> None:
+        queued = self.queued[side]
+        if key not in queued:
+            queued.add(key)
+            heappush(self.heaps[side], key)
+
+    def first(self) -> tuple[str, int, int, int] | None:
+        """The slide ``_scan`` returns on the current pairs and trackers."""
+        g, dist, pairs = self.g, self.dist, self.pairs
+        for side in (0, 1):
+            heap, queued, blocked = self.heaps[side], self.queued[side], self.blocked[side]
+            can_slide = self.covers[side].can_slide
+            while heap:
+                key = heap[0]
+                if key in pairs:
+                    mover, goal = key if side == 0 else (key[1], key[0])
+                    for w in steps_toward(g, mover, dist[goal]):
+                        if can_slide(mover, w):
+                            return ("st"[side], mover, w, goal)
+                    blocked.setdefault(mover, set()).add(goal)
+                heappop(heap)
+                queued.discard(key)
+        return None
+
+    def slide(self, side_name: str, a: int, a2: int, goal: int) -> None:
+        """Apply the slide a -> a2 toward goal that ``first`` returned."""
+        side = "st".index(side_name)
+        cover = self.covers[side]
+        counts = cover.counts
+        a2_was_empty = not counts[a2]
+        cover.slide(a, a2)
+        key = (a2, goal) if side == 0 else (goal, a2)
+        _shift_pair(self.pairs, (a, goal) if side == 0 else (goal, a), key)
+        if a2 != goal:
+            self._queue(0, key)
+            self._queue(1, key)
+        blocked = self.blocked[side]
+        if not blocked:
+            return
+        hits, hit = cover.hits, cover.hit_counts
+        freed = {a2}
+        if a2_was_empty:
+            # N[s] is the set of vertices whose N[.] holds s
+            for s in hits[a2]:
+                if hit[s] == 2:
+                    freed.update(hits[s])
+        pairs = self.pairs
+        for u in freed & blocked.keys():
+            for p in blocked.pop(u):
+                key = (u, p) if side == 0 else (p, u)
+                if key in pairs:
+                    self._queue(side, key)
+
+    def rematch(self, pairs: dict[tuple[int, int], int]) -> None:
+        """Take over a repaired matching of the same two configurations."""
+        for key in pairs.keys() - self.pairs.keys():
+            if key[0] != key[1]:
+                self._queue(0, key)
+                self._queue(1, key)
+        self.pairs = pairs
 
 
 def find_greedy_move(
@@ -109,10 +225,11 @@ def fix_matching(
     """
     if d_s == d_t:
         raise InputError("configurations are already equal; nothing to repair")
-    pairs = normalize_matching(g, m, d_s, d_t).pairs
-    cs, ct = d_s._counts, d_t._counts  # Counters: 0 for a vertex without tokens
-    v = min((x for x in cs.keys() | ct.keys() if cs[x] != ct[x]), key=rep.right)
-    transposed = ct[v] > cs[v]
+    pairs = normalize_matching(g, m, d_s, d_t)._pairs  # a fresh dict, ours to change
+    cs, ct = d_s._counts, d_t._counts
+    differ = cs.items() ^ ct.items()  # (vertex, count) on one side only
+    v = min({x for x, _ in differ}, key=rep.right)
+    transposed = ct.get(v, 0) > cs.get(v, 0)
     if transposed:
         d_s, cs, ct = d_t, ct, cs
         pairs = {(t, s): c for (s, t), c in pairs.items()}
@@ -120,10 +237,14 @@ def fix_matching(
     cover = _dominating_cover(g, d_s, "source")
     dist = Distances(g) if _dist is None else _dist
     v_partners = sorted(t for s, t in pairs if s == v and t != v)
-    for y in sorted((x for x in ct if ct[x] > cs[x]), key=rep.right):
+    sources_of: dict[int, list[int]] = {}  # target -> its non-self partners
+    for s, t in pairs:
+        if s != t:
+            sources_of.setdefault(t, []).append(s)
+    for y in sorted((x for x, c in ct.items() - cs.items() if c > cs.get(x, 0)), key=rep.right):
         if not g.has_edge(v, y) or not cover.can_slide(v, y):
             continue
-        y_partners = sorted(s for s, t in pairs if t == y and s != y)
+        y_partners = sorted(sources_of.get(y, ()))
         for v2 in v_partners:
             for y2 in y_partners:
                 d_y2v2, d_vv2, d_y2y = dist[y2][v2], dist[v][v2], dist[y2][y]
@@ -138,10 +259,64 @@ def fix_matching(
                     # already at their cap min(d_s, d_t), stay there.
                     if transposed:
                         pairs = {(t, s): c for (s, t), c in pairs.items()}
-                    return Matching(pairs)
+                    return Matching._trusted(pairs)
     raise InvariantError(
         "no cost-preserving repair found; the matching was not minimum or a move existed"
     )
+
+
+def _greedy_moves(
+    rep: IntervalRepresentation,
+    g: Graph,
+    dist: Distances,
+    cover_s: Coverage,
+    cover_t: Coverage,
+    pairs: dict[tuple[int, int], int],
+    cost: int,
+    on_fix: FixListener | None,
+) -> list[tuple[int, int]]:
+    """The unit moves of the greedy loop from a minimum-cost matching ``pairs``
+    of cost ``cost`` between the trackers' configurations.
+
+    The trackers and ``pairs`` are changed in place.  Every slide lowers the
+    matching cost by one, so the loop runs until ``cost`` moves are out.
+    """
+    cs, ct = cover_s.counts, cover_t.counts
+    work = _Worklist(g, dist, pairs, cover_s, cover_t)
+    front: list[tuple[int, int]] = []
+    back: list[tuple[int, int]] = []
+    emitted = 0
+    repaired = False  # a repair that no move has followed yet
+    while emitted < cost:
+        found = work.first()
+        if found is None:
+            if repaired:
+                raise InvariantError("matching repair did not enable a move")
+            if cs == ct:
+                raise InvariantError(f"emitted {emitted} moves but the matching bound is {cost}")
+            cur_s = TokenMultiset.from_counts_list(cs)
+            cur_t = TokenMultiset.from_counts_list(ct)
+            m = fix_matching(rep, g, cur_s, cur_t, Matching._trusted(work.pairs), _dist=dist)
+            if on_fix is not None:
+                on_fix(cur_s, cur_t, m)
+            work.rematch(m.pairs)
+            repaired = True
+            continue
+        repaired = False
+        side, a, a2, other = found
+        logger.debug("move %d: side=%s %d->%d toward %d", emitted, side, a, a2, other)
+        work.slide(side, a, a2, other)
+        if side == "s":
+            front.append((a, a2))
+        else:
+            back.append((a2, a))
+        emitted += 1
+    if cs != ct:
+        raise InvariantError(
+            f"configurations still differ after {cost} moves: "
+            "reaching the target would emit more moves than the matching bound allows"
+        )
+    return front + back[::-1]
 
 
 def reconf_interval(
@@ -167,42 +342,5 @@ def reconf_interval(
     if cost is None:
         return None
     m = normalize_matching(g, m, d_s, d_t)
-
-    dist = Distances(g)
-    cs, ct = cover_s.counts, cover_t.counts
-    pairs = m.pairs
-
-    front: list[tuple[int, int]] = []
-    back: list[tuple[int, int]] = []
-    emitted = 0
-    repairs_without_progress = 0
-    while cs != ct:
-        found = _scan(g, dist, pairs, cover_s, cover_t)
-        if found is not None:
-            repairs_without_progress = 0
-            side, a, a2, other = found
-            logger.debug("move %d: side=%s %d->%d toward %d", emitted, side, a, a2, other)
-            if side == "s":
-                front.append((a, a2))
-                cover_s.slide(a, a2)
-                _shift_pair(pairs, (a, other), (a2, other))
-            else:
-                back.append((a2, a))
-                cover_t.slide(a, a2)
-                _shift_pair(pairs, (other, a), (other, a2))
-            emitted += 1
-            if emitted > cost:
-                raise InvariantError("emitted more moves than the matching bound allows")
-            continue
-        if repairs_without_progress:
-            raise InvariantError("matching repair did not enable a move")
-        cur_s = TokenMultiset.from_counts_list(cs)
-        cur_t = TokenMultiset.from_counts_list(ct)
-        repaired = fix_matching(rep, g, cur_s, cur_t, Matching(pairs))
-        if on_fix is not None:
-            on_fix(cur_s, cur_t, repaired)
-        pairs = repaired.pairs
-        repairs_without_progress += 1
-    if emitted != cost:
-        raise InvariantError(f"emitted {emitted} moves but the matching bound is {cost}")
-    return compress_moves(front + back[::-1])
+    moves = _greedy_moves(rep, g, Distances(g), cover_s, cover_t, m.pairs, cost, on_fix)
+    return compress_moves(moves)

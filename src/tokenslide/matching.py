@@ -14,6 +14,7 @@ import itertools
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from heapq import heappop, heappush
+from operator import itemgetter
 
 from .errors import InputError, InvariantError, MatchingError
 from .graphs import UNREACHABLE, Distances, Graph, require_same_size, succ_set
@@ -23,6 +24,9 @@ from .multiset import TokenMultiset
 
 #: Largest token count accepted by the brute-force oracle.
 BRUTE_FORCE_CAP = 8
+#: Largest token count per side accepted by ``min_cost_matching``: its dense
+#: k x k int64 cost matrix is 200 MB at this k, and scipy copies it to float.
+EXACT_MATCHING_CAP = 5000
 
 
 class Matching:
@@ -41,6 +45,15 @@ class Matching:
         self._pairs = cleaned
         self.total = sum(cleaned.values())
 
+    @classmethod
+    def _trusted(cls, pairs: dict[tuple[int, int], int]) -> "Matching":
+        """Wrap, without copying or checking, a pairs dict with positive
+        multiplicities that the solver or the repair has built."""
+        m = cls.__new__(cls)
+        m._pairs = pairs
+        m.total = sum(pairs.values())
+        return m
+
     def multiplicity(self, u: int, v: int) -> int:
         return self._pairs.get((u, v), 0)
 
@@ -51,23 +64,22 @@ class Matching:
     def pairs(self) -> dict[tuple[int, int], int]:
         return dict(self._pairs)
 
-    def matches_of(self, u: int) -> list[tuple[int, int]]:
-        """Targets matched to source u as sorted (vertex, multiplicity) pairs."""
-        return sorted((v, c) for (s, v), c in self._pairs.items() if s == u)
-
     def inverse(self) -> "Matching":
         return Matching({(v, u): c for (u, v), c in self._pairs.items()})
 
     def validate_between(self, a: TokenMultiset, b: TokenMultiset) -> None:
         """Check row/column sums equal the multiset multiplicities."""
-        left: Counter[int] = Counter()
-        right: Counter[int] = Counter()
-        for (u, v), c in self._pairs.items():
-            left[u] += c
-            right[v] += c
-        if dict(left) != dict(a.items()):
+        pairs = self._pairs
+        left = Counter(map(itemgetter(0), pairs))
+        right = Counter(map(itemgetter(1), pairs))
+        for (u, v), c in itertools.compress(pairs.items(), map((1).__lt__, pairs.values())):
+            left[u] += c - 1
+            right[v] += c - 1
+        # compared as plain dicts, which is exact since no count is zero;
+        # Counter's own == walks both operands in Python
+        if not dict.__eq__(left, a._counts):
             raise MatchingError("source marginals do not match the left multiset")
-        if dict(right) != dict(b.items()):
+        if not dict.__eq__(right, b._counts):
             raise MatchingError("target marginals do not match the right multiset")
 
     def __eq__(self, other: object) -> bool:
@@ -114,9 +126,15 @@ def min_cost_matching(
     """Cheapest matching between a and b under graph distance.
 
     Returns (matching, cost); (None, None) when no finite-cost matching
-    exists because matched tokens would have to cross components.
+    exists because matched tokens would have to cross components.  Raises
+    InputError above EXACT_MATCHING_CAP tokens per side, before the k x k
+    cost matrix is allocated.
     """
     require_same_size(a, b)
+    if a.total > EXACT_MATCHING_CAP:
+        raise InputError(
+            f"exact matching capped at {EXACT_MATCHING_CAP} tokens per side, got {a.total}"
+        )
     if a.total == 0:
         return Matching(), 0
     import numpy as np
@@ -189,14 +207,37 @@ def normalize_matching(
     """
     m.validate_between(a, b)
     pairs = m.pairs
-    for v in sorted(a.support & b.support):
-        want = min(a.count(v), b.count(v))
+    ca, cb = a._counts, b._counts
+    short = sorted(
+        v for v in ca.keys() & cb.keys() if (c := pairs.get((v, v), 0)) < ca[v] and c < cb[v]
+    )
+    if not short:
+        return Matching._trusted(pairs)
+    # partners of the non-self pairs, kept up to date through the swaps;
+    # self counts only rise, so the vertices skipped above stay at their cap
+    sources: defaultdict[int, set[int]] = defaultdict(set)
+    targets: defaultdict[int, set[int]] = defaultdict(set)
+    for u, t in pairs:
+        if u != t:
+            sources[t].add(u)
+            targets[u].add(t)
+    for v in short:
+        want = min(ca[v], cb[v])
         while pairs.get((v, v), 0) < want:
-            x = min(u for (u, t) in pairs if t == v and u != v)
-            y = min(t for (u, t) in pairs if u == v and t != v)
+            x = min(sources[v])
+            y = min(targets[v])
+            if pairs[(x, v)] == 1:
+                sources[v].discard(x)
+                targets[x].discard(v)
+            if pairs[(v, y)] == 1:
+                targets[v].discard(y)
+                sources[y].discard(v)
+            if x != y:
+                sources[y].add(x)
+                targets[x].add(y)
             _shift_pair(pairs, (x, v), (v, v))
             _shift_pair(pairs, (v, y), (x, y))
-    return Matching(pairs)
+    return Matching._trusted(pairs)
 
 
 def rematch_after_slide(g: Graph, m: Matching, u: int, u_next: int, target: int) -> Matching:
@@ -212,15 +253,6 @@ def rematch_after_slide(g: Graph, m: Matching, u: int, u_next: int, target: int)
     pairs = m.pairs
     _shift_pair(pairs, (u, target), (u_next, target))
     return Matching(pairs)
-
-
-def succ_toward_matches(g: Graph, m: Matching, u: int) -> tuple[int, ...]:
-    """Neighbors of u on shortest paths toward any of its non-self matches."""
-    out: set[int] = set()
-    for v, _ in m.matches_of(u):
-        if v != u:
-            out.update(succ_set(g, u, v))
-    return tuple(sorted(out))
 
 
 # ---------------------------------------------------------------------------

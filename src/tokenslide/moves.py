@@ -44,14 +44,6 @@ class MoveSequence:
         return f"MoveSequence({len(self.moves)} triples, {self.total_length} moves)"
 
 
-def expand_moves(seq: MoveSequence) -> list[tuple[int, int]]:
-    """Flatten to unit moves, preserving order."""
-    out = []
-    for u, v, c in seq.moves:
-        out.extend([(u, v)] * c)
-    return out
-
-
 def compress_moves(unit_moves: Iterable[tuple[int, int]]) -> MoveSequence:
     """Merge consecutive identical unit moves into triples."""
     triples: list[list[int]] = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Mapping
+from itertools import compress
 
 from .errors import InputError
 
@@ -34,7 +35,13 @@ class TokenMultiset:
     @classmethod
     def from_counts_list(cls, counts: list[int]) -> "TokenMultiset":
         """Build from a dense per-vertex count array."""
-        return cls({v: c for v, c in enumerate(counts) if c})
+        if counts and min(counts) < 0:
+            v = next(v for v, c in enumerate(counts) if c < 0)
+            raise InputError(f"negative multiplicity {counts[v]} for vertex {v}")
+        tokens = cls.__new__(cls)
+        tokens._counts = Counter(dict(compress(enumerate(counts), counts)))
+        tokens.total = sum(counts)
+        return tokens
 
     def count(self, v: int) -> int:
         return self._counts.get(v, 0)
@@ -87,7 +94,9 @@ class TokenMultiset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TokenMultiset):
             return NotImplemented
-        return self._counts == other._counts
+        # as plain dicts, exact since no count is zero; Counter's own ==
+        # walks both operands in Python
+        return dict.__eq__(self._counts, other._counts)
 
     def __hash__(self) -> int:
         return hash(self.key())

@@ -224,6 +224,23 @@ class TestMatch:
         assert main(["match", str(f)]) == 2
         assert "unreachable" in capsys.readouterr().out
 
+    def test_token_cap_ends_in_one_line(self, p4_file, tmp_path, capsys, monkeypatch):
+        """Above the cap the exact matcher stops before its k x k matrix:
+        ``match``, ``verify --optimal`` and ``solve`` on intervals print one
+        line and exit 1."""
+        monkeypatch.setattr("tokenslide.matching.EXACT_MATCHING_CAP", 1)
+        error = "error: exact matching capped at 1 tokens per side, got 2\n"
+        mf = tmp_path / "moves.txt"
+        mf.write_text("moves 2\n0 1 1\n2 3 1\n")
+        iv = tmp_path / "iv.txt"
+        iv.write_text("intervals 4\n0 1 4\n1 3 6\n2 5 8\n3 7 10\ntokens 2: 0 2\ntokens 2: 1 3\n")
+        for argv in (["match", p4_file], ["verify", p4_file, str(mf), "--optimal"], ["solve", str(iv)]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", error)
+        assert main(["verify", p4_file, str(mf)]) == 0
+        assert main(["match", str(iv), "--fast"]) == 0
+
 
 BEYOND_INT64 = (
     "intervals 2\n0 1 100000000000000000000\n1 50 100000000000000000001\n"

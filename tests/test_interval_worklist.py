@@ -1,0 +1,163 @@
+"""The interval solver's worklist against the full greedy scan.
+
+``interval_reconfig._Worklist.first`` must return what ``_scan`` returns on
+the same pairs and trackers at every step of the greedy loop, stuck steps
+included; these tests run the loop with both and compare.  A counting test
+checks that the shortest-path step lookups grow about linearly with the
+number of stuck gadgets, where a rescan after every move and repair grows
+quadratically.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+import tokenslide as ts
+from tokenslide import interval_reconfig
+from tokenslide.generators import (
+    gen_bench_interval_instance,
+    random_interval_representation,
+    random_token_multiset,
+)
+from tokenslide.graphs import Coverage, Distances, closed_neighborhoods
+
+from helpers import harvest_interval_stalls, iter_interval_instances
+from test_golden import GADGET_CHAIN, REPAIR
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Make every ``first()`` call also run ``_scan`` and assert that both agree;
+    counts the moving and the stuck steps."""
+    real = interval_reconfig._Worklist.first
+    seen = Counter()
+
+    def checked(self):
+        found = real(self)
+        assert found == interval_reconfig._scan(self.g, self.dist, self.pairs, *self.covers)
+        seen["stuck" if found is None else "moved"] += 1
+        return found
+
+    monkeypatch.setattr(interval_reconfig._Worklist, "first", checked)
+    return seen
+
+
+def _solve_checked(rep, d_s, d_t):
+    seq = ts.reconf_interval(rep, d_s, d_t)
+    g = ts.intersection_graph(rep)
+    assert seq.total_length == ts.min_cost_matching(g, d_s, d_t)[1]
+    assert ts.verify_sequence(g, ts.dominating_predicate(g), d_s, seq) == (True, d_t, None)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [pytest.param(GADGET_CHAIN, id="gadget-chain")]
+    + [pytest.param(case[0], id=f"repair-{i}") for i, case in enumerate(REPAIR)],
+)
+def test_first_is_the_scan_on_the_repair_fixtures(text, steps):
+    inst = ts.parse_instance(text)
+    _solve_checked(inst.rep, inst.d_s, inst.d_t)
+    assert steps["stuck"] >= 1 and steps["moved"] >= 1
+
+
+@pytest.mark.parametrize("seed", [81, 82, 83])
+def test_first_is_the_scan_on_bench_instances(seed, steps):
+    inst = gen_bench_interval_instance(200, seed)
+    _solve_checked(inst.rep, inst.d_s, inst.d_t)
+    assert steps["moved"] >= 1
+
+
+def test_first_is_the_scan_on_random_instances(steps):
+    for inst in iter_interval_instances(200, 9001, max_n=14, max_k=5):
+        _solve_checked(inst.rep, inst.d_s, inst.d_t)
+    assert steps["moved"] >= 200
+
+
+def test_first_is_the_scan_from_harvested_stalls(steps):
+    """The loop started on a stuck minimum matching, in both orientations:
+    it repairs first and still emits exactly the matching cost."""
+    for rep, g, d_s, d_t, m in harvest_interval_stalls(max_states=6):
+        for a, b, start in ((d_s, d_t, m), (d_t, d_s, m.inverse())):
+            hits = closed_neighborhoods(g)
+            cost = ts.matching_cost(g, start)
+            moves = interval_reconfig._greedy_moves(
+                rep, g, Distances(g), Coverage(hits, g.n, a), Coverage(hits, g.n, b),
+                start.pairs, cost, None,
+            )
+            seq = ts.compress_moves(moves)
+            assert seq.total_length == cost
+            assert ts.verify_sequence(g, ts.dominating_predicate(g), a, seq) == (True, b, None)
+    assert steps["stuck"] >= 12
+
+
+def _random_pairs(rng, cs, ct):
+    """A random matching between two dense count lists."""
+    right = [v for v, c in enumerate(ct) for _ in range(c)]
+    rng.shuffle(right)
+    return dict(Counter(zip((v for v, c in enumerate(cs) for _ in range(c)), right)))
+
+
+def test_first_is_the_scan_under_random_matchings():
+    """Slides and hand-overs of arbitrary matchings, not only minimum ones,
+    on stacked tokens: this reaches blocked pairs on both sides, which the
+    solver's own runs rarely do."""
+    stuck = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randrange(4, 18)
+        rep = random_interval_representation(
+            n, rng, connected=rng.random() < 0.8, spread=rng.choice((None, 1.5, 3.0))
+        )
+        g = ts.intersection_graph(rep)
+        hits = closed_neighborhoods(g)
+        k = rng.randrange(1, n + 1)
+        covers = [Coverage(hits, n, random_token_multiset(n, k, rng)) for _ in range(60)]
+        covers = [cover for cover in covers if cover.feasible][:2]
+        if len(covers) < 2:
+            continue
+        cs, ct = covers[0].counts, covers[1].counts
+        work = interval_reconfig._Worklist(g, Distances(g), _random_pairs(rng, cs, ct), *covers)
+        for _ in range(80):
+            found = work.first()
+            assert found == interval_reconfig._scan(g, work.dist, work.pairs, *covers)
+            if found is None or rng.random() < 0.05:
+                stuck += found is None
+                work.rematch(_random_pairs(rng, cs, ct))
+            else:
+                work.slide(*found)
+    assert stuck >= 100
+
+
+def _gadget_copies(copies):
+    """``copies`` copies of GADGET_CHAIN's three gadgets side by side."""
+    base = ts.parse_instance(GADGET_CHAIN)
+    width = max(hi for _, hi in base.rep.intervals) + 1
+    intervals, d_s, d_t = [], {}, {}
+    for c in range(copies):
+        intervals += [(lo + c * width, hi + c * width) for lo, hi in base.rep.intervals]
+        d_s.update((v + c * base.n, k) for v, k in base.d_s.items())
+        d_t.update((v + c * base.n, k) for v, k in base.d_t.items())
+    return ts.IntervalRepresentation(intervals), ts.TokenMultiset(d_s), ts.TokenMultiset(d_t)
+
+
+def test_step_lookups_grow_linearly_with_the_gadget_count(monkeypatch):
+    real = interval_reconfig.steps_toward
+    calls = Counter()
+
+    def counting(g, u, row):
+        calls[g.n] += 1
+        return real(g, u, row)
+
+    monkeypatch.setattr(interval_reconfig, "steps_toward", counting)
+    lookups, repairs = {}, {}
+    for copies in (8, 32):
+        rep, d_s, d_t = _gadget_copies(copies)
+        fixes = []
+        seq = ts.reconf_interval(rep, d_s, d_t, on_fix=lambda *state: fixes.append(1))
+        assert seq.total_length == 6 * copies
+        lookups[copies], repairs[copies] = calls[rep.n], len(fixes)
+    assert repairs == {8: 24, 32: 96}
+    # 4x the gadgets: a rescan of every pair after every move and repair
+    # makes about 16x the lookups
+    assert lookups[32] <= 5 * lookups[8]

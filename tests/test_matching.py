@@ -19,7 +19,7 @@ from tokenslide import (
     min_cost_matching,
     normalize_matching,
     rematch_after_slide,
-    succ_toward_matches,
+    succ_set,
 )
 from tokenslide.generators import (
     random_connected_graph,
@@ -41,6 +41,19 @@ class TestMatchingType:
         m.validate_between(TokenMultiset([0, 2]), TokenMultiset([1, 3]))
         with pytest.raises(MatchingError):
             m.validate_between(TokenMultiset([0, 1]), TokenMultiset([1, 3]))
+
+    def test_wrong_source_marginal(self):
+        m = Matching({(0, 1): 2, (2, 3): 1})
+        m.validate_between(TokenMultiset({0: 2, 2: 1}), TokenMultiset({1: 2, 3: 1}))
+        for wrong in ({0: 1, 2: 2}, {0: 2, 2: 1, 4: 1}, {0: 2}):
+            with pytest.raises(MatchingError, match="source marginals"):
+                m.validate_between(TokenMultiset(wrong), TokenMultiset({1: 2, 3: 1}))
+
+    def test_wrong_target_marginal(self):
+        m = Matching({(0, 1): 2, (2, 3): 1})
+        for wrong in ({1: 1, 3: 2}, {1: 2, 3: 1, 5: 1}, {1: 3}):
+            with pytest.raises(MatchingError, match="target marginals"):
+                m.validate_between(TokenMultiset({0: 2, 2: 1}), TokenMultiset(wrong))
 
     def test_inverse_swaps_sides(self):
         m = Matching({(0, 1): 2, (3, 3): 1})
@@ -211,35 +224,13 @@ class TestRematchAfterSlide:
             if not moved:
                 continue
             u, v = moved[rng.randrange(len(moved))]
-            succ = succ_toward_matches(g, m, u)
+            succ = succ_set(g, u, v)
             u2 = succ[rng.randrange(len(succ))]
-            target = None
-            from tokenslide import succ_set
-
-            for cand_v, _ in m.matches_of(u):
-                if cand_v != u and u2 in succ_set(g, u, cand_v):
-                    target = cand_v
-                    break
-            if target is None:
-                continue
-            out = rematch_after_slide(g, m, u, u2, target)
+            out = rematch_after_slide(g, m, u, u2, v)
             assert matching_cost(g, out) == c - 1
             _, c2 = min_cost_matching(g, a.slide(u, u2), b)
             assert c2 == c - 1
             done += 1
-
-
-class TestSuccTowardMatches:
-    def test_unique_path(self):
-        assert succ_toward_matches(path(4), Matching({(0, 3): 1}), 0) == (1,)
-
-    def test_self_match_contributes_nothing(self):
-        assert succ_toward_matches(path(4), Matching({(0, 0): 1}), 0) == ()
-
-    def test_union_over_matches(self):
-        triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        m = Matching({(0, 1): 1, (0, 2): 1})
-        assert succ_toward_matches(triangle, m, 0) == (1, 2)
 
 
 class TestFastMatchIntervals:

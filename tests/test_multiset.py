@@ -30,6 +30,19 @@ def test_negative_count_rejected():
         TokenMultiset({0: -1})
 
 
+def test_from_counts_list_rejects_negative_counts():
+    with pytest.raises(InputError, match="negative multiplicity -1 for vertex 2"):
+        TokenMultiset.from_counts_list([1, 0, -1, -2])
+
+
+@given(st.lists(st.integers(0, 3), max_size=20))
+def test_from_counts_list_equals_the_dict_form(dense):
+    t = TokenMultiset.from_counts_list(dense)
+    expected = TokenMultiset(dict(enumerate(dense)))
+    assert t == expected and t.key() == expected.key() and t.total == expected.total
+    assert t.items() == [(v, c) for v, c in enumerate(dense) if c]
+
+
 def test_zero_counts_dropped():
     t = TokenMultiset({0: 0, 1: 2})
     assert 0 not in t and t.key() == ((1, 2),)

@@ -14,7 +14,6 @@ from tokenslide import (
     TokenMultiset,
     compress_moves,
     dominating_predicate,
-    expand_moves,
     hitting_predicate,
     min_cost_matching,
     reconf_tree,
@@ -32,11 +31,6 @@ def path_tree(n, root=0):
 
 
 class TestMoveSequence:
-    def test_expansion(self):
-        assert expand_moves(MoveSequence([(0, 1, 2)])) == [(0, 1), (0, 1)]
-        assert expand_moves(MoveSequence([])) == []
-        assert expand_moves(MoveSequence([(2, 3, 1), (0, 1, 1)])) == [(2, 3), (0, 1)]
-
     def test_compress_merges_consecutive_runs(self):
         seq = compress_moves([(0, 1), (0, 1), (1, 2), (0, 1)])
         assert seq.moves == ((0, 1, 2), (1, 2, 1), (0, 1, 1))

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 invalid input, 2 infeasible / unreachable / failed
-verification, 3 internal error (a broken invariant: a bug, not bad input).
+Exit codes: 0 success, 1 invalid input or out of memory, 2 infeasible /
+unreachable / failed verification, 3 internal error (a broken invariant: a
+bug, not bad input).
 Set REC_LOG=debug for trace logging of greedy scans and matching repairs.
 """
 
@@ -306,6 +307,10 @@ def main(argv: list[str] | None = None) -> int:
     except (InvariantError, MatchingError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError as exc:
+        detail = str(exc).partition("\n")[0]
+        print(f"error: out of memory ({detail})" if detail else "error: out of memory", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -2,18 +2,28 @@
 
 The exact solver expands multiplicities into unit tokens, prices them with
 the graph's distance rows (``graphs.Distances``: read off the greedy chains
-on interval graphs, a BFS on other graphs) and hands the square assignment
-problem to scipy's shortest augmenting path solver.  A factorial
+on interval graphs, a BFS on other graphs) in a float64 matrix, the dtype
+the kernel reads without a copy, and hands the square assignment problem to
+scipy's shortest augmenting path solver.  That solver,
+``linear_sum_assignment``, is loaded on first use straight from scipy's
+compiled ``scipy/optimize/_lsap`` extension, so a solve never runs the
+``scipy.optimize`` package's ``__init__`` (most of a cold solve's time and
+memory); when that file is missing or fails to load, the public
+``scipy.optimize`` import supplies the same function.  A factorial
 brute-force oracle and a near-linear greedy matcher for interval
 representations live alongside it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import os
+import sys
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 from heapq import heappop, heappush
+from importlib.machinery import EXTENSION_SUFFIXES
 from operator import itemgetter
 
 from .errors import InputError, InvariantError, MatchingError
@@ -25,8 +35,12 @@ from .multiset import TokenMultiset
 #: Largest token count accepted by the brute-force oracle.
 BRUTE_FORCE_CAP = 8
 #: Largest token count per side accepted by ``min_cost_matching``: its dense
-#: k x k int64 cost matrix is 200 MB at this k, and scipy copies it to float.
+#: k x k float64 cost matrix is 200 MB at this k, and the kernel reads it in place.
 EXACT_MATCHING_CAP = 5000
+
+_LSAP = "scipy.optimize._lsap"
+#: scipy's ``linear_sum_assignment``, set by ``_assignment_kernel`` on first use.
+_linear_sum_assignment = None
 
 
 class Matching:
@@ -120,6 +134,43 @@ def _expand(tokens: TokenMultiset) -> list[int]:
     return out
 
 
+def _lsap_file() -> str | None:
+    """Path of scipy's compiled assignment module, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.submodule_search_locations is None:
+        return None
+    for base in spec.submodule_search_locations:
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(base, "optimize", "_lsap" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _assignment_kernel():
+    """scipy's ``linear_sum_assignment``, cached after the first call.
+
+    Taken from an already imported ``scipy.optimize._lsap``, else loaded from
+    its extension file alone; the public ``scipy.optimize`` import, which
+    costs far more, is the fallback when that file is missing or fails.
+    """
+    global _linear_sum_assignment
+    if _linear_sum_assignment is None:
+        module = sys.modules.get(_LSAP)
+        if module is None and (path := _lsap_file()) is not None:
+            try:
+                spec = importlib.util.spec_from_file_location(_LSAP, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+            except (ImportError, OSError):
+                module = None
+        kernel = getattr(module, "linear_sum_assignment", None)
+        if kernel is None:
+            from scipy.optimize import linear_sum_assignment as kernel
+        _linear_sum_assignment = kernel
+    return _linear_sum_assignment
+
+
 def min_cost_matching(
     g: Graph, a: TokenMultiset, b: TokenMultiset
 ) -> tuple[Matching | None, int | None]:
@@ -138,7 +189,6 @@ def min_cost_matching(
     if a.total == 0:
         return Matching(), 0
     import numpy as np
-    from scipy.optimize import linear_sum_assignment
 
     left = _expand(a)
     right = _expand(b)
@@ -146,22 +196,24 @@ def min_cost_matching(
     dist = Distances(g)
     # priced column by column from the targets' rows, the rows the interval
     # solver's scan reads next; distances are symmetric, so the matrix is
-    # the same as row by row
-    cost = np.empty((k, k), dtype=np.int64)
+    # the same as row by row.  Every entry is an integer far below 2**53,
+    # so float64 holds it exactly; itemgetter gathers a column in C, which
+    # keeps the int-to-float conversion from slowing the fill
+    cost = np.empty((k, k), dtype=np.float64)
+    column = itemgetter(*left)  # a bare value when k == 1, which broadcasts
     for j, v in enumerate(right):
-        row = dist[v]
-        cost[:, j] = [row[u] for u in left]
+        cost[:, j] = column(dist[v])
     # any value above the largest possible finite total makes the solver
     # avoid unreachable pairs whenever a finite assignment exists
     big = k * max(g.n, 1) + 1
     cost[cost == UNREACHABLE] = big
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _assignment_kernel()(cost)
     pairs: Counter[tuple[int, int]] = Counter()
     total = 0
     for i, j, d in zip(rows.tolist(), cols.tolist(), cost[rows, cols].tolist()):
         if d == big:
             return None, None
-        total += d
+        total += int(d)
         pairs[(left[i], right[j])] += 1
     return Matching(pairs), total
 

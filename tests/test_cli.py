@@ -349,13 +349,14 @@ def test_mutated_files_end_in_an_exit_code_and_one_line(tmp_path, capsys, data):
 
 def _heavy_modules_after(*argvs):
     """Run each argv through the CLI in one fresh interpreter, every one
-    expected to exit 0; return which of numpy and scipy it imported."""
+    expected to exit 0; return which of numpy, scipy and the scipy.optimize
+    package it imported."""
     script = (
         "import sys\n"
         "from tokenslide.cli import main\n"
         f"for argv in {argvs!r}:\n"
         "    assert main(list(argv)) == 0, argv\n"
-        "print(*(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        "print(*(m for m in ('numpy', 'scipy', 'scipy.optimize') if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
@@ -377,6 +378,19 @@ class TestStartUp:
         loaded = _heavy_modules_after(gen, ("match", str(f), "--fast"))
         assert "scipy" not in loaded
         assert "numpy" not in loaded
+
+    def test_exact_matcher_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # solve, match and verify --optimal all run min_cost_matching, which
+        # loads scipy's compiled assignment module and not its package
+        f = tmp_path / "iv.txt"
+        f.write_text("intervals 4\n0 1 4\n1 3 6\n2 5 8\n3 7 10\ntokens 2: 0 2\ntokens 2: 1 3\n")
+        moves = tmp_path / "moves.txt"
+        moves.write_text("moves 2\n0 1 1\n2 3 1\n")
+        loaded = _heavy_modules_after(
+            ("solve", str(f)), ("match", str(f)), ("verify", str(f), str(moves), "--optimal")
+        )
+        assert "numpy" in loaded
+        assert "scipy.optimize" not in loaded
 
 
 class TestBench:
@@ -422,6 +436,30 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad size '{size}'\n"
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "error, line",
+        [
+            (
+                MemoryError("Unable to allocate 191. MiB for an array with shape (5000, 5000)"),
+                "error: out of memory (Unable to allocate 191. MiB for an array with shape (5000, 5000))",
+            ),
+            (MemoryError(), "error: out of memory"),
+        ],
+    )
+    def test_one_line_and_exit_code_1(self, error, line, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("tokenslide.cli.min_cost_matching", exhausted)
+        f = tmp_path / "iv.txt"
+        f.write_text("intervals 3\n0 1 4\n1 2 5\n2 3 6\ntokens 1: 0\ntokens 1: 2\n")
+        assert main(["match", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
 
 
 class TestInternalError:

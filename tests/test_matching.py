@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +125,90 @@ class TestMinCostMatching:
             assert c == brute_force_matching(g, a, b)
             m.validate_between(a, b)
             assert matching_cost(g, m) == c
+
+
+def _run_fresh(script):
+    """Run script in a fresh interpreter, where no scipy module is loaded yet."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-600:]
+    return proc.stdout
+
+
+class TestAssignmentKernel:
+    def test_direct_load_agrees_with_the_public_function(self):
+        # tie-heavy matrices (entries 0-3 and the matcher's unreachable
+        # sentinel) solved by the kernel loaded from its extension file, then
+        # by scipy.optimize imported afterwards in the same process
+        out = _run_fresh(
+            """
+            import random, sys
+            import numpy as np
+            from tokenslide.matching import _assignment_kernel
+
+            kernel = _assignment_kernel()
+            assert "scipy.optimize" not in sys.modules
+            rng = random.Random(2024)
+            cases = []
+            for _ in range(3):
+                for k in range(1, 41):
+                    values = (0, 1, 2, 3, 4 * k + 1)
+                    cost = np.array(
+                        [[rng.choice(values) for _ in range(k)] for _ in range(k)], dtype=np.float64
+                    )
+                    rows, cols = kernel(cost)
+                    cases.append((cost, rows.tolist(), cols.tolist()))
+            from scipy.optimize import linear_sum_assignment
+
+            for cost, rows, cols in cases:
+                r, c = linear_sum_assignment(cost)
+                assert (r.tolist(), c.tolist()) == (rows, cols), cost
+            print(len(cases))
+            """
+        )
+        assert out.split() == ["120"]
+
+    @pytest.mark.parametrize("content", [None, b"not a shared object"])
+    def test_unloadable_file_falls_back_to_the_public_import(self, content, tmp_path):
+        # the same seeded instances, matched once through the extension file
+        # and once through scipy.optimize with the file missing or broken
+        lsap = tmp_path / "_lsap.so"
+        if content is not None:
+            lsap.write_bytes(content)
+        out = _run_fresh(
+            f"""
+            import random, sys
+            from tokenslide import Graph, matching
+            from tokenslide.generators import random_connected_graph, random_token_multiset
+
+            def matchings():
+                rng = random.Random(7)
+                out = []
+                for _ in range(200):
+                    n = rng.randrange(2, 25)
+                    g = random_connected_graph(n, rng)
+                    if rng.random() < 0.3:  # split off a component
+                        cut = rng.randrange(1, n)
+                        g = Graph(n, [(u, v) for u, v in g.edges() if (u < cut) == (v < cut)])
+                    k = rng.randrange(1, 12)
+                    a = random_token_multiset(n, k, rng)
+                    b = random_token_multiset(n, k, rng)
+                    out.append(matching.min_cost_matching(g, a, b))
+                return out
+
+            direct = matchings()
+            assert "scipy.optimize" not in sys.modules
+            matching._linear_sum_assignment = None
+            del sys.modules["scipy.optimize._lsap"]
+            matching._lsap_file = lambda: {str(lsap)!r}
+            assert matchings() == direct
+            assert "scipy.optimize" in sys.modules
+            print(sum(c is None for _, c in direct), len(direct))
+            """
+        )
+        unreachable, total = map(int, out.split())
+        assert total == 200 and 0 < unreachable < total
 
 
 class TestBruteForce:

@@ -66,14 +66,16 @@ def _naming_instance(path: str):
         raise type(exc)(f"{exc} (instance sha256 {digest})") from exc
 
 
-def _solve_instance(inst: Instance, root: int) -> MoveSequence | None:
+def _solve_instance(inst: Instance, root: int | None) -> MoveSequence | None:
     if inst.kind == "tree":
-        tree = RootedTree(inst.graph, root)
+        tree = RootedTree(inst.graph, 0 if root is None else root)
         return reconf_tree_dominating(tree, inst.d_s, inst.d_t)
-    if inst.kind == "intervals":
-        assert inst.rep is not None
-        return reconf_interval(inst.rep, inst.d_s, inst.d_t)
-    raise InputError("solve supports tree and intervals instances; use 'oracle' for graphs")
+    if inst.kind != "intervals":
+        raise InputError("solve supports tree and intervals instances; use 'oracle' for graphs")
+    if root is not None:
+        raise InputError("--root applies only to tree instances")
+    assert inst.rep is not None
+    return reconf_interval(inst.rep, inst.d_s, inst.d_t)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -246,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute a shortest reconfiguration sequence")
     p.add_argument("file")
-    p.add_argument("--root", type=int, default=0, help="tree root (default 0)")
+    p.add_argument("--root", type=int, help="tree root, tree files only (default 0)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a move sequence against an instance")

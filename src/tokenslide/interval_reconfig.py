@@ -11,9 +11,9 @@ when the bound is spent.
 The loop finds its next slide on a worklist (``_Worklist``), not by
 rescanning every pair: a pair found blocked stays off the list until a
 slide on its side could free it, and a repair queues only the pairs it
-creates.  The slide taken is still the first feasible one in (source,
-target) order, source side first, as ``_scan`` finds it for
-``find_greedy_move``.  Each repair is one call of the module-level
+creates.  The slide taken is the first feasible one in (source, target)
+order, source side first; ``find_greedy_move`` answers with the same
+worklist, built fresh.  Each repair is one call of the module-level
 ``fix_matching`` with the current configurations, the pairs dict wrapped
 as a ``Matching`` without a copy, and the loop's distance rows; it
 validates and normalises the matching and reads partners from one index
@@ -26,7 +26,7 @@ import logging
 from heapq import heappop, heappush
 from typing import Callable
 
-from .errors import FeasibilityError, InputError, InvariantError
+from .errors import FeasibilityError, InputError, InvariantError, MatchingError
 from .graphs import Coverage, Distances, Graph, closed_neighborhoods, steps_toward
 from .graphs import distances_from  # noqa: F401  perfbench's --trace 1 patches it here
 from .graphs import require_same_size
@@ -40,37 +40,15 @@ logger = logging.getLogger(__name__)
 FixListener = Callable[[TokenMultiset, TokenMultiset, Matching], None]
 
 
-def _scan(
-    g: Graph,
-    dist: Distances | list[list[int]],
-    pairs: dict[tuple[int, int], int],
-    cover_s: Coverage,
-    cover_t: Coverage,
-) -> tuple[str, int, int, int] | None:
-    """First feasibility-preserving slide along the matching, source side first."""
-    ordered = sorted(pairs)
-    for u, v in ordered:
-        if u != v:
-            for u2 in steps_toward(g, u, dist[v]):
-                if cover_s.can_slide(u, u2):
-                    return ("s", u, u2, v)
-    for u, v in ordered:
-        if u != v:
-            for v2 in steps_toward(g, v, dist[u]):
-                if cover_t.can_slide(v, v2):
-                    return ("t", v, v2, u)
-    return None
-
-
 class _Worklist:
     """The matched pairs of ``reconf_interval`` that may have a feasible slide.
 
     One heap of non-self pair keys per side, in (source, target) order:
     the source side slides a pair's source toward its target, the target
-    side its target toward its source.  ``first`` returns what ``_scan``
-    returns.  It pops the keys at the top that have no feasible step and
-    files them as blocked, so every non-self pair that is not queued is
-    blocked.
+    side its target toward its source.  ``first`` returns the first
+    feasible slide in that order, source side first.  It pops the keys at
+    the top that have no feasible step and files them as blocked, so every
+    non-self pair that is not queued is blocked.
 
     A blocked pair's mover u holds one token, and for each step w some set
     in N[u] is hit once and not gained by w.  A slide a -> a2 on the pair's
@@ -78,9 +56,10 @@ class _Worklist:
     N[a2] and its hit count rose from 1 to 2; only those pairs are queued
     again.  The tail a cannot free it: a step onto an emptied a gains N[a],
     but before the slide the tokens on a and on u both hit every set in
-    N[a] and N[u], so none of those was hit once.  A slide leaves the other side's tracker as it was and a
-    repair leaves both, so otherwise only new keys are queued.  Keys that
-    left the matching are dropped when they reach the top.
+    N[a] and N[u], so none of those was hit once.  A slide leaves the other
+    side's tracker as it was and a repair leaves both, so otherwise only
+    new keys are queued.  Keys that left the matching are dropped when
+    they reach the top.
     """
 
     __slots__ = ("g", "dist", "pairs", "covers", "heaps", "queued", "blocked")
@@ -88,7 +67,7 @@ class _Worklist:
     def __init__(
         self,
         g: Graph,
-        dist: Distances,
+        dist: Distances | list[list[int]],
         pairs: dict[tuple[int, int], int],
         cover_s: Coverage,
         cover_t: Coverage,
@@ -110,7 +89,10 @@ class _Worklist:
             heappush(self.heaps[side], key)
 
     def first(self) -> tuple[str, int, int, int] | None:
-        """The slide ``_scan`` returns on the current pairs and trackers."""
+        """The first feasibility-preserving slide along the matching: pairs in
+        increasing (source, target) order, source side first, steps by
+        increasing id; None when both sides are stuck.  Reads ``pairs``
+        and the trackers without changing them."""
         g, dist, pairs = self.g, self.dist, self.pairs
         for side in (0, 1):
             heap, queued, blocked = self.heaps[side], self.queued[side], self.blocked[side]
@@ -174,15 +156,31 @@ def find_greedy_move(
 ) -> tuple[str, int, int, int] | None:
     """The feasibility-preserving slide that ``reconf_interval`` would take next.
 
-    Scans matched pairs in increasing (source, target) order, source side
-    first, successor candidates by increasing id.  Returns
+    The solver's own scan, ``_Worklist.first``, on fresh trackers of d_s
+    and d_t: matched pairs in increasing (source, target) order, source
+    side first, successor candidates by increasing id.  Returns
     ("s", u, u_next, target) or ("t", v, v_next, source), or None when both
-    sides are stuck.
+    sides are stuck.  ``dist`` is a ``Distances`` or a list of BFS rows,
+    one per vertex; by default one is built.  Raises MatchingError unless
+    m's marginals are d_s and d_t.
     """
+    n = g.n
+    hits = closed_neighborhoods(g)
+    cover_s, cover_t = Coverage(hits, n, d_s), Coverage(hits, n, d_t)
+    pairs = m._pairs  # only read: first() never writes to it
+    left, right = cover_s.counts[:], cover_t.counts[:]
+    for (u, v), c in pairs.items():
+        if not (0 <= u < n and 0 <= v < n):
+            raise MatchingError(f"pair ({u}, {v}) has a vertex outside the graph")
+        left[u] -= c
+        right[v] -= c
+    if any(left):
+        raise MatchingError("source marginals do not match the left multiset")
+    if any(right):
+        raise MatchingError("target marginals do not match the right multiset")
     if dist is None:
         dist = Distances(g)
-    hits = closed_neighborhoods(g)
-    return _scan(g, dist, m.pairs, Coverage(hits, g.n, d_s), Coverage(hits, g.n, d_t))
+    return _Worklist(g, dist, pairs, cover_s, cover_t).first()
 
 
 def _dominating_cover(g: Graph, tokens: TokenMultiset, label: str) -> Coverage:
@@ -220,8 +218,8 @@ def fix_matching(
     On a state that is not stuck, v may already be matched to a candidate
     y; the exchange then moves a unit from that pair back onto itself, and
     the normalised input matching comes back unchanged.  So call this only
-    when ``find_greedy_move(...)`` is None; ``reconf_interval`` calls it
-    only after the same scan finds no move.
+    when ``find_greedy_move(...)`` is None; that is the solver's own scan,
+    and ``reconf_interval`` calls this only after it finds no move.
     """
     if d_s == d_t:
         raise InputError("configurations are already equal; nothing to repair")

@@ -112,7 +112,9 @@ def _slides(adj, pred: Predicate, key: Key, mask: int):
             yield new_key, new_mask
 
 
-def _check_ends(pred: Predicate, start: TokenMultiset, goal: TokenMultiset) -> None:
+def _check_ends(pred: Predicate, start: TokenMultiset, goal: TokenMultiset, cap: int) -> None:
+    if cap < 1:
+        raise InputError(f"state cap must be at least 1, got {cap}")
     require_same_size(start, goal)
     if not pred(start.support_mask):
         raise FeasibilityError("start configuration is infeasible")
@@ -131,9 +133,10 @@ def reconfig_distance_bfs(
 
     Explores the reconfiguration graph breadth-first, one token slide per
     edge.  Returns None when the goal is not in the start's component;
-    raises StateCapExceeded after visiting more than ``cap`` states.
+    raises StateCapExceeded after visiting more than ``cap`` states, and
+    InputError when ``cap`` is below 1.
     """
-    _check_ends(pred, start, goal)
+    _check_ends(pred, start, goal, cap)
     start_key = start.key()
     goal_key = goal.key()
     if start_key == goal_key:
@@ -165,10 +168,10 @@ def reconfig_component(
     """Configurations reachable from start, the first ``cap`` of them in
     breadth-first order, and the slides between those as ordered key pairs.
 
-    Checks sizes and both ends as ``reconfig_distance_bfs`` does, with the
-    same errors, although only start decides what is explored.
+    Checks ``cap``, sizes and both ends as ``reconfig_distance_bfs`` does,
+    with the same errors, although only start decides what is explored.
     """
-    _check_ends(pred, start, goal)
+    _check_ends(pred, start, goal, cap)
     seen = {start.key()}
     slides: set[tuple[Key, Key]] = set()
     frontier = deque([(start.key(), start.support_mask)])

@@ -68,6 +68,32 @@ class TestSolve:
         assert "unreachable" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("root", ["7", "29"])
+    def test_tree_root(self, root, tmp_path, capsys):
+        assert main(["gen", "--kind", "tree", "--n", "30", "--k", "12", "--seed", "5"]) == 0
+        f = tmp_path / "tree.txt"
+        f.write_text(capsys.readouterr().out)
+        assert main(["solve", str(f), "--root", root]) == 0
+        mf = tmp_path / "moves.txt"
+        mf.write_text(capsys.readouterr().out)
+        assert main(["verify", str(f), str(mf), "--optimal"]) == 0
+        assert capsys.readouterr().out.startswith("valid optimal (")
+
+    def test_root_out_of_range(self, p4_file, capsys):
+        assert main(["solve", p4_file, "--root", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: root -1 out of range\n"
+
+    def test_root_on_intervals_is_invalid_input(self, tmp_path, capsys):
+        f = tmp_path / "iv.txt"
+        f.write_text("intervals 2\n0 1 4\n1 2 5\ntokens 1: 0\ntokens 1: 1\n")
+        assert main(["solve", str(f), "--root", "9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --root applies only to tree instances\n"
+
+
 class TestVerify:
     def run_solve(self, path, capsys):
         assert main(["solve", path]) == 0
@@ -172,6 +198,14 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"infeasible: {bad} configuration is infeasible\n"
+
+    @pytest.mark.parametrize("dot", [[], ["--dot"]], ids=["distance", "dot"])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_is_invalid_input(self, cap, dot, p4_file, capsys):
+        assert main(["oracle", p4_file, "--cap", cap, *dot]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: state cap must be at least 1, got {cap}\n"
 
     def test_dot_output(self, p4_file, capsys):
         assert main(["oracle", p4_file, "--dot"]) == 0

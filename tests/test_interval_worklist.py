@@ -1,10 +1,12 @@
-"""The interval solver's worklist against the full greedy scan.
+"""The interval solver's worklist against a full greedy scan.
 
-``interval_reconfig._Worklist.first`` must return what ``_scan`` returns on
-the same pairs and trackers at every step of the greedy loop, stuck steps
-included; these tests run the loop with both and compare.  A counting test
-checks that the shortest-path step lookups grow about linearly with the
-number of stuck gadgets, where a rescan after every move and repair grows
+``interval_reconfig._Worklist.first`` must return what ``_full_scan``, a
+test-local rescan of every pair, returns on the same pairs and trackers at
+every step of the greedy loop, stuck steps included; these tests run the
+loop with both and compare.  ``find_greedy_move`` is the worklist built
+fresh, so it is held against the same reference.  A counting test checks
+that the shortest-path step lookups grow about linearly with the number of
+stuck gadgets, where a rescan after every move and repair grows
 quadratically.
 """
 
@@ -20,22 +22,46 @@ from tokenslide.generators import (
     random_interval_representation,
     random_token_multiset,
 )
-from tokenslide.graphs import Coverage, Distances, closed_neighborhoods
+from tokenslide.graphs import (
+    Coverage,
+    Distances,
+    closed_neighborhoods,
+    distances_from,
+    steps_toward,
+)
+from tokenslide.interval_reconfig import find_greedy_move
 
 from helpers import harvest_interval_stalls, iter_interval_instances
 from test_golden import GADGET_CHAIN, REPAIR
 
 
+def _full_scan(g, dist, pairs, cover_s, cover_t):
+    """First feasibility-preserving slide along the matching, source side
+    first: every pair in sorted order, rescanned from the start."""
+    ordered = sorted(pairs)
+    for u, v in ordered:
+        if u != v:
+            for u2 in steps_toward(g, u, dist[v]):
+                if cover_s.can_slide(u, u2):
+                    return ("s", u, u2, v)
+    for u, v in ordered:
+        if u != v:
+            for v2 in steps_toward(g, v, dist[u]):
+                if cover_t.can_slide(v, v2):
+                    return ("t", v, v2, u)
+    return None
+
+
 @pytest.fixture
 def steps(monkeypatch):
-    """Make every ``first()`` call also run ``_scan`` and assert that both agree;
-    counts the moving and the stuck steps."""
+    """Make every ``first()`` call also run ``_full_scan`` and assert that both
+    agree; counts the moving and the stuck steps."""
     real = interval_reconfig._Worklist.first
     seen = Counter()
 
     def checked(self):
         found = real(self)
-        assert found == interval_reconfig._scan(self.g, self.dist, self.pairs, *self.covers)
+        assert found == _full_scan(self.g, self.dist, self.pairs, *self.covers)
         seen["stuck" if found is None else "moved"] += 1
         return found
 
@@ -98,35 +124,112 @@ def _random_pairs(rng, cs, ct):
     return dict(Counter(zip((v for v, c in enumerate(cs) for _ in range(c)), right)))
 
 
+def _random_covers(seed):
+    """A seeded random interval graph, the trackers of two random dominating
+    multisets of one size, often with stacked tokens, and the generator
+    that drew them; None when 60 draws hold no two dominating ones."""
+    rng = random.Random(seed)
+    n = rng.randrange(4, 18)
+    rep = random_interval_representation(
+        n, rng, connected=rng.random() < 0.8, spread=rng.choice((None, 1.5, 3.0))
+    )
+    g = ts.intersection_graph(rep)
+    hits = closed_neighborhoods(g)
+    k = rng.randrange(1, n + 1)
+    covers = [Coverage(hits, n, random_token_multiset(n, k, rng)) for _ in range(60)]
+    covers = [cover for cover in covers if cover.feasible][:2]
+    return (rng, g, covers) if len(covers) == 2 else None
+
+
 def test_first_is_the_scan_under_random_matchings():
     """Slides and hand-overs of arbitrary matchings, not only minimum ones,
     on stacked tokens: this reaches blocked pairs on both sides, which the
     solver's own runs rarely do."""
     stuck = 0
     for seed in range(400):
-        rng = random.Random(seed)
-        n = rng.randrange(4, 18)
-        rep = random_interval_representation(
-            n, rng, connected=rng.random() < 0.8, spread=rng.choice((None, 1.5, 3.0))
-        )
-        g = ts.intersection_graph(rep)
-        hits = closed_neighborhoods(g)
-        k = rng.randrange(1, n + 1)
-        covers = [Coverage(hits, n, random_token_multiset(n, k, rng)) for _ in range(60)]
-        covers = [cover for cover in covers if cover.feasible][:2]
-        if len(covers) < 2:
+        drawn = _random_covers(seed)
+        if drawn is None:
             continue
+        rng, g, covers = drawn
         cs, ct = covers[0].counts, covers[1].counts
         work = interval_reconfig._Worklist(g, Distances(g), _random_pairs(rng, cs, ct), *covers)
         for _ in range(80):
             found = work.first()
-            assert found == interval_reconfig._scan(g, work.dist, work.pairs, *covers)
+            assert found == _full_scan(g, work.dist, work.pairs, *covers)
             if found is None or rng.random() < 0.05:
                 stuck += found is None
                 work.rematch(_random_pairs(rng, cs, ct))
             else:
                 work.slide(*found)
     assert stuck >= 100
+
+
+def _greedy_states():
+    """Harvested stuck states in both orientations, then the states of short
+    greedy walks from seeded random matchings, not only minimum ones,
+    between dominating multisets."""
+    for _, g, d_s, d_t, m in harvest_interval_stalls(max_states=6):
+        yield g, d_s, d_t, m
+        yield g, d_t, d_s, m.inverse()
+    for seed in range(100):
+        drawn = _random_covers(seed)
+        if drawn is None:
+            continue
+        rng, g, covers = drawn
+        cs, ct = covers[0].counts, covers[1].counts
+        work = interval_reconfig._Worklist(g, Distances(g), _random_pairs(rng, cs, ct), *covers)
+        for _ in range(8):
+            d_s, d_t = ts.TokenMultiset.from_counts_list(cs), ts.TokenMultiset.from_counts_list(ct)
+            yield g, d_s, d_t, ts.Matching(work.pairs)
+            found = work.first()
+            if found is None:
+                work.rematch(_random_pairs(rng, cs, ct))
+            else:
+                work.slide(*found)
+
+
+def test_find_greedy_move_is_the_scan():
+    """The reference scan's answer for every form of ``dist``: None, a
+    ``Distances`` and the list of BFS rows the gadget search passes; the
+    matching and both multisets are left as they were."""
+    found = Counter()
+    for g, d_s, d_t, m in _greedy_states():
+        hits = closed_neighborhoods(g)
+        expected = _full_scan(
+            g, Distances(g), m.pairs, Coverage(hits, g.n, d_s), Coverage(hits, g.n, d_t)
+        )
+        before = (m.items(), d_s.key(), d_t.key())
+        rows = [distances_from(g, v) for v in range(g.n)]
+        for dist in (None, Distances(g), rows):
+            assert find_greedy_move(g, d_s, d_t, m, dist) == expected
+            assert (m.items(), d_s.key(), d_t.key()) == before
+        found["stuck" if expected is None else expected[0]] += 1
+    assert found["stuck"] >= 100 and found["s"] >= 300 and found["t"] >= 5
+
+
+PATH4 = ts.IntervalRepresentation([(1, 4), (3, 6), (5, 8), (7, 10)])
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ({(1, 3): 5}, "source marginals"),
+        ({(3, 0): 1, (1, 2): 1}, "source marginals"),
+        ({(0, 1): 1, (2, 2): 1}, "target marginals"),
+        ({(0, 1): 1, (2, 4): 1}, "outside the graph"),
+        ({(-4, 1): 1, (2, 3): 1}, "outside the graph"),
+        ({(0, -1): 1, (2, 1): 1}, "outside the graph"),
+    ],
+    ids=["overfull", "swapped", "target", "past-n", "negative-source", "negative-target"],
+)
+def test_find_greedy_move_rejects_a_matching_between_other_multisets(pairs, message):
+    """A negative vertex would index from the end of a count list and
+    balance it; it is refused before it can."""
+    g = ts.intersection_graph(PATH4)
+    d_s, d_t = ts.TokenMultiset([0, 2]), ts.TokenMultiset([1, 3])
+    assert find_greedy_move(g, d_s, d_t, ts.Matching({(0, 1): 1, (2, 3): 1})) == ("s", 0, 1, 1)
+    with pytest.raises(ts.MatchingError, match=message):
+        find_greedy_move(g, d_s, d_t, ts.Matching(pairs))
 
 
 def _gadget_copies(copies):

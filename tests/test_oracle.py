@@ -36,7 +36,7 @@ from tokenslide.generators import (
     random_tree,
 )
 
-from tokenslide.oracle import sequence_failure
+from tokenslide.oracle import reconfig_component, sequence_failure
 
 from helpers import shortest_slide_sequence, unit_replay
 
@@ -84,6 +84,23 @@ class TestDistanceBfs:
                 TokenMultiset([1, 3, 5, 7]),
                 cap=2,
             )
+
+    @pytest.mark.parametrize("search", [reconfig_distance_bfs, reconfig_component])
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_invalid_input(self, search, cap):
+        """Also when start equals goal, which needs no search at all."""
+        g = path(4)
+        tokens = TokenMultiset([0, 2])
+        with pytest.raises(InputError, match=f"state cap must be at least 1, got {cap}"):
+            search(g, dominating_predicate(g), tokens, tokens, cap=cap)
+
+    def test_cap_of_one_keeps_the_start(self):
+        g = path(4)
+        start, goal = TokenMultiset([0, 2]), TokenMultiset([1, 3])
+        with pytest.raises(StateCapExceeded):
+            reconfig_distance_bfs(g, dominating_predicate(g), start, goal, cap=1)
+        states, slides = reconfig_component(g, dominating_predicate(g), start, goal, cap=1)
+        assert states == {start.key()} and slides == set()
 
     def test_distance_is_symmetric(self):
         rng = random.Random(404)

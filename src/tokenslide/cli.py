@@ -108,7 +108,7 @@ def _config_label(key: tuple[tuple[int, int], ...]) -> str:
 
 
 def _emit_dot(inst: Instance, pred, cap: int) -> None:
-    """DOT drawing of the reachable component around the start configuration."""
+    """DOT drawing of the start configuration's whole component, within ``cap``."""
     states, slides = reconfig_component(inst.graph, pred, inst.d_s, inst.d_t, cap)
     start, goal = inst.d_s.key(), inst.d_t.key()
     print("graph reconfiguration {")
@@ -123,14 +123,12 @@ def _emit_dot(inst: Instance, pred, cap: int) -> None:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     inst = _load_instance(args.file)
-    if args.pred == "dominating":
-        pred = dominating_predicate(inst.graph)
-    else:
-        pred = independent_set_predicate(inst.graph)
-    if args.dot:
-        _emit_dot(inst, pred, args.cap)
-        return EXIT_OK
+    make_pred = dominating_predicate if args.pred == "dominating" else independent_set_predicate
+    pred = make_pred(inst.graph)
     try:
+        if args.dot:
+            _emit_dot(inst, pred, args.cap)
+            return EXIT_OK
         d = reconfig_distance_bfs(inst.graph, pred, inst.d_s, inst.d_t, cap=args.cap)
     except StateCapExceeded:
         print(f"undecided: more than {args.cap} configurations visited")
@@ -262,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact reconfiguration distance by exhaustive BFS")
     p.add_argument("file")
     p.add_argument("--pred", choices=("dominating", "independent"), default="dominating")
-    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP, help="configuration budget (>= 1)")
     p.add_argument("--dot", action="store_true", help="emit the reachable component as DOT")
     p.set_defaults(func=_cmd_oracle)
 

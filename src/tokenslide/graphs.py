@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from itertools import chain, islice
 from operator import eq, itemgetter
 
-from .errors import FeasibilityError, InputError
+from .errors import FeasibilityError, InputError, SizeMismatchError
 from .multiset import TokenMultiset
 
 #: Distance value reported for vertices in a different component.
@@ -375,12 +375,10 @@ class SetSystem:
 
 def is_dominating(g: Graph, tokens: TokenMultiset) -> bool:
     """True iff every vertex is in the support or adjacent to it."""
+    support = tokens.support
+    require_on_graph(g.n, support)
     covered = [False] * g.n
-    for v in tokens.support:
-        if not 0 <= v < g.n:
-            # the support is unordered: name the lowest offender, as Coverage does
-            v = min(u for u in tokens.support if not 0 <= u < g.n)
-            raise InputError(f"token on vertex {v} outside the graph")
+    for v in support:
         covered[v] = True
         for w in g.neighbors(v):
             covered[w] = True
@@ -390,11 +388,8 @@ def is_dominating(g: Graph, tokens: TokenMultiset) -> bool:
 def is_dominating_tree(tree: RootedTree, tokens: TokenMultiset) -> bool:
     """``is_dominating(tree.graph, tokens)`` read off the parent array: v is
     dominated iff v, its parent or one of its children holds a token."""
-    n = tree.n
     support = tokens.support
-    if support and (min(support) < 0 or max(support) >= n):
-        v = min(u for u in support if not 0 <= u < n)
-        raise InputError(f"token on vertex {v} outside the graph")
+    require_on_graph(tree.n, support)
     parent = tree.parent
     covered = [p in support for p in parent]  # the parent holds a token
     for v in support:
@@ -492,10 +487,18 @@ class Coverage:
 
 
 def require_same_size(a: TokenMultiset, b: TokenMultiset) -> None:
-    from .errors import SizeMismatchError
-
     if a.total != b.total:
         raise SizeMismatchError(f"token multisets differ in size: {a.total} vs {b.total}")
+
+
+def require_on_graph(
+    n: int, vertices: Collection[int], message: str = "token on vertex {v} outside the graph"
+) -> None:
+    """Raise InputError unless all vertices lie in 0..n-1; ``message`` may name
+    the lowest offender as {v} and the collection as {vertices}."""
+    if vertices and (min(vertices) < 0 or max(vertices) >= n):
+        v = min(u for u in vertices if not 0 <= u < n)
+        raise InputError(message.format(v=v, vertices=vertices))
 
 
 def require_hitting(system: SetSystem, tokens: TokenMultiset, label: str) -> None:

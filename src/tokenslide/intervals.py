@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from itertools import accumulate
@@ -14,7 +15,7 @@ from .graphs import UNREACHABLE, Distances, Graph
 class IntervalRepresentation:
     """Per-vertex closed intervals with pairwise-distinct integer endpoints."""
 
-    __slots__ = ("_left", "_right", "_chain", "_graph")
+    __slots__ = ("_left", "_right", "_chain", "_graph", "_ends")
 
     def __init__(self, intervals: Iterable[tuple[int, int]]):
         left = []
@@ -32,6 +33,7 @@ class IntervalRepresentation:
         # one left-end sort for the edges, the distance rows and the matcher
         self._chain = _greedy_chain(self._left, self._right)
         self._graph: Graph | None = None  # see intersection_graph
+        self._ends: Sequence[int] | None = None  # see endpoints
 
     def furthest_reach(self) -> tuple[int, ...]:
         """``reach[v]``: among the intervals with ``left < right(v)``, v
@@ -43,6 +45,25 @@ class IntervalRepresentation:
         neighbour ends after v.
         """
         return self._chain[2]
+
+    def endpoints(self) -> Sequence[int]:
+        """``right(v)`` at index ``2v`` and ``left(v)`` at ``2v + 1``.
+
+        One flat int64 array, built on the first call and cached: a vertex's
+        two ends share a cache line, and the ints read from it are fresh
+        objects that lie together, where the tuples' ints lie wherever the
+        input put them.  On large n that keeps a per-token lookup from
+        missing the cache.  Coordinates beyond 64 bits fall back to a list.
+        """
+        if self._ends is None:
+            try:
+                ends = array("q", bytes(16 * len(self._left)))
+                ends[0::2] = array("q", self._right)
+                ends[1::2] = array("q", self._left)
+            except OverflowError:
+                ends = [x for pair in zip(self._right, self._left) for x in pair]
+            self._ends = ends
+        return self._ends
 
     @property
     def n(self) -> int:

@@ -27,7 +27,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from operator import itemgetter
 
 from .errors import InputError, InvariantError, MatchingError
-from .graphs import UNREACHABLE, Distances, Graph, require_same_size, succ_set
+from .graphs import UNREACHABLE, Distances, Graph, require_on_graph, require_same_size, succ_set
 from .graphs import distances_from  # noqa: F401  perfbench's --trace 1 patches it here
 from .intervals import IntervalRepresentation
 from .multiset import TokenMultiset
@@ -120,6 +120,7 @@ def matching_cost(g: Graph, m: Matching) -> int | None:
     dist = Distances(g)
     total = 0
     for (u, v), c in m.items():
+        require_on_graph(g.n, (u, v), "pair {vertices} has a vertex outside the graph")
         d = dist[v][u]
         if d == UNREACHABLE:
             return None
@@ -182,6 +183,7 @@ def min_cost_matching(
     cost matrix is allocated.
     """
     require_same_size(a, b)
+    require_on_graph(g.n, a.support | b.support)
     if a.total > EXACT_MATCHING_CAP:
         raise InputError(
             f"exact matching capped at {EXACT_MATCHING_CAP} tokens per side, got {a.total}"
@@ -225,6 +227,7 @@ def brute_force_matching(g: Graph, a: TokenMultiset, b: TokenMultiset) -> int | 
     BRUTE_FORCE_CAP tokens.
     """
     require_same_size(a, b)
+    require_on_graph(g.n, a.support | b.support)
     k = a.total
     if k > BRUTE_FORCE_CAP:
         raise InputError(f"brute force capped at {BRUTE_FORCE_CAP} tokens, got {k}")
@@ -313,24 +316,26 @@ def rematch_after_slide(g: Graph, m: Matching, u: int, u_next: int, target: int)
 
 
 def _drain_match(
-    left_recs: list[list[int]],
-    right_recs: list[list[int]],
-    amount: int,
-    packed_pairs: Counter,
-    n: int,
+    src: list[int], tgt: list[int], amount: int, pairs: dict[tuple[int, int], int]
 ) -> None:
-    """Pair off `amount` tokens from the tails of the two record stacks."""
+    """Pair off `amount` tokens from the tails of two flat record stacks
+    ``[origin, count, origin, count, ...]``."""
     while amount:
-        la = left_recs[-1]
-        lb = right_recs[-1]
-        take = min(amount, la[1], lb[1])
-        packed_pairs[la[0] * n + lb[0]] += take
-        la[1] -= take
-        lb[1] -= take
-        if not la[1]:
-            left_recs.pop()
-        if not lb[1]:
-            right_recs.pop()
+        ca = src[-1]
+        cb = tgt[-1]
+        take = amount if amount < ca else ca
+        if cb < take:
+            take = cb
+        key = (src[-2], tgt[-2])
+        pairs[key] = pairs.get(key, 0) + take
+        if ca == take:
+            del src[-2:]
+        else:
+            src[-1] = ca - take
+        if cb == take:
+            del tgt[-2:]
+        else:
+            tgt[-1] = cb - take
         amount -= take
 
 
@@ -344,129 +349,158 @@ def fast_match_intervals(
     opposite token on an adjacent vertex matches the one whose interval ends
     first, otherwise the whole pile slides to the neighbor reaching furthest
     right, read from the representation's cached ``furthest_reach()``
-    table.  Per call, the sweep reads that table and the endpoints only
-    for vertices holding tokens, and keeps its counts in dicts, so its
-    work and memory are proportional to the number of tokens and slides,
-    not to n.
+    table.  Per call, the sweep reads that table and the endpoint table
+    (``rep.endpoints()``, built on the first call) only for vertices holding
+    tokens, so its work and memory are proportional to the number of tokens
+    and slides, not to n.
     Returns (None, None) when some token can never reach the other side.
     """
     require_same_size(a, b)
     n = rep.n
-    inter = a.intersection(b)
-    rem_a = a.difference(b)
-    rem_b = b.difference(a)
-    remaining = rem_a.total
+    ca, cb = a._counts, b._counts
+    require_on_graph(n, ca.keys() | cb.keys(), "token on vertex {v} outside the representation")
+    ends = rep.endpoints()
+    # shared tokens become self-pairs; what is left on each side starts a
+    # pile: first the piles of a (side 0), then from index na those of b
+    pairs: dict[tuple[int, int], int] = {}
+    piles: list[int] = []
+    counts: list[int] = []
+    for v, c in ca.items():
+        o = cb.get(v, 0)
+        if o:
+            pairs[(v, v)] = c if c < o else o
+        if c > o:
+            piles.append(v)
+            counts.append(c - o)
+    remaining = a.total - sum(pairs.values())
     if remaining == 0:
-        return Matching({(v, v): c for v, c in inter._counts.items()}), 0
-    for v in rem_a.support | rem_b.support:
-        if not 0 <= v < n:
-            raise InputError(f"token on vertex {v} outside the representation")
+        return Matching._trusted(pairs), 0
+    na = len(piles)
+    for v, c in cb.items():
+        o = ca.get(v, 0)
+        if c > o:
+            piles.append(v)
+            counts.append(c - o)
 
-    right = rep.rights
-    left = rep.lefts
+    # Every vertex that ever holds a pile gets a slot in the parallel lists
+    # below: the starting piles first, in event order (by right end), then
+    # each new slide target as it is reached.  The per-call state is a few
+    # flat lists, and the heaps hold right ends, read back to slots through
+    # `slot`: endpoints are pairwise distinct.  The ends come fresh from the
+    # representation's endpoint table, so they lie together in memory.
+    # A slot holds tokens of one side at a time: the starting supports are
+    # disjoint, and a pile slides only when no opposite pile has started
+    # before right(v), while reach[v] starts before right(v), so a slid pile
+    # never lands on opposite tokens.
+    m = len(piles)
+    ids = list(range(m))
+    rgt = [ends[2 * v] for v in piles]
+    order = sorted(ids, key=rgt.__getitem__)
+    rgt = [rgt[i] for i in order]
+    vert = [piles[i] for i in order]
+    cnt = [counts[i] for i in order]
+    side = [0 if i < na else 1 for i in order]
+    # a pile's tokens came from one origin, orig[j], while recs[j] is None;
+    # piles that merge keep flat (origin, count) stacks in recs instead
+    orig = vert[:]
+    recs: list[list[int] | None] = [None] * m
+    slot = dict(zip(rgt, ids))
+    lft = [ends[2 * v + 1] for v in vert]
+    acts = sorted(ids, key=lft.__getitem__)  # starting piles by left end
     reach = rep.furthest_reach()
+    active: tuple[list[int], list[int]] = ([], [])  # started piles per side
+    dynamic: list[int] = []  # arrivals of slid piles on new slots
 
-    # events and heap entries are packed as coord * n + vertex, and matched
-    # pairs as source * n + target: plain-int heaps, sorts and dict keys are
-    # far cheaper than tuple ones, and coords are pairwise distinct so the
-    # packed ordering is unchanged
-    packed_pairs: Counter[int] = Counter()
-    for v, c in inter._counts.items():
-        packed_pairs[v * n + v] = c
-    # per side (0 for a, 1 for b): token counts, origin records and the heap
-    # of started piles.  A vertex never holds tokens of both sides: the
-    # starting supports are disjoint, and a pile slides only when no
-    # opposite pile has started before right(v), while reach[v] starts
-    # before right(v), so a slid pile never lands on opposite tokens
-    cur: tuple[defaultdict[int, int], defaultdict[int, int]] = (defaultdict(int), defaultdict(int))
-    recs: tuple[dict[int, list[list[int]]], dict[int, list[list[int]]]] = ({}, {})
-    active: tuple[list[int], list[int]] = ([], [])
-    event: dict[int, int] = {}  # scheduled vertex -> its event key
-    acts: list[int] = []  # token vertices by left end
-    for side, ms in ((0, rem_a), (1, rem_b)):
-        for v, c in ms._counts.items():
-            cur[side][v] = c
-            recs[side][v] = [[v, c]]
-            acts.append(left[v] * n + v)
-            event[v] = right[v] * n + v
-    proc_static = sorted(event.values())
-    acts.sort()
-    b_starts = rem_b._counts  # x in b_starts is the side index of x's starting pile
-    proc_dynamic: list[int] = []  # arrivals of slid piles
-
-    na = len(acts)
     started = sp = 0
-    n_static = len(proc_static)
     total = 0
     while remaining:
-        if proc_dynamic and (sp >= n_static or proc_dynamic[0] < proc_static[sp]):
-            key = heappop(proc_dynamic)
-        elif sp < n_static:
-            key = proc_static[sp]
+        if dynamic and (sp >= m or dynamic[0] < rgt[sp]):
+            rv = heappop(dynamic)
+            j = slot[rv]
+        elif sp < m:
+            j = sp
+            rv = rgt[j]
             sp += 1
         else:
             break
-        v = key % n
-        pn = key - v  # right(v) * n, for packed comparisons
-        # start the token vertices whose interval begins before right(v);
-        # nothing reaches or leaves a vertex before it starts, so each still
-        # holds its starting pile
-        while started < na and acts[started] < pn:
-            x = acts[started] % n
+        # start the piles whose interval begins before right(v); nothing
+        # reaches or leaves a vertex before it starts, so each still holds
+        # its starting pile
+        while started < m and lft[acts[started]] < rv:
+            x = acts[started]
             started += 1
-            heappush(active[x in b_starts], event[x])
-        side = 0 if cur[0][v] else 1
-        own = cur[side]
-        cnt = own[v]
-        if not cnt:
+            heappush(active[side[x]], rgt[x])
+        c = cnt[j]
+        if not c:
             continue
-        opp = cur[1 - side]
-        heap = active[1 - side]
-        while cnt:
-            while heap and not opp[heap[0] % n]:
+        s = side[j]
+        heap = active[1 - s]
+        while c:
+            while heap:
+                x = slot[heap[0]]
+                if cnt[x] and side[x] != s:
+                    break
                 heappop(heap)
-            if not heap:
-                break
-            x = heap[0] % n
-            cx = opp[x]
-            met = cnt if cnt < cx else cx
-            if side:
-                _drain_match(recs[0][x], recs[1][v], met, packed_pairs, n)
             else:
-                _drain_match(recs[0][v], recs[1][x], met, packed_pairs, n)
+                break
+            cx = cnt[x]
+            met = c if c < cx else cx
+            sa, sb = (x, j) if s else (j, x)
+            ra, rb = recs[sa], recs[sb]
+            if ra is None and rb is None:
+                key = (orig[sa], orig[sb])
+                pairs[key] = pairs.get(key, 0) + met
+            else:
+                if ra is None:
+                    ra = [orig[sa], cnt[sa] if s else c]
+                if rb is None:
+                    rb = [orig[sb], c if s else cnt[sb]]
+                _drain_match(ra, rb, met, pairs)
             total += met  # matched across one edge
-            opp[x] = cx - met
+            cnt[x] = cx - met
             remaining -= met
-            cnt -= met
-        own[v] = 0
-        if not cnt:
+            c -= met
+        cnt[j] = 0
+        if not c:
             continue
-        # every event key is right(x) * n + x, so v lies in its own prefix.
-        # Endpoints are distinct, so the prefix's furthest reach ends at
-        # right(v) only when it is v; any other interval of the prefix ends
-        # before, so no second-best is needed: w == v means stranded
+        # every event is at right(v) of its slot's vertex v, so v lies in its
+        # own prefix.  Endpoints are distinct, so the prefix's furthest reach
+        # ends at right(v) only when it is v; any other interval of the
+        # prefix ends before, so no second-best is needed: w == v means
+        # stranded
+        v = vert[j]
         w = reach[v]
         if w == v:
             return None, None  # stranded in a component with no partner
-        total += cnt
-        wkey = right[w] * n + w
-        rec = recs[side]
-        if own[w]:
-            dst = rec[w]
-            src = rec[v]
+        total += c
+        rw = ends[2 * w]
+        k = slot.get(rw)
+        if k is None:
+            k = len(vert)
+            slot[rw] = k
+            rgt.append(rw)
+            vert.append(w)
+            cnt.append(c)
+            side.append(s)
+            orig.append(orig[j])
+            recs.append(recs[j])
+            heappush(active[s], rw)
+            heappush(dynamic, rw)
+        elif cnt[k]:
+            src = recs[j] or [orig[j], c]
+            dst = recs[k] or [orig[k], cnt[k]]
             if len(dst) < len(src):
                 src, dst = dst, src
-                rec[w] = dst
             dst.extend(src)
-            own[w] += cnt
+            recs[k] = dst
+            cnt[k] += c
         else:
-            rec[w] = rec[v]
-            own[w] = cnt
-            heappush(active[side], wkey)
-        rec[v] = []
-        if w not in event:
-            event[w] = wkey
-            heappush(proc_dynamic, wkey)
+            orig[k] = orig[j]
+            recs[k] = recs[j]
+            cnt[k] = c
+            side[k] = s
+            heappush(active[s], rw)
+        recs[j] = None
     if remaining:
         raise InvariantError("sweep finished with unmatched tokens")
-    return Matching((divmod(key, n), c) for key, c in packed_pairs.items()), total
+    return Matching._trusted(pairs), total

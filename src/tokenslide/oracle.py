@@ -1,6 +1,8 @@
 """Ground truth at desk scale: exhaustive BFS over configurations plus
 sequence verification, and the optimality certificate by the matching bound.
 
+One breadth-first search (``_bfs``) serves both the distance and the
+component, and stops with StateCapExceeded once it passes its state cap.
 States are token multisets; feasibility predicates look only at the support
 and receive it as a bit mask, which keeps the BFS inner loop cheap.  The
 upward-closed predicates (dominating, hitting) also carry ``hit_lists(n)``,
@@ -15,7 +17,8 @@ from collections.abc import Iterable
 from typing import Callable, NamedTuple
 
 from .errors import FeasibilityError, InputError, StateCapExceeded
-from .graphs import Coverage, Graph, SetSystem, closed_neighborhoods, require_same_size
+from .graphs import Coverage, Graph, SetSystem, closed_neighborhoods, require_on_graph
+from .graphs import require_same_size
 from .matching import min_cost_matching
 from .moves import MoveSequence
 from .multiset import TokenMultiset
@@ -95,31 +98,48 @@ def independent_set_predicate(g: Graph) -> Predicate:
 Key = tuple[tuple[int, int], ...]
 
 
-def _slides(adj, pred: Predicate, key: Key, mask: int):
-    """Every feasible one-token slide from a configuration, as (key, support mask)."""
-    counts = dict(key)
-    for v, c in key:
-        base = mask & ~(1 << v) if c == 1 else mask
-        for w in adj[v]:
-            new_mask = base | 1 << w
-            if not pred(new_mask):
-                continue
-            counts[v] -= 1
-            counts[w] = counts.get(w, 0) + 1
-            new_key = tuple(sorted((x, k) for x, k in counts.items() if k))
-            counts[w] -= 1
-            counts[v] += 1
-            yield new_key, new_mask
-
-
-def _check_ends(pred: Predicate, start: TokenMultiset, goal: TokenMultiset, cap: int) -> None:
+def _bfs(g: Graph, pred: Predicate, start: TokenMultiset, goal: TokenMultiset, cap: int):
+    """Breadth-first search from start, after checking ``cap``, the sizes, the
+    tokens' range and both ends.  Yields (key, new_key, new_key's depth):
+    (None, start's key, 0), then every feasible one-token slide in visit
+    order.  Raises StateCapExceeded after the slide that reaches the
+    configuration past ``cap``.
+    """
     if cap < 1:
         raise InputError(f"state cap must be at least 1, got {cap}")
     require_same_size(start, goal)
+    require_on_graph(g.n, start.support | goal.support)
     if not pred(start.support_mask):
         raise FeasibilityError("start configuration is infeasible")
     if not pred(goal.support_mask):
         raise FeasibilityError("goal configuration is infeasible")
+    adj = g.adjacency
+    start_key = start.key()
+    depth = {start_key: 0}
+    yield None, start_key, 0
+    frontier = deque([(start_key, start.support_mask)])
+    while frontier:
+        key, mask = frontier.popleft()
+        d = depth[key] + 1
+        counts = dict(key)
+        for v, c in key:
+            base = mask & ~(1 << v) if c == 1 else mask
+            for w in adj[v]:
+                new_mask = base | 1 << w
+                if not pred(new_mask):
+                    continue
+                counts[v] -= 1
+                counts[w] = counts.get(w, 0) + 1
+                new_key = tuple(sorted((x, k) for x, k in counts.items() if k))
+                counts[w] -= 1
+                counts[v] += 1
+                known = depth.get(new_key)
+                yield key, new_key, d if known is None else known
+                if known is None:
+                    depth[new_key] = d
+                    if len(depth) > cap:
+                        raise StateCapExceeded(f"visited more than {cap} configurations")
+                    frontier.append((new_key, new_mask))
 
 
 def reconfig_distance_bfs(
@@ -134,27 +154,12 @@ def reconfig_distance_bfs(
     Explores the reconfiguration graph breadth-first, one token slide per
     edge.  Returns None when the goal is not in the start's component;
     raises StateCapExceeded after visiting more than ``cap`` states, and
-    InputError when ``cap`` is below 1.
+    InputError when ``cap`` is below 1 or a token lies outside g.
     """
-    _check_ends(pred, start, goal, cap)
-    start_key = start.key()
     goal_key = goal.key()
-    if start_key == goal_key:
-        return 0
-    adj = g.adjacency
-    visited = {start_key}
-    frontier: deque[tuple[Key, int, int]] = deque([(start_key, start.support_mask, 0)])
-    while frontier:
-        key, mask, d = frontier.popleft()
-        for new_key, new_mask in _slides(adj, pred, key, mask):
-            if new_key in visited:
-                continue
-            if new_key == goal_key:
-                return d + 1
-            visited.add(new_key)
-            if len(visited) > cap:
-                raise StateCapExceeded(f"visited more than {cap} configurations")
-            frontier.append((new_key, new_mask, d + 1))
+    for _, key, d in _bfs(g, pred, start, goal, cap):
+        if key == goal_key:
+            return d
     return None
 
 
@@ -165,26 +170,17 @@ def reconfig_component(
     goal: TokenMultiset,
     cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[set[Key], set[tuple[Key, Key]]]:
-    """Configurations reachable from start, the first ``cap`` of them in
-    breadth-first order, and the slides between those as ordered key pairs.
-
-    Checks ``cap``, sizes and both ends as ``reconfig_distance_bfs`` does,
-    with the same errors, although only start decides what is explored.
+    """Configurations reachable from start and the slides between them as
+    ordered key pairs, from the search ``reconfig_distance_bfs`` runs, with
+    its errors: StateCapExceeded when there are more than ``cap`` of them.
     """
-    _check_ends(pred, start, goal, cap)
-    seen = {start.key()}
+    states: set[Key] = set()
     slides: set[tuple[Key, Key]] = set()
-    frontier = deque([(start.key(), start.support_mask)])
-    while frontier:
-        key, mask = frontier.popleft()
-        for new_key, new_mask in _slides(g.adjacency, pred, key, mask):
-            if new_key not in seen:
-                if len(seen) >= cap:
-                    continue
-                seen.add(new_key)
-                frontier.append((new_key, new_mask))
+    for key, new_key, _ in _bfs(g, pred, start, goal, cap):
+        states.add(new_key)
+        if key is not None:
             slides.add((key, new_key) if key < new_key else (new_key, key))
-    return seen, slides
+    return states, slides
 
 
 class VerifyResult(NamedTuple):

@@ -12,7 +12,8 @@ run-length compressed to at most one triple per vertex.
 from __future__ import annotations
 
 from .errors import FeasibilityError, InvariantError
-from .graphs import RootedTree, SetSystem, is_dominating_tree, require_hitting, require_same_size
+from .graphs import RootedTree, SetSystem, is_dominating_tree, require_hitting, require_on_graph
+from .graphs import require_same_size
 from .graphs import closed_neighborhood_system  # noqa: F401  perfbench's --trace 1 patches it here
 from .moves import MoveSequence
 from .multiset import TokenMultiset
@@ -29,6 +30,7 @@ def reconf_tree(
     """
     require_same_size(h_s, h_t)
     system.ensure_subtrees(tree)
+    require_on_graph(tree.n, h_s.support | h_t.support)
     require_hitting(system, h_s, "start")
     require_hitting(system, h_t, "target")
     return _sweep(tree, h_s, h_t)

@@ -207,6 +207,12 @@ class TestOracle:
         assert captured.out == ""
         assert captured.err == f"error: state cap must be at least 1, got {cap}\n"
 
+    def test_dot_past_the_cap_prints_only_undecided(self, p4_file, capsys):
+        assert main(["oracle", p4_file, "--dot", "--cap", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "undecided: more than 1 configurations visited\n"
+        assert captured.err == ""
+
     def test_dot_output(self, p4_file, capsys):
         assert main(["oracle", p4_file, "--dot"]) == 0
         out = capsys.readouterr().out

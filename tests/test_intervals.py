@@ -20,6 +20,7 @@ from tokenslide import (
     classify_relation,
     distances_from,
     dominating_predicate,
+    fast_match_intervals,
     find_greedy_move,
     fix_matching,
     intersection_graph,
@@ -34,7 +35,8 @@ from tokenslide import (
 from tokenslide import graphs
 from tokenslide.generators import gen_bench_interval_instance, random_interval_representation
 from tokenslide.graphs import Distances, RootedTree
-from tokenslide.instances import Instance, emit_instance, parse_instance
+from tokenslide.cli import main
+from tokenslide.instances import Instance, emit_instance, emit_moves, parse_instance
 from tokenslide.intervals import _verify_normalization
 
 from helpers import bfs_path, harvest_interval_stalls, iter_interval_instances
@@ -108,6 +110,26 @@ class TestFurthestReach:
             reach = r.furthest_reach()
             assert list(reach) == expected
             assert r.furthest_reach() is reach
+
+
+class TestEndpoints:
+    @settings(max_examples=100)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.booleans())
+    def test_right_then_left_end_per_vertex(self, n, seed, connected):
+        rep = random_interval_representation(n, random.Random(seed), connected)
+        # the same order of endpoints far outside a 64-bit integer
+        huge = IntervalRepresentation(
+            (lo * 10**20 - 10**21, hi * 10**20 - 10**21) for lo, hi in rep.intervals
+        )
+        for r in (rep, huge):
+            ends = r.endpoints()
+            assert list(ends) == [x for lo, hi in r.intervals for x in (hi, lo)]
+            assert r.endpoints() is ends
+        # the sweep matcher reads only the order of the ends
+        rng = random.Random(seed)
+        a = TokenMultiset(rng.randrange(n) for _ in range(n))
+        b = TokenMultiset(rng.randrange(n) for _ in range(n))
+        assert fast_match_intervals(huge, a, b) == fast_match_intervals(rep, a, b)
 
 
 @st.composite
@@ -332,6 +354,27 @@ class TestReconfIntervalExamples:
             reconf_tree_dominating(path4, start, target)
         with pytest.raises(InputError, match=message):
             reconf_interval(P4, start, target)
+
+
+def test_target_side_slide(tmp_path, capsys):
+    """The solver's first move slides a target token (3 -> 4 toward 7), which
+    is emitted reversed at the end; about 1 in 2 * 10**5 random instances has one."""
+    rep = IntervalRepresentation(
+        [(1, 4), (2, 6), (3, 7), (5, 10), (8, 14), (9, 12), (11, 16), (13, 20), (15, 19), (17, 18)]
+    )
+    d_s, d_t = TokenMultiset([1, 6, 7]), TokenMultiset([1, 3, 8])
+    fixes = []
+    seq = reconf_interval(rep, d_s, d_t, on_fix=lambda a, b, m: fixes.append(m))
+    assert seq.moves == ((6, 4, 1), (7, 8, 1), (4, 3, 1))
+    assert len(fixes) == 1
+    g = intersection_graph(rep)
+    assert reconfig_distance_bfs(g, dominating_predicate(g), d_s, d_t) == 3
+    assert min_cost_matching(g, d_s, d_t)[1] == 3
+    f, mf = tmp_path / "iv.txt", tmp_path / "moves.txt"
+    f.write_text(emit_instance(Instance("intervals", g, rep, d_s, d_t)))
+    mf.write_text(emit_moves(list(seq.moves), seq.total_length))
+    assert main(["verify", str(f), str(mf), "--optimal"]) == 0
+    assert capsys.readouterr().out == "valid optimal (3 moves)\n"
 
 
 class TestReconfIntervalOptimality:

@@ -85,6 +85,21 @@ class TestMatchingCost:
         g = Graph(4, [(0, 1), (2, 3)])
         assert matching_cost(g, Matching({(0, 2): 1})) is None
 
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (9, 0), (0, 4)])
+    def test_pair_outside_the_graph_is_invalid_input(self, pair):
+        message = rf"^pair \({pair[0]}, {pair[1]}\) has a vertex outside the graph$"
+        with pytest.raises(InputError, match=message):
+            matching_cost(path(4), Matching({pair: 1}))
+
+
+@pytest.mark.parametrize("solver", [min_cost_matching, brute_force_matching])
+@pytest.mark.parametrize(
+    "a, b, named", [([-1], [0], -1), ([9], [0], 9), ([0], [9], 9), ([5, 1], [0, -2], -2)]
+)
+def test_exact_matchers_reject_tokens_outside_the_graph(solver, a, b, named):
+    with pytest.raises(InputError, match=f"^token on vertex {named} outside the graph$"):
+        solver(path(4), TokenMultiset(a), TokenMultiset(b))
+
 
 class TestMinCostMatching:
     def test_identity(self):
@@ -343,6 +358,13 @@ class TestFastMatchIntervals:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatchError):
             fast_match_intervals(self.rep(), TokenMultiset([0]), TokenMultiset([0, 1]))
+
+    @pytest.mark.parametrize("a, b, named", [([9], [9], 9), ([0, 12], [0, 5], 5), ([3], [-1], -1)])
+    def test_tokens_outside_the_representation_are_invalid_input(self, a, b, named):
+        """Shared tokens too, and the lowest offender of either side."""
+        message = f"^token on vertex {named} outside the representation$"
+        with pytest.raises(InputError, match=message):
+            fast_match_intervals(self.rep(), TokenMultiset(a), TokenMultiset(b))
 
     def test_disconnected_remainder_unreachable(self):
         from tokenslide import IntervalRepresentation

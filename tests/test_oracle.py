@@ -94,13 +94,47 @@ class TestDistanceBfs:
         with pytest.raises(InputError, match=f"state cap must be at least 1, got {cap}"):
             search(g, dominating_predicate(g), tokens, tokens, cap=cap)
 
-    def test_cap_of_one_keeps_the_start(self):
+    @pytest.mark.parametrize("search", [reconfig_distance_bfs, reconfig_component])
+    def test_cap_of_one_stops_both_searches(self, search):
+        """The component is not cut down to the first ``cap`` states."""
         g = path(4)
         start, goal = TokenMultiset([0, 2]), TokenMultiset([1, 3])
-        with pytest.raises(StateCapExceeded):
-            reconfig_distance_bfs(g, dominating_predicate(g), start, goal, cap=1)
-        states, slides = reconfig_component(g, dominating_predicate(g), start, goal, cap=1)
-        assert states == {start.key()} and slides == set()
+        with pytest.raises(StateCapExceeded, match="^visited more than 1 configurations$"):
+            search(g, dominating_predicate(g), start, goal, cap=1)
+
+    @pytest.mark.parametrize("make_pred", [dominating_predicate, independent_set_predicate])
+    def test_component_size_is_the_least_cap_and_holds_the_reachable_goals(self, make_pred):
+        rng = random.Random(2020)
+        unreachable = done = 0
+        while done < 60:
+            n = rng.randrange(2, 8)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+            pred = make_pred(g)
+            k = rng.randrange(1, 4)
+            a = random_token_multiset(n, k, rng)
+            b = random_token_multiset(n, k, rng)
+            if not (pred(a.support_mask) and pred(b.support_mask)):
+                continue
+            states, slides = reconfig_component(g, pred, a, b)
+            size = len(states)
+            assert reconfig_component(g, pred, a, b, cap=size) == (states, slides)
+            if size > 1:
+                with pytest.raises(StateCapExceeded):
+                    reconfig_component(g, pred, a, b, cap=size - 1)
+            d = reconfig_distance_bfs(g, pred, a, b)
+            assert (d is None) == (b.key() not in states)
+            unreachable += d is None
+            done += 1
+        assert 0 < unreachable < done
+
+    def test_tokens_outside_the_graph_are_invalid_input(self):
+        g = path(4)
+        pred = dominating_predicate(g)
+        for start, goal, named in (([0, 2], [9, 1], 9), ([-1, 2], [0, 5], -1)):
+            with pytest.raises(InputError, match=f"^token on vertex {named} outside the graph$"):
+                reconfig_distance_bfs(g, pred, TokenMultiset(start), TokenMultiset(goal))
+            with pytest.raises(InputError, match=f"^token on vertex {named} outside the graph$"):
+                reconfig_component(g, pred, TokenMultiset(start), TokenMultiset(goal))
 
     def test_distance_is_symmetric(self):
         rng = random.Random(404)

@@ -86,6 +86,16 @@ class TestTreeReconfErrors:
         with pytest.raises(InputError):
             reconf_tree(tree, system, TokenMultiset([0, 3]), TokenMultiset([0, 3]))
 
+    @pytest.mark.parametrize(
+        "start, target, named",
+        [([0, 4, -1], [1, 2, 3], -1), ([0, 4, 99], [1, 2, 3], 99), ([0, 4, 2], [1, 3, 7], 7)],
+    )
+    def test_tokens_outside_the_tree_are_invalid_input(self, start, target, named):
+        tree = path_tree(5)
+        system = SetSystem([{0, 1}, {3, 4}], tree=tree)
+        with pytest.raises(InputError, match=f"^token on vertex {named} outside the graph$"):
+            reconf_tree(tree, system, TokenMultiset(start), TokenMultiset(target))
+
 
 class TestTreeOptimality:
     def test_matches_oracle_and_matching_bound(self):

@@ -57,8 +57,8 @@ class Graph:
         self._adj = tuple(map(tuple, adj))
         self.edge_count = sum(map(len, adj)) // 2
         self._closed: tuple[frozenset[int], ...] | None = None  # see closed_neighborhoods
-        self._rows: dict[int, list[int]] = {}  # distance rows by source, see Distances
-        self._chains = None  # an interval graph's row builder, see Distances
+        self._rows: dict[int, list[int]] = {}  # BFS distance rows by source, see Distances
+        self._chains = None  # an interval graph's distance queries, see Distances
         self._parent: list[int] | None = None  # a peeled tree's parents, see peel_tree
         self.n = n
 
@@ -148,17 +148,19 @@ def distances_from(g: Graph, s: int) -> list[int]:
 
 
 class Distances(dict):
-    """Distance rows of g, each computed the first time any table of g asks
-    for it.
+    """Distance rows of g, each set up the first time a table of g asks for
+    it.
 
     ``dist[v][w]`` is the distance between v and w, so the table can stand
     wherever a list of ``distances_from`` rows is read.  A graph built by
-    ``intersection_graph`` reads its rows off the intervals' greedy chains
-    (``g._chains``); every other graph runs ``distances_from``, a BFS.  The
-    rows are kept on g: a table starts from the rows there and stores each
-    row it computes there, so each row is computed at most once per graph.
-    g holds only rows and the chain tables, never a table, so no reference
-    cycle forms.  Rows are shared: never write into them.
+    ``intersection_graph`` answers from its intervals' greedy chain
+    (``g._chains``): its rows are read-only views that query one distance
+    per read, and g keeps none of them.  Every other graph runs
+    ``distances_from``, a BFS, and keeps the rows on g: a table starts from
+    the rows there and stores each row it computes there, so each row is
+    computed at most once per graph.  g holds only rows and the chain
+    tables, never a table, so no reference cycle forms.  Rows are shared:
+    never write into them.
     """
 
     __slots__ = ("graph",)
@@ -167,22 +169,21 @@ class Distances(dict):
         super().__init__(g._rows)
         self.graph = g
 
-    def __missing__(self, v: int) -> list[int]:
+    def __missing__(self, v: int) -> Sequence[int]:
         g = self.graph
-        rows = g._rows
-        row = rows.get(v)
-        if row is None:
-            chains = g._chains
-            if chains is None or not 0 <= v < g.n:  # distances_from rejects v out of range
-                row = distances_from(g, v)
-            else:
-                row = chains.row(v, g.neighbors(v))
-            rows[v] = row
+        chains = g._chains
+        if chains is not None and 0 <= v < g.n:  # distances_from rejects v out of range
+            row = chains.view(v)
+        else:
+            rows = g._rows
+            row = rows.get(v)
+            if row is None:
+                row = rows[v] = distances_from(g, v)
         self[v] = row
         return row
 
 
-def steps_toward(g: Graph, u: int, row: list[int]) -> tuple[int, ...]:
+def steps_toward(g: Graph, u: int, row: Sequence[int]) -> tuple[int, ...]:
     """Neighbors w of u with ``row[w] == row[u] - 1``, by increasing id.
 
     With row the distance row of v, these are the first steps of the shortest
@@ -206,12 +207,16 @@ def succ_set(g: Graph, u: int, v: int) -> tuple[int, ...]:
 
 
 def check_tree(graph: Graph, root: int = 0) -> list[int]:
-    """The BFS row of root in graph (see ``Distances``), after checking that
-    graph is a tree: n - 1 distinct edges and every vertex reachable."""
+    """The distance row of root in graph (see ``Distances``), after checking
+    that graph is a tree: n - 1 distinct edges and every vertex reachable.
+    An interval graph's row is a view that queries, so it is read into a
+    list once here."""
     n = graph.n
     if graph.edge_count != n - 1:
         raise InputError(f"tree on {n} vertices must have {n - 1} edges, got {graph.edge_count}")
     depth = Distances(graph)[root]
+    if not isinstance(depth, list):
+        depth = list(depth)
     if UNREACHABLE in depth:
         raise InputError("tree is not connected")
     return depth
@@ -266,12 +271,12 @@ class RootedTree:
 
     ``order`` lists vertices by decreasing depth (ties by increasing id), so
     every vertex appears before its parent.  The root is its own parent.
-    ``depth`` is the graph's shared distance row of the root (see
-    ``Distances``), so it is read-only like every row, and so is ``parent``.
-    Rooted at 0, a graph from ``peel_tree`` hands over its parents and
-    depths, and neither a BFS nor the adjacency is needed; any other graph
-    or root is checked by ``check_tree`` and the parents come from its BFS
-    row.
+    ``depth`` is the root's row from ``check_tree``: the graph's shared BFS
+    row (see ``Distances``), or an interval graph's row read into a list,
+    so it is read-only like every row, and so is ``parent``.  Rooted at 0,
+    a graph from ``peel_tree`` hands over its parents and depths, and
+    neither a BFS nor the adjacency is needed; any other graph or root is
+    checked by ``check_tree`` and the parents come from its row.
     """
 
     __slots__ = ("graph", "root", "parent", "depth", "order")

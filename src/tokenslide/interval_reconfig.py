@@ -29,7 +29,7 @@ from typing import Callable
 from .errors import FeasibilityError, InputError, InvariantError, MatchingError
 from .graphs import Coverage, Distances, Graph, closed_neighborhoods, steps_toward
 from .graphs import distances_from  # noqa: F401  perfbench's --trace 1 patches it here
-from .graphs import require_same_size
+from .graphs import require_on_graph, require_same_size
 from .intervals import IntervalRepresentation, intersection_graph
 from .matching import Matching, _shift_pair, min_cost_matching, normalize_matching
 from .moves import MoveSequence, compress_moves
@@ -161,8 +161,9 @@ def find_greedy_move(
     side first, successor candidates by increasing id.  Returns
     ("s", u, u_next, target) or ("t", v, v_next, source), or None when both
     sides are stuck.  ``dist`` is a ``Distances`` or a list of BFS rows,
-    one per vertex; by default one is built.  Raises MatchingError unless
-    m's marginals are d_s and d_t.
+    one per vertex; by default one is built.  Raises InputError, as
+    ``matching_cost`` does, for a pair with a vertex outside the graph, and
+    MatchingError unless m's marginals are d_s and d_t.
     """
     n = g.n
     hits = closed_neighborhoods(g)
@@ -170,8 +171,7 @@ def find_greedy_move(
     pairs = m._pairs  # only read: first() never writes to it
     left, right = cover_s.counts[:], cover_t.counts[:]
     for (u, v), c in pairs.items():
-        if not (0 <= u < n and 0 <= v < n):
-            raise MatchingError(f"pair ({u}, {v}) has a vertex outside the graph")
+        require_on_graph(n, (u, v), "pair {vertices} has a vertex outside the graph")
         left[u] -= c
         right[v] -= c
     if any(left):

@@ -30,7 +30,7 @@ class IntervalRepresentation:
             raise InputError("interval endpoints must be pairwise distinct")
         self._left = tuple(left)
         self._right = tuple(right)
-        # one left-end sort for the edges, the distance rows and the matcher
+        # one left-end sort for the edges, the distance queries and the matcher
         self._chain = _greedy_chain(self._left, self._right)
         self._graph: Graph | None = None  # see intersection_graph
         self._ends: Sequence[int] | None = None  # see endpoints
@@ -106,9 +106,7 @@ def _greedy_chain(
 
     ``order`` lists the ids by increasing lo, and ``order[: cut[v]]`` are
     the intervals with ``lo < hi(v)``, v among them.  ``reach[v]`` is the
-    one of those with the largest hi.  On the coordinates (left, right)
-    that is ``furthest_reach``; on (-right, -left), the mirror image, it is
-    the interval reaching furthest left.
+    one of those with the largest hi: ``furthest_reach``.
     """
     order = sorted(range(len(lo)), key=lo.__getitem__)
     starts = [lo[v] for v in order]
@@ -118,57 +116,143 @@ def _greedy_chain(
     return order, cut, tuple(at[c - 1] for c in cut)
 
 
-class _ChainRows:
-    """Distance rows of an interval graph, read off its two greedy chains.
+#: Vertex pairs priced per numpy block by ``_ChainDistances.blocks``; it
+#: bounds the size of each temporary array.
+_BLOCK = 1 << 14
 
-    The intervals within i hops of s cover one segment.  To the right
-    of s it ends at the right end of x_i, where x_0 = s and
-    ``x_(i+1) = reach[x_i]``, so an interval starting after s ends lies at
-    i + 1 hops for the first i with ``right(x_i) > left(v)``.  The chain
-    stops where ``reach[x] == x``: s's component ends there, and every
-    interval starting later is unreachable.  The left side is the same walk
-    on mirrored coordinates.
 
-    Holds only tuples and lists of ints, never the representation or the
-    graph, so a graph can keep it without forming a reference cycle.  It
-    takes the right-hand chain from the representation and builds the
-    mirrored one on the first row, since many graphs never need one.
+class _ChainDistances:
+    """Distances of an interval graph, queried on its greedy chain.
+
+    Let u and v be two intervals that do not meet, u the one that ends
+    first, so v starts after u ends.  The intervals within i hops of u
+    reach right up to the right end of x_i, where x_0 = u and
+    ``x_(i+1) = reach[x_i]``, so v lies i + 1 hops away for the first i
+    with ``cut[x_i] > pos[v]``: x_i ends after v starts.  ``cut`` never
+    decreases along the chain, and the chain stalls where
+    ``reach[x] == x``: u's component ends there, and v lies in another
+    (Chen, Lee, Sridhar and Sekharan, Networks 31, 1998).  Intervals meet
+    iff each starts before the other ends, ``pos[u] < cut[v]`` and
+    ``pos[v] < cut[u]``.  The queries compare only positions in left-end
+    order and ``cut`` indices, never coordinates, so endpoints of any size
+    work.
+
+    ``distance`` walks the chain for one pair; ``blocks`` prices many pairs
+    at once in numpy.  Holds only sequences of ints, never the
+    representation or the graph, so a graph can keep it without forming a
+    reference cycle, and nothing per source: a row is a ``_ChainRow`` view.
     """
 
-    __slots__ = ("_left", "_right", "_sides")
+    __slots__ = ("_pos", "_cut", "_reach")
 
-    def __init__(self, left: tuple[int, ...], right: tuple[int, ...], chain: tuple):
-        self._left = left
-        self._right = right
-        self._sides = [chain]
+    def __init__(self, chain: tuple[list[int], list[int], tuple[int, ...]]):
+        order, cut, reach = chain
+        pos = [0] * len(order)
+        for i, v in enumerate(order):
+            pos[v] = i
+        self._pos = pos
+        self._cut = cut
+        self._reach = reach
 
-    def row(self, s: int, neighbors: Iterable[int]) -> list[int]:
-        """Distances from s; ``neighbors`` are s's neighbours in the graph."""
-        sides = self._sides
-        if len(sides) == 1:
-            mirrored = (tuple(-x for x in self._right), tuple(-x for x in self._left))
-            sides.append(_greedy_chain(*mirrored))
-        row = [UNREACHABLE] * len(self._left)
-        row[s] = 0
-        for w in neighbors:
-            row[w] = 1
-        for order, cut, reach in sides:
-            n = len(order)
-            # order[cut[s]:] start after s ends: 2 or more hops away
-            i = cut[s]
-            x, d = s, 1
-            while i < n:
-                y = reach[x]
-                if y == x:
-                    break
-                x = y
-                d += 1
-                j = cut[x]
-                for v in order[i:j]:
-                    row[v] = d
-                i = j
-        return row
+    def __len__(self) -> int:
+        return len(self._pos)
 
+    def distance(self, u: int, v: int) -> int:
+        """The distance between u and v, UNREACHABLE across components."""
+        if u == v:
+            return 0
+        pos, cut, reach = self._pos, self._cut, self._reach
+        if cut[u] <= pos[v]:  # u ends before v starts
+            x, t = u, pos[v]
+        elif cut[v] <= pos[u]:
+            x, t = v, pos[u]
+        else:
+            return 1
+        d = 1
+        while cut[x] <= t:
+            y = reach[x]
+            if y == x:
+                return UNREACHABLE
+            x = y
+            d += 1
+        return d
+
+    def view(self, s: int) -> "_ChainRow":
+        """The distance row of s as a read-only view that queries."""
+        return _ChainRow(self, s)
+
+    def blocks(self, sources: Sequence[int], targets: Sequence[int]):
+        """Yield ``(lo, hi, block)`` over consecutive slices of targets, with
+        ``block[i, j] == distance(sources[i], targets[lo + j])`` as an intp
+        array; sources must not be empty.
+
+        Each chain walk jumps along a doubling table of ``reach``: level j
+        maps x to x_(2**j), and the levels stop once they reach every
+        chain's end, about log2 of the longest chain.  Per pair, the jumps
+        from the top level down find the last x_i with ``cut[x_i] <= pos``
+        of the later interval, since ``cut`` never decreases along a chain.
+        The table is built per call and dropped with the generator.
+        """
+        import numpy as np
+
+        pos = np.array(self._pos, dtype=np.intp)
+        cut = np.array(self._cut, dtype=np.intp)
+        reach = np.array(self._reach, dtype=np.intp)
+        levels = [reach]
+        while True:
+            top = levels[-1]
+            jump = top[top]
+            if np.array_equal(jump, top):
+                break
+            levels.append(jump)
+        u = np.array(sources, dtype=np.intp)[:, None]
+        pu, cu = pos[u], cut[u]
+        all_targets = np.array(targets, dtype=np.intp)
+        width = max(_BLOCK // len(sources), 1)
+        for lo in range(0, len(all_targets), width):
+            v = all_targets[lo : lo + width]
+            pv, cv = pos[v], cut[v]
+            first = cu <= pv  # u ends before v starts
+            x = np.where(first, u, v)
+            t = np.where(first, pv, pu)
+            apart = first | (cv <= pu)
+            hops = np.zeros(x.shape, dtype=np.intp)
+            for j in range(len(levels) - 1, -1, -1):
+                y = levels[j][x]
+                step = cut[y] <= t
+                np.copyto(x, y, where=step)
+                np.add(hops, 1 << j, out=hops, where=step)
+            # x is the last interval of the walk that ends before the later
+            # one starts: one more hop reaches past it, unless x ends the chain
+            hops += 2
+            hops[cut[reach[x]] <= t] = UNREACHABLE
+            np.copyto(hops, u != v, where=~apart)  # 0 on the diagonal, 1 where they meet
+            yield lo, lo + len(v), hops
+
+
+class _ChainRow:
+    """The distance row of one interval, read off ``_ChainDistances``.
+
+    ``row[v]`` queries the distance; iterating prices the whole row in
+    numpy blocks.  It holds no n-long list, so nothing grows with the
+    number of rows read.  Read-only, like every row.
+    """
+
+    __slots__ = ("_chains", "_s")
+
+    def __init__(self, chains: _ChainDistances, s: int):
+        self._chains = chains
+        self._s = s
+
+    def __getitem__(self, v: int) -> int:
+        return self._chains.distance(self._s, v)
+
+    def __len__(self) -> int:
+        return len(self._chains)
+
+    def __iter__(self):
+        for _, _, block in self._chains.blocks((self._s,), range(len(self._chains))):
+            yield from block[0].tolist()
 
 
 class Relation(enum.Enum):
@@ -275,9 +359,10 @@ def intersection_graph(rep: IntervalRepresentation) -> Graph:
     starts first.
 
     Built on the first call and cached on rep, so the parser, the solver
-    and every other caller share one graph, and with it its N[v] table and
-    distance rows.  The graph reads its rows off the representation's
-    greedy chains (``_ChainRows``) instead of running a BFS per row.
+    and every other caller share one graph, and with it its N[v] table.
+    The graph answers distance queries on the representation's greedy
+    chain (``_ChainDistances``) instead of running a BFS per row, and keeps
+    no row.
     """
     if rep._graph is not None:
         return rep._graph
@@ -286,7 +371,7 @@ def intersection_graph(rep: IntervalRepresentation) -> Graph:
     for i, v in enumerate(order):
         edges.extend((v, u) for u in order[i + 1 : cut[v]])
     g = Graph(rep.n, edges)
-    g._chains = _ChainRows(rep.lefts, rep.rights, rep._chain)
+    g._chains = _ChainDistances(rep._chain)
     rep._graph = g
     return g
 

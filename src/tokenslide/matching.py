@@ -1,11 +1,13 @@
 """Minimum-cost matchings between equal-size token multisets under graph distance.
 
-The exact solver expands multiplicities into unit tokens, prices them with
-the graph's distance rows (``graphs.Distances``: read off the greedy chains
-on interval graphs, a BFS on other graphs) in a float64 matrix, the dtype
-the kernel reads without a copy, and hands the square assignment problem to
-scipy's shortest augmenting path solver.  That solver,
-``linear_sum_assignment``, is loaded on first use straight from scipy's
+The exact solver expands multiplicities into unit tokens, prices them in a
+float64 matrix, the dtype the kernel reads without a copy, and hands the
+square assignment problem to scipy's shortest augmenting path solver.  On
+an interval graph the distinct (source, target) vertex pairs are priced in
+numpy by chain queries on the intervals' greedy chain
+(``intervals._ChainDistances``), so no n-long row is built; on other
+graphs the matrix is filled from BFS rows (``graphs.Distances``).  The
+solver, ``linear_sum_assignment``, is loaded on first use straight from scipy's
 compiled ``scipy/optimize/_lsap`` extension, so a solve never runs the
 ``scipy.optimize`` package's ``__init__`` (most of a cold solve's time and
 memory); when that file is missing or fails to load, the public
@@ -195,20 +197,32 @@ def min_cost_matching(
     left = _expand(a)
     right = _expand(b)
     k = len(left)
-    dist = Distances(g)
-    # priced column by column from the targets' rows, the rows the interval
-    # solver's scan reads next; distances are symmetric, so the matrix is
-    # the same as row by row.  Every entry is an integer far below 2**53,
-    # so float64 holds it exactly; itemgetter gathers a column in C, which
-    # keeps the int-to-float conversion from slowing the fill
-    cost = np.empty((k, k), dtype=np.float64)
-    column = itemgetter(*left)  # a bare value when k == 1, which broadcasts
-    for j, v in enumerate(right):
-        cost[:, j] = column(dist[v])
     # any value above the largest possible finite total makes the solver
-    # avoid unreachable pairs whenever a finite assignment exists
+    # avoid unreachable pairs whenever a finite assignment exists.  Every
+    # entry is an integer far below 2**53, so float64 holds it exactly
     big = k * max(g.n, 1) + 1
-    cost[cost == UNREACHABLE] = big
+    cost = np.empty((k, k), dtype=np.float64)
+    chains = g._chains
+    if chains is None:
+        # priced column by column from the targets' rows, the rows the
+        # interval solver's scan reads next; distances are symmetric, so the
+        # matrix is the same as row by row.  itemgetter gathers a column in
+        # C, which keeps the int-to-float conversion from slowing the fill
+        dist = Distances(g)
+        column = itemgetter(*left)  # a bare value when k == 1, which broadcasts
+        for j, v in enumerate(right):
+            cost[:, j] = column(dist[v])
+        cost[cost == UNREACHABLE] = big
+    else:
+        # one query per distinct (source, target) pair, priced a block of
+        # targets at a time and spread over the tokens on those vertices
+        (sources, s_counts), (targets, t_counts) = zip(*a.items()), zip(*b.items())
+        token_rows = np.repeat(np.arange(len(sources)), s_counts)
+        token_cols = np.repeat(np.arange(len(targets)), t_counts)
+        for lo, hi, block in chains.blocks(sources, targets):
+            block[block == UNREACHABLE] = big
+            c0, c1 = np.searchsorted(token_cols, (lo, hi))
+            cost[:, c0:c1] = block[np.ix_(token_rows, token_cols[c0:c1] - lo)]
     rows, cols = _assignment_kernel()(cost)
     pairs: Counter[tuple[int, int]] = Counter()
     total = 0

@@ -211,25 +211,30 @@ PATH4 = ts.IntervalRepresentation([(1, 4), (3, 6), (5, 8), (7, 10)])
 
 
 @pytest.mark.parametrize(
-    "pairs, message",
+    "pairs, error, message",
     [
-        ({(1, 3): 5}, "source marginals"),
-        ({(3, 0): 1, (1, 2): 1}, "source marginals"),
-        ({(0, 1): 1, (2, 2): 1}, "target marginals"),
-        ({(0, 1): 1, (2, 4): 1}, "outside the graph"),
-        ({(-4, 1): 1, (2, 3): 1}, "outside the graph"),
-        ({(0, -1): 1, (2, 1): 1}, "outside the graph"),
+        ({(1, 3): 5}, ts.MatchingError, "^source marginals"),
+        ({(3, 0): 1, (1, 2): 1}, ts.MatchingError, "^source marginals"),
+        ({(0, 1): 1, (2, 2): 1}, ts.MatchingError, "^target marginals"),
+        ({(0, 1): 1, (2, 4): 1}, ts.InputError, r"^pair \(2, 4\) has a vertex outside the graph$"),
+        ({(-4, 1): 1, (2, 3): 1}, ts.InputError, r"^pair \(-4, 1\) has a vertex outside the graph$"),
+        ({(0, -1): 1, (2, 1): 1}, ts.InputError, r"^pair \(0, -1\) has a vertex outside the graph$"),
     ],
     ids=["overfull", "swapped", "target", "past-n", "negative-source", "negative-target"],
 )
-def test_find_greedy_move_rejects_a_matching_between_other_multisets(pairs, message):
+def test_find_greedy_move_rejects_a_matching_between_other_multisets(pairs, error, message):
     """A negative vertex would index from the end of a count list and
-    balance it; it is refused before it can."""
+    balance it; it is refused before it can, as invalid input with
+    ``matching_cost``'s text, while wrong marginals are a MatchingError."""
     g = ts.intersection_graph(PATH4)
     d_s, d_t = ts.TokenMultiset([0, 2]), ts.TokenMultiset([1, 3])
     assert find_greedy_move(g, d_s, d_t, ts.Matching({(0, 1): 1, (2, 3): 1})) == ("s", 0, 1, 1)
-    with pytest.raises(ts.MatchingError, match=message):
+    with pytest.raises(error, match=message) as raised:
         find_greedy_move(g, d_s, d_t, ts.Matching(pairs))
+    assert type(raised.value) is error
+    if error is ts.InputError:
+        with pytest.raises(ts.InputError, match=message):
+            ts.matching_cost(g, ts.Matching(pairs))
 
 
 def _gadget_copies(copies):

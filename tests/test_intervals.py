@@ -1,9 +1,11 @@
 import gc
 import random
+import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokenslide import (
@@ -32,12 +34,12 @@ from tokenslide import (
     reconfig_distance_bfs,
     verify_sequence,
 )
-from tokenslide import graphs
+from tokenslide import graphs, intervals, matching
 from tokenslide.generators import gen_bench_interval_instance, random_interval_representation
 from tokenslide.graphs import Distances, RootedTree
 from tokenslide.cli import main
 from tokenslide.instances import Instance, emit_instance, emit_moves, parse_instance
-from tokenslide.intervals import _verify_normalization
+from tokenslide.intervals import _ChainDistances, _verify_normalization
 
 from helpers import bfs_path, harvest_interval_stalls, iter_interval_instances
 
@@ -151,6 +153,17 @@ def interval_layouts(draw):
     return raw
 
 
+@st.composite
+def token_pairs(draw):
+    """A layout and two token lists of one length, drawn from a few
+    vertices so that tokens share vertices."""
+    raw = draw(interval_layouts())
+    vertices = st.sampled_from(draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4)))
+    k = draw(st.integers(1, 8))
+    size = st.lists(vertices, min_size=k, max_size=k)
+    return raw, draw(size), draw(size)
+
+
 class TestChainRows:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(interval_layouts())
@@ -159,7 +172,47 @@ class TestChainRows:
         g = intersection_graph(rep)
         table = Distances(g)
         for s in range(rep.n):
-            assert table[s] == distances_from(g, s)
+            assert list(table[s]) == distances_from(g, s)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(interval_layouts())
+    def test_pair_queries_are_the_bfs_distances(self, raw):
+        rep = normalize_representation(raw)
+        g = intersection_graph(rep)
+        table, chains = Distances(g), g._chains
+        for s in range(rep.n):
+            row, bfs = table[s], distances_from(g, s)
+            assert len(row) == rep.n
+            assert [row[v] for v in range(rep.n)] == bfs
+            assert [chains.distance(s, v) for v in range(rep.n)] == bfs
+        assert not g._rows  # the graph kept no row
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(token_pairs())
+    @example(([(0, 1), (2, 3), (3, 5), (7, 9)], [0, 0, 1, 3], [2, 3, 3, 0]))  # unreachable pairs
+    def test_chain_priced_matrix_is_the_bfs_priced_matrix(self, case):
+        """The exact matcher hands scipy the same float64 matrix on an
+        interval graph as on the same edges given as a plain graph, token by
+        token; small blocks make the pricing run over several."""
+        raw, left, right = case
+        rep = normalize_representation(raw)
+        g = intersection_graph(rep)
+        plain = Graph(rep.n, g.edges())
+        a, b = TokenMultiset(left), TokenMultiset(right)
+        kernel = matching._assignment_kernel()
+        priced = []
+
+        def recording(cost):
+            priced.append(cost.copy())
+            return kernel(cost)
+
+        with mock.patch.object(matching, "_linear_sum_assignment", recording):
+            with mock.patch.object(intervals, "_BLOCK", 3):
+                assert min_cost_matching(g, a, b) == min_cost_matching(plain, a, b)
+        by_chain, by_bfs = priced
+        assert by_chain.dtype == by_bfs.dtype == np.float64
+        assert np.array_equal(by_chain, by_bfs)
+        assert not g._rows
 
     def test_interval_paths_build_no_bfs_row_and_graph_files_do(self):
         inst = parse_instance(emit_instance(gen_bench_interval_instance(60, 5)))
@@ -180,7 +233,7 @@ class TestChainRows:
             assert seq.total_length == cost == matching_cost(g, m)
             fix_matching(stuck.rep, stuck.graph, stuck.d_s, stuck.d_t, s_matching)
             assert len(path) == 12 and check_shortest_path_structure(rep, path)
-            assert g._rows and stuck.graph._rows  # rows were read, all off the chains
+            assert not g._rows and not stuck.graph._rows  # every read was a chain query
             with pytest.raises(AssertionError, match="^BFS row from"):
                 matching_cost(as_graph.graph, m)
 
@@ -423,8 +476,8 @@ class TestFixMatching:
 
 
 def test_solving_and_repairing_leave_no_reference_cycle():
-    """The graph keeps distance rows and chain tables but nothing pointing
-    back at it or at the representation, so everything a solve builds is
+    """The graph keeps its chain tables but nothing pointing back at it or
+    at the representation, and no row, so everything a solve builds is
     freed by reference counting alone."""
     rep, _, d_s, d_t, m = harvest_interval_stalls(max_states=6)[0]
     text = emit_instance(Instance("intervals", intersection_graph(rep), rep, d_s, d_t))
@@ -434,7 +487,7 @@ def test_solving_and_repairing_leave_no_reference_cycle():
         reconf_interval(inst.rep, inst.d_s, inst.d_t)
         min_cost_matching(inst.graph, inst.d_s, inst.d_t)
         fix_matching(inst.rep, inst.graph, inst.d_s, inst.d_t, m)
-        assert inst.graph._chains._sides is not None  # the chain tables were built
+        assert isinstance(inst.graph._chains, _ChainDistances) and not inst.graph._rows
 
     solve_and_repair()  # numpy and scipy are imported outside the measured run
     gc.collect()
@@ -444,3 +497,43 @@ def test_solving_and_repairing_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_exact_matcher_memory_grows_with_k_squared_not_k_n():
+    """On an interval graph the matcher prices its k x k matrix by chain
+    queries: its peak is a small multiple of the 8 k^2 bytes of the float64
+    matrix (1.8 MB at k = 476), where one n-long row per target took
+    8 k n bytes (19 MB at n = 5 000), and the graph keeps no row."""
+    inst = gen_bench_interval_instance(5000, 81)
+    g, a, b = inst.graph, inst.d_s, inst.d_t
+    k = a.total
+    tokens = TokenMultiset([0, 2])
+    min_cost_matching(intersection_graph(P4), tokens, tokens)  # numpy and scipy load outside the measurement
+    tracemalloc.start()
+    try:
+        min_cost_matching(g, a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert k == 476
+    assert peak < 3 * 8 * k * k
+    assert not g._rows
+
+
+def test_path_shaped_interval_graph_roots_like_the_same_edges():
+    """Rooting and shortest-path steps read whole rows or many entries of
+    an interval graph's query rows, and agree with BFS rows of the same
+    edges."""
+    perm = random.Random(3).sample(range(12), 12)
+    # interval i meets i - 1 and i + 1 only: a path, in shuffled ids
+    spans = [(2 * i, 2 * i + 3) for i in range(12)]
+    rep = IntervalRepresentation(spans[perm.index(v)] for v in range(12))
+    g = intersection_graph(rep)
+    plain = Graph(rep.n, g.edges())
+    for root in (0, perm[5], perm[11]):
+        tree, expected = RootedTree(g, root), RootedTree(plain, root)
+        assert (tree.parent, tree.depth, tree.order) == (expected.parent, expected.depth, expected.order)
+        assert isinstance(tree.depth, list)
+    for u, v in ((perm[3], perm[9]), (perm[9], perm[3]), (perm[4], perm[4])):
+        assert graphs.succ_set(g, u, v) == graphs.succ_set(plain, u, v)
+    assert not g._rows

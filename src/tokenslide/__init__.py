@@ -45,7 +45,6 @@ from .multiset import TokenMultiset
 from .oracle import (
     DEFAULT_STATE_CAP,
     VerifyResult,
-    certify_optimality,
     dominating_predicate,
     hitting_predicate,
     independent_set_predicate,
@@ -75,7 +74,6 @@ __all__ = [
     "UNREACHABLE",
     "VerifyResult",
     "brute_force_matching",
-    "certify_optimality",
     "check_shortest_path_structure",
     "classify_relation",
     "closed_neighborhood_system",

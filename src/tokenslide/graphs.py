@@ -22,12 +22,13 @@ UNREACHABLE = -1
 class Graph:
     """Immutable undirected graph given by symmetric adjacency lists.
 
-    A tree from ``peel_tree`` holds its parent array and the depth row of
-    vertex 0, and builds its adjacency from the parent array on the first
-    read; it equals the one ``Graph(n, edges)`` builds.
+    A tree from ``peel_tree`` holds its parent and depth arrays, rooted at
+    0, and builds its adjacency from the parents on the first read; it
+    equals the one ``Graph(n, edges)`` builds.  A graph keeps no distance
+    row: each ``Distances`` table owns the rows it reads.
     """
 
-    __slots__ = ("n", "edge_count", "_adj", "_closed", "_rows", "_chains", "_parent")
+    __slots__ = ("n", "edge_count", "_adj", "_closed", "_chains", "_parent")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -57,9 +58,8 @@ class Graph:
         self._adj = tuple(map(tuple, adj))
         self.edge_count = sum(map(len, adj)) // 2
         self._closed: tuple[frozenset[int], ...] | None = None  # see closed_neighborhoods
-        self._rows: dict[int, list[int]] = {}  # BFS distance rows by source, see Distances
         self._chains = None  # an interval graph's distance queries, see Distances
-        self._parent: list[int] | None = None  # a peeled tree's parents, see peel_tree
+        self._parent: tuple[list[int], list[int]] | None = None  # see peel_tree
         self.n = n
 
     @property
@@ -93,8 +93,8 @@ class Graph:
 
 
 class _PeeledTree(Graph):
-    """A tree from ``peel_tree``: its parent array (vertex 0 is the root, its
-    own parent) and the depth row of vertex 0, with the adjacency left unset.
+    """A tree from ``peel_tree``: its parent and depth arrays (vertex 0 is the
+    root, its own parent) as one pair, with the adjacency left unset.
 
     The solve path of a tree never reads the adjacency, so it is built from
     the parent array on the first read instead of by the parser.
@@ -105,9 +105,8 @@ class _PeeledTree(Graph):
     def __init__(self, parent: list[int], depth: list[int]):
         self.n = len(parent)
         self.edge_count = self.n - 1
-        self._parent = parent
+        self._parent = (parent, depth)
         self._closed = None
-        self._rows = {0: depth}
         self._chains = None
 
     def __getattr__(self, name: str):
@@ -118,7 +117,7 @@ class _PeeledTree(Graph):
         if name != "_adj":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for v, p in enumerate(self._parent):
+        for v, p in enumerate(self._parent[0]):
             if v != p:
                 adj[p].append(v)
                 adj[v].append(p)
@@ -148,37 +147,28 @@ def distances_from(g: Graph, s: int) -> list[int]:
 
 
 class Distances(dict):
-    """Distance rows of g, each set up the first time a table of g asks for
-    it.
+    """Distance rows of g, each set up the first time the table asks for it
+    and kept in the table.
 
     ``dist[v][w]`` is the distance between v and w, so the table can stand
     wherever a list of ``distances_from`` rows is read.  A graph built by
     ``intersection_graph`` answers from its intervals' greedy chain
     (``g._chains``): its rows are read-only views that query one distance
-    per read, and g keeps none of them.  Every other graph runs
-    ``distances_from``, a BFS, and keeps the rows on g: a table starts from
-    the rows there and stores each row it computes there, so each row is
-    computed at most once per graph.  g holds only rows and the chain
-    tables, never a table, so no reference cycle forms.  Rows are shared:
-    never write into them.
+    per read.  Every other graph runs ``distances_from``, a BFS, once per
+    row.  g keeps no row, so two tables of one graph share nothing.
     """
 
     __slots__ = ("graph",)
 
     def __init__(self, g: Graph):
-        super().__init__(g._rows)
         self.graph = g
 
     def __missing__(self, v: int) -> Sequence[int]:
         g = self.graph
-        chains = g._chains
-        if chains is not None and 0 <= v < g.n:  # distances_from rejects v out of range
-            row = chains.view(v)
+        if g._chains is not None and 0 <= v < g.n:  # distances_from rejects v out of range
+            row = g._chains.view(v)
         else:
-            rows = g._rows
-            row = rows.get(v)
-            if row is None:
-                row = rows[v] = distances_from(g, v)
+            row = distances_from(g, v)
         self[v] = row
         return row
 
@@ -198,8 +188,7 @@ def succ_set(g: Graph, u: int, v: int) -> tuple[int, ...]:
 
     Empty for u == v.  Raises if v is unreachable from u.
     """
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise InputError("vertex out of range")
+    require_on_graph(g.n, (u, v), "vertex {v} out of range")
     row = Distances(g)[v]
     if row[u] == UNREACHABLE:
         raise InputError(f"vertex {v} is unreachable from {u}")
@@ -207,16 +196,12 @@ def succ_set(g: Graph, u: int, v: int) -> tuple[int, ...]:
 
 
 def check_tree(graph: Graph, root: int = 0) -> list[int]:
-    """The distance row of root in graph (see ``Distances``), after checking
-    that graph is a tree: n - 1 distinct edges and every vertex reachable.
-    An interval graph's row is a view that queries, so it is read into a
-    list once here."""
+    """The ``distances_from`` row of root in graph, after checking that graph
+    is a tree: n - 1 distinct edges and every vertex reachable."""
     n = graph.n
     if graph.edge_count != n - 1:
         raise InputError(f"tree on {n} vertices must have {n - 1} edges, got {graph.edge_count}")
-    depth = Distances(graph)[root]
-    if not isinstance(depth, list):
-        depth = list(depth)
+    depth = distances_from(graph, root)
     if UNREACHABLE in depth:
         raise InputError("tree is not connected")
     return depth
@@ -271,12 +256,11 @@ class RootedTree:
 
     ``order`` lists vertices by decreasing depth (ties by increasing id), so
     every vertex appears before its parent.  The root is its own parent.
-    ``depth`` is the root's row from ``check_tree``: the graph's shared BFS
-    row (see ``Distances``), or an interval graph's row read into a list,
-    so it is read-only like every row, and so is ``parent``.  Rooted at 0,
-    a graph from ``peel_tree`` hands over its parents and depths, and
-    neither a BFS nor the adjacency is needed; any other graph or root is
-    checked by ``check_tree`` and the parents come from its row.
+    Rooted at 0, a graph from ``peel_tree`` hands over its parent and depth
+    arrays, which it keeps, so both are read-only, and neither a BFS nor
+    the adjacency is needed.  Any other graph or root is checked by
+    ``check_tree``: ``depth`` is the root's BFS row, and the parents come
+    from it.
     """
 
     __slots__ = ("graph", "root", "parent", "depth", "order")
@@ -287,9 +271,9 @@ class RootedTree:
             raise InputError("tree needs at least one vertex")
         if not 0 <= root < n:
             raise InputError(f"root {root} out of range")
-        parent = graph._parent if root == 0 else None
-        if parent is not None:
-            depth = graph._rows[0]
+        peeled = graph._parent if root == 0 else None
+        if peeled is not None:
+            parent, depth = peeled
         else:
             depth = check_tree(graph, root)
             # in a tree each other vertex has exactly one neighbour one level
@@ -441,11 +425,14 @@ class Coverage:
 
     def __init__(self, hits: Sequence[frozenset[int]], n_sets: int, tokens: TokenMultiset):
         n = len(hits)
+        items = tokens.items()
+        # sorted, so the ends decide; the support is built only to name the
+        # offender (find_greedy_move builds two trackers per call)
+        if items and (items[0][0] < 0 or items[-1][0] >= n):
+            require_on_graph(n, tokens.support)
         counts = [0] * n
         hit = [0] * n_sets
-        for v, c in tokens.items():
-            if not 0 <= v < n:
-                raise InputError(f"token on vertex {v} outside the graph")
+        for v, c in items:
             counts[v] = c
             for s in hits[v]:
                 hit[s] += 1

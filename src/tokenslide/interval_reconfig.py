@@ -165,6 +165,7 @@ def find_greedy_move(
     ``matching_cost`` does, for a pair with a vertex outside the graph, and
     MatchingError unless m's marginals are d_s and d_t.
     """
+    require_same_size(d_s, d_t)
     n = g.n
     hits = closed_neighborhoods(g)
     cover_s, cover_t = Coverage(hits, n, d_s), Coverage(hits, n, d_t)
@@ -221,6 +222,7 @@ def fix_matching(
     when ``find_greedy_move(...)`` is None; that is the solver's own scan,
     and ``reconf_interval`` calls this only after it finds no move.
     """
+    require_same_size(d_s, d_t)
     if d_s == d_t:
         raise InputError("configurations are already equal; nothing to repair")
     pairs = normalize_matching(g, m, d_s, d_t)._pairs  # a fresh dict, ours to change

@@ -9,7 +9,7 @@ from collections.abc import Iterable, Sequence
 from itertools import accumulate
 
 from .errors import InputError, InvariantError
-from .graphs import UNREACHABLE, Distances, Graph
+from .graphs import UNREACHABLE, Distances, Graph, require_on_graph
 
 
 class IntervalRepresentation:
@@ -74,14 +74,6 @@ class IntervalRepresentation:
 
     def right(self, v: int) -> int:
         return self._right[v]
-
-    @property
-    def lefts(self) -> tuple[int, ...]:
-        return self._left
-
-    @property
-    def rights(self) -> tuple[int, ...]:
-        return self._right
 
     @property
     def intervals(self) -> tuple[tuple[int, int], ...]:
@@ -153,9 +145,6 @@ class _ChainDistances:
         self._pos = pos
         self._cut = cut
         self._reach = reach
-
-    def __len__(self) -> int:
-        return len(self._pos)
 
     def distance(self, u: int, v: int) -> int:
         """The distance between u and v, UNREACHABLE across components."""
@@ -233,9 +222,8 @@ class _ChainDistances:
 class _ChainRow:
     """The distance row of one interval, read off ``_ChainDistances``.
 
-    ``row[v]`` queries the distance; iterating prices the whole row in
-    numpy blocks.  It holds no n-long list, so nothing grows with the
-    number of rows read.  Read-only, like every row.
+    ``row[v]`` queries one distance; the view holds no n-long list, so
+    nothing grows with the number of rows read.
     """
 
     __slots__ = ("_chains", "_s")
@@ -246,13 +234,6 @@ class _ChainRow:
 
     def __getitem__(self, v: int) -> int:
         return self._chains.distance(self._s, v)
-
-    def __len__(self) -> int:
-        return len(self._chains)
-
-    def __iter__(self):
-        for _, _, block in self._chains.blocks((self._s,), range(len(self._chains))):
-            yield from block[0].tolist()
 
 
 class Relation(enum.Enum):
@@ -282,6 +263,7 @@ _MIRROR = {
 
 def classify_relation(rep: IntervalRepresentation, u: int, v: int) -> Relation:
     """Classify the ordered pair (u, v); u == v is rejected."""
+    require_on_graph(rep.n, (u, v), "vertex {v} out of range")
     if u == v:
         raise InputError("cannot classify an interval against itself")
     lu, ru = rep.left(u), rep.right(u)
@@ -360,9 +342,8 @@ def intersection_graph(rep: IntervalRepresentation) -> Graph:
 
     Built on the first call and cached on rep, so the parser, the solver
     and every other caller share one graph, and with it its N[v] table.
-    The graph answers distance queries on the representation's greedy
-    chain (``_ChainDistances``) instead of running a BFS per row, and keeps
-    no row.
+    Its ``Distances`` tables answer point queries on the representation's
+    greedy chain (``_ChainDistances``) instead of running a BFS per row.
     """
     if rep._graph is not None:
         return rep._graph
@@ -389,6 +370,7 @@ def check_shortest_path_structure(rep: IntervalRepresentation, path: Sequence[in
     k = len(path)
     if k < 2:
         raise InputError("path needs at least two vertices")
+    require_on_graph(rep.n, path, "path vertex {v} out of range")
     if len(set(path)) != k:
         raise InputError("path repeats a vertex")
     for a, b in zip(path, path[1:]):

@@ -204,10 +204,10 @@ def min_cost_matching(
     cost = np.empty((k, k), dtype=np.float64)
     chains = g._chains
     if chains is None:
-        # priced column by column from the targets' rows, the rows the
-        # interval solver's scan reads next; distances are symmetric, so the
-        # matrix is the same as row by row.  itemgetter gathers a column in
-        # C, which keeps the int-to-float conversion from slowing the fill
+        # priced column by column from the targets' BFS rows; distances are
+        # symmetric, so the matrix is the same as row by row.  itemgetter
+        # gathers a column in C, which keeps the int-to-float conversion
+        # from slowing the fill
         dist = Distances(g)
         column = itemgetter(*left)  # a bare value when k == 1, which broadcasts
         for j, v in enumerate(right):

@@ -17,8 +17,8 @@ from collections.abc import Iterable
 from typing import Callable, NamedTuple
 
 from .errors import FeasibilityError, InputError, StateCapExceeded
-from .graphs import Coverage, Graph, SetSystem, closed_neighborhoods, require_on_graph
-from .graphs import require_same_size
+from .graphs import UNREACHABLE, Coverage, Graph, SetSystem, closed_neighborhoods, distances_from
+from .graphs import require_on_graph, require_same_size
 from .matching import min_cost_matching
 from .moves import MoveSequence
 from .multiset import TokenMultiset
@@ -249,7 +249,10 @@ def sequence_failure(
     No slide sequence is shorter than the minimum-cost matching c* between
     start and goal, and a replayed sequence of length L shows that the
     distance is at most L.  So c* == L certifies that L is the distance, and
-    no configuration search is needed.
+    no configuration search is needed.  On trees and on interval graphs
+    (those from ``intersection_graph``) c* is the distance, so c* < L shows
+    that L is not shortest; on any other graph c* may fall below the
+    distance, and c* < L leaves L only not certified.
     """
     ok, final, failure = verify_sequence(g, pred, start, seq)
     if not ok:
@@ -260,17 +263,11 @@ def sequence_failure(
     if optimal:
         _, cost = min_cost_matching(g, start, goal)
         if cost != length:
+            if g._chains is None and not _is_tree(g):
+                return f"not certified: matching bound {cost} is below length {length}"
             return f"suboptimal: matching bound {cost} differs from length {length}"
     return None
 
 
-def certify_optimality(
-    g: Graph,
-    pred: Predicate,
-    start: TokenMultiset,
-    goal: TokenMultiset,
-    seq: MoveSequence,
-) -> bool:
-    """True iff seq is valid, reaches the goal, and its length equals the
-    minimum-cost matching bound, which makes it a shortest sequence."""
-    return sequence_failure(g, pred, start, goal, seq) is None
+def _is_tree(g: Graph) -> bool:
+    return g.edge_count == g.n - 1 and UNREACHABLE not in distances_from(g, 0)

@@ -4,16 +4,44 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import random
 from collections import deque
+from contextlib import contextmanager
+from unittest import mock
 
 import tokenslide as ts
+from tokenslide import graphs
 from tokenslide.errors import InputError, ParseError
 from tokenslide.generators import gen_instance, random_interval_representation
 from tokenslide.graphs import check_tree
 from tokenslide.instances import KINDS, MAX_GRAPH_VERTICES, Instance
 from tokenslide.intervals import IntervalRepresentation, intersection_graph
 from tokenslide.multiset import TokenMultiset
+
+
+@contextmanager
+def bfs_sources():
+    """Record the source of every ``graphs.distances_from`` call inside."""
+    sources: list[int] = []
+    real = graphs.distances_from
+
+    def counting(graph, s):
+        sources.append(s)
+        return real(graph, s)
+
+    with mock.patch.object(graphs, "distances_from", counting):
+        yield sources
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment with the directory that holds its
+    ``tokenslide`` first on PYTHONPATH, so that a child interpreter imports
+    the same copy."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(ts.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def bfs_path(g: ts.Graph, s: int, t: int) -> list[int] | None:
@@ -231,7 +259,6 @@ class ReferenceGraph(ts.Graph):
         self._adj = tuple(tuple(sorted(s)) for s in adj)
         self.edge_count = sum(map(len, adj)) // 2
         self._closed = None
-        self._rows = {}
         self._chains = None
         self._parent = None
         self.n = n

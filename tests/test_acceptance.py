@@ -19,7 +19,7 @@ from tokenslide.generators import (
 )
 from tokenslide.instances import emit_instance
 
-from helpers import bfs_path, harvest_interval_stalls, iter_interval_instances, iter_tree_instances
+from helpers import bfs_path, child_env, harvest_interval_stalls, iter_interval_instances, iter_tree_instances
 
 
 def _report(index: int, label: str, ok: bool, detail: str = "") -> None:
@@ -258,7 +258,7 @@ print(f"{small} {large}")
     import sys
 
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=child_env()
     )
     if proc.returncode != 0:
         _report(6, "fast interval matcher", False, f"timing run failed: {proc.stderr[-200:]}")

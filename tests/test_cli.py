@@ -18,7 +18,7 @@ from tokenslide.interval_reconfig import reconf_interval
 from tokenslide.intervals import normalize_representation
 from tokenslide.tree_reconfig import reconf_tree_dominating
 
-from helpers import iter_interval_instances, iter_tree_instances
+from helpers import child_env, iter_interval_instances, iter_tree_instances
 
 P4_TREE = "tree 4\n0 1\n1 2\n2 3\ntokens 2: 0 2\ntokens 2: 1 3\n"
 C4_GRAPH = "graph 4\n0 1\n1 2\n2 3\n0 3\ntokens 2: 0 2\ntokens 2: 1 3\n"
@@ -111,6 +111,23 @@ class TestVerify:
         mf.write_text("moves 4\n0 1 1\n1 0 1\n0 1 1\n2 3 1\n")
         assert main(["verify", p4_file, str(mf), "--optimal"]) == 2
         assert capsys.readouterr().out == "suboptimal: matching bound 2 differs from length 4\n"
+
+    def test_graph_file_below_the_bound_is_not_certified(self, tmp_path, capsys):
+        """On a graph with an induced 4-cycle, neither a tree nor an interval
+        graph, the matching bound 3 lies below the distance 4: a shortest
+        sequence is not certified, but not called suboptimal either."""
+        f, mf = tmp_path / "g7.txt", tmp_path / "moves.txt"
+        f.write_text(
+            "graph 7\n0 1\n0 3\n0 4\n0 6\n1 2\n2 4\n3 4\n4 5\n5 6\n"
+            "tokens 3: 0 3 4\ntokens 3: 2 3 5\n"
+        )
+        mf.write_text("moves 4\n3 4 1\n4 2 1\n4 5 1\n0 3 1\n")
+        assert main(["oracle", str(f)]) == 0
+        assert capsys.readouterr().out == "4\n"
+        assert main(["verify", str(f), str(mf)]) == 0
+        assert capsys.readouterr().out == "valid (4 moves)\n"
+        assert main(["verify", str(f), str(mf), "--optimal"]) == 2
+        assert capsys.readouterr().out == "not certified: matching bound 3 is below length 4\n"
 
     def test_optimal_runs_no_configuration_bfs(self, tmp_path, capsys, monkeypatch):
         def no_bfs(*args, **kwargs):
@@ -399,7 +416,7 @@ def _heavy_modules_after(*argvs):
         "print(*(m for m in ('numpy', 'scipy', 'scipy.optimize') if m in sys.modules))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=child_env()
     )
     assert proc.returncode == 0, proc.stderr[-400:]
     return proc.stdout.splitlines()[-1].split()

@@ -1,7 +1,5 @@
 import itertools
 import random
-from collections import Counter
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +20,6 @@ from tokenslide import (
     is_hitting,
     succ_set,
 )
-from tokenslide import graphs
 from tokenslide.generators import random_subtree_family, random_token_multiset, random_tree
 from tokenslide.graphs import (
     Coverage,
@@ -35,6 +32,8 @@ from tokenslide.graphs import (
 )
 from tokenslide.interval_reconfig import find_greedy_move
 from tokenslide.matching import Matching
+
+from helpers import bfs_sources
 
 
 def path(n):
@@ -99,6 +98,11 @@ class TestSuccSet:
         g = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(InputError):
             succ_set(g, 0, 3)
+
+    @pytest.mark.parametrize("u, v, named", [(0, -1, -1), (4, 0, 4), (-1, 4, -1)])
+    def test_ids_outside_the_graph_named(self, u, v, named):
+        with pytest.raises(InputError, match=f"^vertex {named} out of range$"):
+            succ_set(path(4), u, v)
 
     def test_every_successor_one_step_closer(self):
         rng = random.Random(3)
@@ -213,11 +217,12 @@ def test_rooted_tree_matches_a_reference_bfs(n, seed, data):
     rng.shuffle(perm)  # ids need not grow away from vertex 0
     g = Graph(n, [(perm[u], perm[v]) for u, v in random_tree(n, rng).edges()])
     root = data.draw(st.integers(0, n - 1))
-    tree = RootedTree(g, root)
+    with bfs_sources() as sources:
+        tree = RootedTree(g, root)
     parent, depth = _reference_rooting(g, root)
     assert (tree.parent, tree.depth) == (parent, depth)
     assert tree.order == tuple(sorted(range(n), key=lambda v: (-depth[v], v)))
-    assert tree.depth is Distances(g)[root]  # the graph's shared row, not a copy
+    assert sources == [root]  # one BFS, from the root
 
 
 def _shuffled_tree_ends(n, rng):
@@ -400,25 +405,16 @@ def test_distance_table_and_successor_rule(n, density, seed):
 
 
 @given(st.integers(1, 9), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-def test_tables_of_one_graph_share_its_rows(n, density, seed):
+def test_a_table_computes_each_row_once(n, density, seed):
     rng = random.Random(seed)
     g = _random_graph(n, density, rng)
-    sources = Counter()
-
-    def counting(graph, s):
-        sources[s] += 1
-        return distances_from(graph, s)
-
-    with mock.patch.object(graphs, "distances_from", counting):
-        first, second = Distances(g), Distances(g)
-        for v in rng.sample(range(n), n):
-            table, other = (first, second) if rng.random() < 0.5 else (second, first)
-            row = table[v]
-            assert other[v] is row
-            assert Distances(g)[v] is row  # a later table starts from the rows
-    assert sources == Counter(range(n))
-    for v in range(n):
-        assert first[v] == distances_from(g, v)
+    reads = rng.choices(range(n), k=3 * n)
+    with bfs_sources() as sources:
+        table = Distances(g)
+        for v in reads:
+            assert table[v] == distances_from(g, v)
+        assert not Distances(g)  # the graph kept no row for a later table
+    assert sorted(sources) == sorted(set(reads))
 
 
 @given(st.integers(1, 9), st.integers(1, 4), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))

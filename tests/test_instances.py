@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ReferenceGraph, reference_parse_instance, reference_parse_moves
-from tokenslide import Graph, InputError, ParseError, RootedTree, TokenMultiset, graphs, instances
+from helpers import ReferenceGraph, bfs_sources, reference_parse_instance, reference_parse_moves
+from tokenslide import Graph, InputError, ParseError, RootedTree, TokenMultiset, instances
 from tokenslide.generators import gen_instance, heavy_path_instance
 from tokenslide.graphs import distances_from
 from tokenslide.instances import (
@@ -151,17 +151,11 @@ class TestParse:
 
 @pytest.mark.parametrize("text", [P4_TREE, emit_instance(gen_instance("tree", 60, 20, 3))])
 def test_parse_and_root_run_one_bfs_per_tree_file(text):
-    sources = []
-
-    def counting(graph, s):
-        sources.append(s)
-        return distances_from(graph, s)
-
-    with mock.patch.object(graphs, "distances_from", counting):
+    with bfs_sources() as sources:
         inst = parse_instance(text)
         tree = RootedTree(inst.graph, 0)
     assert sources == []  # the parser roots the tree by leaf peeling
-    assert tree.depth is graphs.Distances(inst.graph)[0]  # the row the parser stored
+    assert tree.depth == distances_from(inst.graph, 0)  # the depths the parser handed over
 
 
 @pytest.mark.parametrize("text", [P4_TREE, emit_instance(gen_instance("tree", 60, 20, 3))])

@@ -237,6 +237,15 @@ def test_find_greedy_move_rejects_a_matching_between_other_multisets(pairs, erro
             ts.matching_cost(g, ts.Matching(pairs))
 
 
+def test_find_greedy_move_rejects_multisets_of_different_sizes():
+    """Checked before the marginals, so the CLI reports invalid input, not
+    an internal MatchingError."""
+    g = ts.intersection_graph(PATH4)
+    m = ts.Matching({(0, 1): 1, (2, 3): 1})
+    with pytest.raises(ts.SizeMismatchError, match="^token multisets differ in size: 2 vs 3$"):
+        find_greedy_move(g, ts.TokenMultiset([0, 2]), ts.TokenMultiset([1, 3, 3]), m)
+
+
 def _gadget_copies(copies):
     """``copies`` copies of GADGET_CHAIN's three gadgets side by side."""
     base = ts.parse_instance(GADGET_CHAIN)

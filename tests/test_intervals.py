@@ -41,7 +41,7 @@ from tokenslide.cli import main
 from tokenslide.instances import Instance, emit_instance, emit_moves, parse_instance
 from tokenslide.intervals import _ChainDistances, _verify_normalization
 
-from helpers import bfs_path, harvest_interval_stalls, iter_interval_instances
+from helpers import bfs_path, bfs_sources, harvest_interval_stalls, iter_interval_instances
 
 P4 = IntervalRepresentation([(1, 4), (3, 6), (5, 8), (7, 10)])
 TRIANGLE = IntervalRepresentation([(1, 4), (2, 5), (3, 6)])
@@ -172,7 +172,8 @@ class TestChainRows:
         g = intersection_graph(rep)
         table = Distances(g)
         for s in range(rep.n):
-            assert list(table[s]) == distances_from(g, s)
+            row = table[s]
+            assert [row[v] for v in range(rep.n)] == distances_from(g, s)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(interval_layouts())
@@ -180,12 +181,13 @@ class TestChainRows:
         rep = normalize_representation(raw)
         g = intersection_graph(rep)
         table, chains = Distances(g), g._chains
-        for s in range(rep.n):
-            row, bfs = table[s], distances_from(g, s)
-            assert len(row) == rep.n
-            assert [row[v] for v in range(rep.n)] == bfs
-            assert [chains.distance(s, v) for v in range(rep.n)] == bfs
-        assert not g._rows  # the graph kept no row
+        rows = [distances_from(g, s) for s in range(rep.n)]
+        with bfs_sources() as sources:
+            for s, bfs in enumerate(rows):
+                row = table[s]
+                assert [row[v] for v in range(rep.n)] == bfs
+                assert [chains.distance(s, v) for v in range(rep.n)] == bfs
+        assert sources == []  # every read was a chain query
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(token_pairs())
@@ -208,11 +210,13 @@ class TestChainRows:
 
         with mock.patch.object(matching, "_linear_sum_assignment", recording):
             with mock.patch.object(intervals, "_BLOCK", 3):
-                assert min_cost_matching(g, a, b) == min_cost_matching(plain, a, b)
+                with bfs_sources() as sources:
+                    by_graph = min_cost_matching(g, a, b)
+                assert by_graph == min_cost_matching(plain, a, b)
         by_chain, by_bfs = priced
         assert by_chain.dtype == by_bfs.dtype == np.float64
         assert np.array_equal(by_chain, by_bfs)
-        assert not g._rows
+        assert sources == []
 
     def test_interval_paths_build_no_bfs_row_and_graph_files_do(self):
         inst = parse_instance(emit_instance(gen_bench_interval_instance(60, 5)))
@@ -233,7 +237,6 @@ class TestChainRows:
             assert seq.total_length == cost == matching_cost(g, m)
             fix_matching(stuck.rep, stuck.graph, stuck.d_s, stuck.d_t, s_matching)
             assert len(path) == 12 and check_shortest_path_structure(rep, path)
-            assert not g._rows and not stuck.graph._rows  # every read was a chain query
             with pytest.raises(AssertionError, match="^BFS row from"):
                 matching_cost(as_graph.graph, m)
 
@@ -264,6 +267,12 @@ class TestClassifyRelation:
     def test_same_vertex_rejected(self):
         with pytest.raises(InputError):
             classify_relation(P4, 1, 1)
+
+    @pytest.mark.parametrize("u, v, named", [(0, -1, -1), (0, 4, 4), (-1, 4, -1), (4, 4, 4)])
+    def test_ids_outside_the_representation_rejected(self, u, v, named):
+        # -1 would wrap to vertex n - 1, and n would raise IndexError
+        with pytest.raises(InputError, match=f"^vertex {named} out of range$"):
+            classify_relation(P4, u, v)
 
     @settings(max_examples=200)
     @given(st.data())
@@ -323,6 +332,11 @@ class TestShortestPathStructure:
     def test_wrong_orientation_rejected(self):
         with pytest.raises(InputError):
             check_shortest_path_structure(P4, [3, 2, 1, 0])
+
+    @pytest.mark.parametrize("path, named", [([0, 1, 4], 4), ([-1, 0], -1), ([5, 1, -1], -1)])
+    def test_ids_outside_the_representation_rejected(self, path, named):
+        with pytest.raises(InputError, match=f"^path vertex {named} out of range$"):
+            check_shortest_path_structure(P4, path)
 
     def test_non_shortest_path_rejected(self):
         rep = IntervalRepresentation([(1, 4), (3, 6), (2, 7)])
@@ -474,11 +488,17 @@ class TestFixMatching:
         with pytest.raises(InputError):
             fix_matching(P4, intersection_graph(P4), tokens, tokens, m)
 
+    def test_size_mismatch_is_invalid_input(self):
+        # before the marginal check, which would report an internal MatchingError
+        m = matching.Matching({(0, 1): 1, (2, 3): 1})
+        with pytest.raises(SizeMismatchError, match="^token multisets differ in size: 2 vs 3$"):
+            fix_matching(P4, intersection_graph(P4), TokenMultiset([0, 2]), TokenMultiset([1, 3, 3]), m)
+
 
 def test_solving_and_repairing_leave_no_reference_cycle():
     """The graph keeps its chain tables but nothing pointing back at it or
-    at the representation, and no row, so everything a solve builds is
-    freed by reference counting alone."""
+    at the representation, so everything a solve builds is freed by
+    reference counting alone; no BFS row is built."""
     rep, _, d_s, d_t, m = harvest_interval_stalls(max_states=6)[0]
     text = emit_instance(Instance("intervals", intersection_graph(rep), rep, d_s, d_t))
 
@@ -487,9 +507,11 @@ def test_solving_and_repairing_leave_no_reference_cycle():
         reconf_interval(inst.rep, inst.d_s, inst.d_t)
         min_cost_matching(inst.graph, inst.d_s, inst.d_t)
         fix_matching(inst.rep, inst.graph, inst.d_s, inst.d_t, m)
-        assert isinstance(inst.graph._chains, _ChainDistances) and not inst.graph._rows
+        assert isinstance(inst.graph._chains, _ChainDistances)
 
-    solve_and_repair()  # numpy and scipy are imported outside the measured run
+    with bfs_sources() as sources:
+        solve_and_repair()  # numpy and scipy are imported outside the measured run
+    assert sources == []
     gc.collect()
     gc.disable()
     try:
@@ -503,37 +525,42 @@ def test_exact_matcher_memory_grows_with_k_squared_not_k_n():
     """On an interval graph the matcher prices its k x k matrix by chain
     queries: its peak is a small multiple of the 8 k^2 bytes of the float64
     matrix (1.8 MB at k = 476), where one n-long row per target took
-    8 k n bytes (19 MB at n = 5 000), and the graph keeps no row."""
+    8 k n bytes (19 MB at n = 5 000), and it builds no BFS row."""
     inst = gen_bench_interval_instance(5000, 81)
     g, a, b = inst.graph, inst.d_s, inst.d_t
     k = a.total
     tokens = TokenMultiset([0, 2])
     min_cost_matching(intersection_graph(P4), tokens, tokens)  # numpy and scipy load outside the measurement
-    tracemalloc.start()
-    try:
-        min_cost_matching(g, a, b)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with bfs_sources() as sources:
+        tracemalloc.start()
+        try:
+            min_cost_matching(g, a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert k == 476
     assert peak < 3 * 8 * k * k
-    assert not g._rows
+    assert sources == []
 
 
 def test_path_shaped_interval_graph_roots_like_the_same_edges():
-    """Rooting and shortest-path steps read whole rows or many entries of
-    an interval graph's query rows, and agree with BFS rows of the same
-    edges."""
+    """Rooting an interval graph runs one BFS, from the root, and
+    shortest-path steps read its query rows; both agree with a plain graph
+    of the same edges."""
     perm = random.Random(3).sample(range(12), 12)
     # interval i meets i - 1 and i + 1 only: a path, in shuffled ids
     spans = [(2 * i, 2 * i + 3) for i in range(12)]
     rep = IntervalRepresentation(spans[perm.index(v)] for v in range(12))
     g = intersection_graph(rep)
     plain = Graph(rep.n, g.edges())
-    for root in (0, perm[5], perm[11]):
-        tree, expected = RootedTree(g, root), RootedTree(plain, root)
+    roots = (0, perm[5], perm[11])
+    pairs = ((perm[3], perm[9]), (perm[9], perm[3]), (perm[4], perm[4]))
+    with bfs_sources() as sources:
+        trees = [RootedTree(g, root) for root in roots]
+        steps = [graphs.succ_set(g, u, v) for u, v in pairs]
+    assert sources == list(roots)
+    for tree, root in zip(trees, roots):
+        expected = RootedTree(plain, root)
         assert (tree.parent, tree.depth, tree.order) == (expected.parent, expected.depth, expected.order)
         assert isinstance(tree.depth, list)
-    for u, v in ((perm[3], perm[9]), (perm[9], perm[3]), (perm[4], perm[4])):
-        assert graphs.succ_set(g, u, v) == graphs.succ_set(plain, u, v)
-    assert not g._rows
+    assert steps == [graphs.succ_set(plain, u, v) for u, v in pairs]

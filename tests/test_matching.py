@@ -30,6 +30,8 @@ from tokenslide.generators import (
     random_token_multiset,
 )
 
+from helpers import child_env
+
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
@@ -145,7 +147,11 @@ class TestMinCostMatching:
 def _run_fresh(script):
     """Run script in a fresh interpreter, where no scipy module is loaded yet."""
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr[-600:]
     return proc.stdout

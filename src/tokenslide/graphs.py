@@ -22,10 +22,12 @@ UNREACHABLE = -1
 class Graph:
     """Immutable undirected graph given by symmetric adjacency lists.
 
-    A tree from ``peel_tree`` holds its parent and depth arrays, rooted at
-    0, and builds its adjacency from the parents on the first read; it
-    equals the one ``Graph(n, edges)`` builds.  A graph keeps no distance
-    row: each ``Distances`` table owns the rows it reads.
+    ``Graph(n, edges)`` checks every edge.  Two builders skip that list and
+    equal the graph it would give: a tree from ``peel_tree`` holds its
+    parent and depth arrays, rooted at 0, and builds its adjacency from the
+    parents on the first read; ``intersection_graph`` hands its rows,
+    sorted, to ``_from_rows``.  A graph keeps no distance row: each
+    ``Distances`` table owns the rows it reads.
     """
 
     __slots__ = ("n", "edge_count", "_adj", "_closed", "_chains", "_parent")
@@ -57,10 +59,24 @@ class Graph:
                     row[:] = sorted(set(row))
         self._adj = tuple(map(tuple, adj))
         self.edge_count = sum(map(len, adj)) // 2
-        self._closed: tuple[frozenset[int], ...] | None = None  # see closed_neighborhoods
+        self._closed: _ClosedNeighborhoods | None = None  # see closed_neighborhoods
         self._chains = None  # an interval graph's distance queries, see Distances
         self._parent: tuple[list[int], list[int]] | None = None  # see peel_tree
         self.n = n
+
+    @classmethod
+    def _from_rows(cls, adj: tuple[tuple[int, ...], ...]) -> Graph:
+        """The graph with these adjacency rows, taken unchecked: the caller
+        guarantees that they are symmetric, sorted by id, and free of
+        self-loops and repeats."""
+        g = cls.__new__(cls)
+        g._adj = adj
+        g.edge_count = sum(map(len, adj)) // 2
+        g._closed = None
+        g._chains = None
+        g._parent = None
+        g.n = len(adj)
+        return g
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -130,8 +146,7 @@ class _PeeledTree(Graph):
 
 def distances_from(g: Graph, s: int) -> list[int]:
     """BFS distances from s; UNREACHABLE for other components."""
-    if not 0 <= s < g.n:
-        raise InputError(f"source {s} out of range")
+    require_on_graph(g.n, (s,), "source {v} out of range")
     dist = [UNREACHABLE] * g.n
     dist[s] = 0
     queue = deque([s])
@@ -395,15 +410,45 @@ def is_hitting(system: SetSystem, tokens: TokenMultiset) -> bool:
     return True
 
 
-def closed_neighborhoods(g: Graph) -> tuple[frozenset[int], ...]:
+class _ClosedNeighborhoods(dict):
+    """N[v] for every vertex of one graph, each set built the first time it
+    is read and kept in the table.
+
+    ``table[v]`` is ``frozenset((v, *neighbors(v)))``.  The table reads like
+    the tuple of all n sets it stands for: ``len()`` is n, and iteration
+    yields N[0], ..., N[n-1], building what is missing.  It holds the
+    adjacency tuple, not the graph, so the graph can keep its table without
+    forming a reference cycle.
+    """
+
+    __slots__ = ("_adj",)
+
+    def __init__(self, adj: tuple[tuple[int, ...], ...]):
+        self._adj = adj
+
+    def __missing__(self, v: int) -> frozenset[int]:
+        if v < 0:  # the adjacency tuple raises IndexError for v >= n
+            raise IndexError(f"vertex {v} out of range")
+        self[v] = closed = frozenset((v, *self._adj[v]))
+        return closed
+
+    def __len__(self) -> int:
+        return len(self._adj)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._adj)))
+
+
+def closed_neighborhoods(g: Graph) -> _ClosedNeighborhoods:
     """N[v] for every vertex: the sets a token on v hits when set w is N[w].
 
-    Built on the first call and cached on g, so every caller shares one
-    read-only table per graph.
+    One table per graph, made on the first call and cached on g, so every
+    caller shares it; each N[v] in it is built only when first read, so a
+    caller that touches few vertices pays for few sets.
     """
     table = g._closed
     if table is None:
-        table = g._closed = tuple(frozenset((v, *nbrs)) for v, nbrs in enumerate(g._adj))
+        table = g._closed = _ClosedNeighborhoods(g._adj)
     return table
 
 
@@ -417,7 +462,8 @@ class Coverage:
 
     ``hits[v]`` holds the sets a token on v hits: ``closed_neighborhoods(g)``
     for domination, ``SetSystem.hits`` for a set family.  The tracker only
-    reads ``hits``, so trackers on one graph share its cached N[v] table.
+    reads ``hits``, so trackers on one graph share its cached N[v] table,
+    which builds only the sets they read.
     Callers read ``counts`` but change it only through ``slide``.
     """
 

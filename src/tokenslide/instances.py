@@ -135,6 +135,12 @@ def _parse_intervals(nums: list[int], lines: list[str], header: int, n: int) -> 
             try:
                 return IntervalRepresentation(zip(lefts, rights))
             except ValueError as exc:
+                # an endpoint repeats: name the first line, in file order, that repeats one
+                ends: set[int] = set()
+                for ln, lo, hi in zip(nums[1:], flat[1::3], flat[2::3]):
+                    if lo in ends or hi in ends:
+                        raise ParseError(ln, str(exc)) from None
+                    ends.update((lo, hi))
                 raise ParseError(header, str(exc)) from None
     seen: set[int] = set()
 

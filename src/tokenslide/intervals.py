@@ -336,9 +336,12 @@ def intersection_graph(rep: IntervalRepresentation) -> Graph:
 
     Two intervals meet iff one starts inside the other, and the intervals
     starting inside v are those after v in left-end order up to the first
-    that starts after v ends (the representation's greedy chain holds that
-    order and cut): each edge is listed once, from the interval that
-    starts first.
+    that starts after v ends: ``order[i + 1 : cut[v]]`` on the
+    representation's greedy chain, with v at ``order[i]``.  Each row takes
+    that slice, plus every earlier-starting interval whose slice holds v,
+    and is sorted by id.  So the rows are built straight from the chain,
+    with no edge list and none of ``Graph(n, edges)``'s per-edge checks,
+    which a chain cannot fail, and they equal the rows that build gives.
 
     Built on the first call and cached on rep, so the parser, the solver
     and every other caller share one graph, and with it its N[v] table.
@@ -348,10 +351,15 @@ def intersection_graph(rep: IntervalRepresentation) -> Graph:
     if rep._graph is not None:
         return rep._graph
     order, cut, _ = rep._chain
-    edges = []
+    adj: list[list[int]] = [[] for _ in order]
     for i, v in enumerate(order):
-        edges.extend((v, u) for u in order[i + 1 : cut[v]])
-    g = Graph(rep.n, edges)
+        later = order[i + 1 : cut[v]]
+        adj[v] += later
+        for u in later:
+            adj[u].append(v)
+    for row in adj:
+        row.sort()
+    g = Graph._from_rows(tuple(map(tuple, adj)))
     g._chains = _ChainDistances(rep._chain)
     rep._graph = g
     return g

@@ -322,6 +322,8 @@ def reference_parse_instance(text: str) -> Instance:
     rep: IntervalRepresentation | None = None
     if kind == "intervals":
         seen: dict[int, tuple[int, int]] = {}
+        ends: set[int] = set()
+        repeat = None  # the first line with an endpoint an earlier line has
         for _ in range(n):
             if pos >= len(lines):
                 raise ParseError(lines[-1][0], f"expected {n} interval lines")
@@ -335,10 +337,12 @@ def reference_parse_instance(text: str) -> Instance:
             if lo >= hi:
                 raise ParseError(ln, f"interval [{lo}, {hi}] must have left < right")
             seen[v] = (lo, hi)
-        try:
-            rep = IntervalRepresentation(seen[v] for v in range(n))
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
+            if repeat is None and (lo in ends or hi in ends):
+                repeat = ln
+            ends.update((lo, hi))
+        if repeat is not None:
+            raise ParseError(repeat, "interval endpoints must be pairwise distinct")
+        rep = IntervalRepresentation(seen[v] for v in range(n))
         graph = intersection_graph(rep)
     else:
         edges = []

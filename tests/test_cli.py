@@ -342,6 +342,13 @@ def test_huge_vertex_counts_are_invalid_input(text, tmp_path, capsys, monkeypatc
     assert len(err.splitlines()) == 1 and err.startswith("error: line ")
 
 
+def test_repeated_endpoint_names_its_line(tmp_path, capsys):
+    f = tmp_path / "repeat.txt"
+    f.write_text("intervals 2\n0 1 2\n1 1 4\ntokens 1: 0\ntokens 1: 1\n")
+    assert main(["solve", str(f)]) == 1
+    assert capsys.readouterr().err == "error: line 3: interval endpoints must be pairwise distinct\n"
+
+
 # Tokens a mutation may insert, besides those of the file it mutates.
 FUZZ_TOKENS = (
     "0", "1", "-1", "3", "100000000000000000000", "1:", "²:",

@@ -448,6 +448,13 @@ def test_has_edge_and_closed_neighborhood_table(n, density, seed):
 
     check_has_edge()
     table = closed_neighborhoods(g)
-    assert table == tuple(frozenset({v, *g.neighbors(v)}) for v in range(n))
+    v = random.Random(seed).randrange(n)
+    assert table[v] == frozenset({v, *g.neighbors(v)})
+    assert list(table.keys()) == [v]  # reading N[v] built only N[v]
+    assert len(table) == n
+    for outside in (-1, n):  # a negative id does not wrap round
+        with pytest.raises(IndexError):
+            table[outside]
+    assert tuple(table) == tuple(frozenset({v, *g.neighbors(v)}) for v in range(n))
     assert closed_neighborhoods(g) is table
     check_has_edge()

@@ -125,6 +125,21 @@ class TestParse:
             parse_instance(text)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "body,line",
+        [
+            ("0 1 2\n1 1 4\n", 3),  # a right end repeated as a left end
+            ("1 3 4\n0 1 3\n", 3),  # file order, not id order, decides
+            ("2 5 8\n0 1 3\n1 3 5\n", 4),  # one line, two repeated ends
+        ],
+    )
+    def test_repeated_endpoint_names_the_first_line_that_repeats_one(self, body, line):
+        n = body.count("\n")
+        text = f"intervals {n}\n{body}tokens 1: 0\ntokens 1: 1\n"
+        with pytest.raises(ParseError, match=f"^line {line}: interval endpoints must be pairwise distinct$"):
+            parse_instance(text)
+        assert _outcome(reference_parse_instance, text) == _outcome(parse_instance, text)
+
     def test_trailing_content_rejected(self):
         with pytest.raises(ParseError):
             parse_instance(P4_TREE + "0 1\n")

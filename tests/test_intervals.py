@@ -36,7 +36,7 @@ from tokenslide import (
 )
 from tokenslide import graphs, intervals, matching
 from tokenslide.generators import gen_bench_interval_instance, random_interval_representation
-from tokenslide.graphs import Distances, RootedTree
+from tokenslide.graphs import Distances, RootedTree, closed_neighborhoods
 from tokenslide.cli import main
 from tokenslide.instances import Instance, emit_instance, emit_moves, parse_instance
 from tokenslide.intervals import _ChainDistances, _verify_normalization
@@ -165,16 +165,6 @@ def token_pairs(draw):
 
 
 class TestChainRows:
-    @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(interval_layouts())
-    def test_chain_rows_are_the_bfs_rows(self, raw):
-        rep = normalize_representation(raw)
-        g = intersection_graph(rep)
-        table = Distances(g)
-        for s in range(rep.n):
-            row = table[s]
-            assert [row[v] for v in range(rep.n)] == distances_from(g, s)
-
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(interval_layouts())
     def test_pair_queries_are_the_bfs_distances(self, raw):
@@ -308,6 +298,29 @@ class TestIntersectionGraph:
     def test_parsed_instance_holds_the_graph_the_solver_reads(self):
         inst = parse_instance("intervals 2\n0 1 4\n1 3 6\ntokens 1: 0\ntokens 1: 1\n")
         assert inst.graph is intersection_graph(inst.rep)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(interval_layouts(), st.randoms(use_true_random=False))
+    @example([(0, 1)], random.Random(0))  # one vertex
+    @example([(5, 6), (0, 1), (2, 3), (9, 10), (3, 4)], random.Random(0))  # isolated vertices
+    def test_chain_built_graph_equals_the_checked_build(self, raw, rng):
+        """The rows built from the greedy chain are the rows that
+        ``Graph(n, edges)`` builds from every intersecting pair, and the
+        lazy N[v] table reads like the eager one, in any order."""
+        rep = normalize_representation(rng.sample(raw, len(raw)))  # ids out of left-end order
+        n = rep.n
+        g = intersection_graph(rep)
+        plain = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rep.intersects(u, v)])
+        assert g.adjacency == plain.adjacency
+        assert g.edge_count == plain.edge_count
+        assert g.edges() == plain.edges()
+        assert g == plain and hash(g) == hash(plain)
+        eager = [frozenset({v, *plain.neighbors(v)}) for v in range(n)]
+        table = closed_neighborhoods(g)
+        assert len(table) == n
+        for v in rng.sample(range(n), n):
+            assert table[v] == eager[v]
+        assert list(table) == eager
 
     def test_matches_pairwise_relations_on_random_instances(self):
         rng = random.Random(17)

@@ -112,7 +112,7 @@ def greedy_dominating_intervals(rep: IntervalRepresentation, g: Graph) -> set[in
     """Minimum dominating set of an interval graph by a left-to-right sweep:
     the uncovered interval ending first is dominated by the neighbor
     reaching furthest right."""
-    return _greedy_dominating(g, sorted(range(g.n), key=rep.right), rep.furthest_reach())
+    return _greedy_dominating(g, sorted(range(g.n), key=rep._right.__getitem__), rep.furthest_reach())
 
 
 def diversify_tokens(g: Graph, cover: Coverage, rng: random.Random, steps: int) -> TokenMultiset:

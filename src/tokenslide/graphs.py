@@ -11,6 +11,7 @@ from collections import deque
 from collections.abc import Collection, Iterable, Sequence
 from itertools import chain, islice
 from operator import eq, itemgetter
+from types import MappingProxyType
 
 from .errors import FeasibilityError, InputError, SizeMismatchError
 from .multiset import TokenMultiset
@@ -378,15 +379,16 @@ class SetSystem:
 
 
 def is_dominating(g: Graph, tokens: TokenMultiset) -> bool:
-    """True iff every vertex is in the support or adjacent to it."""
-    support = tokens.support
+    """True iff every vertex is in the support or adjacent to it.
+
+    One union, in C, of N[x] over the support, taken from the graph's N[v]
+    table, which builds the sets it does not hold yet; after a tracker of
+    the same tokens has read them, only the union is left to do.
+    """
+    support = tokens._counts.keys()
     require_on_graph(g.n, support)
-    covered = [False] * g.n
-    for v in support:
-        covered[v] = True
-        for w in g.neighbors(v):
-            covered[w] = True
-    return all(covered)
+    closed = closed_neighborhoods(g)
+    return len(set().union(*map(closed.__getitem__, support))) == g.n
 
 
 def is_dominating_tree(tree: RootedTree, tokens: TokenMultiset) -> bool:
@@ -465,6 +467,10 @@ class Coverage:
     reads ``hits``, so trackers on one graph share its cached N[v] table,
     which builds only the sets they read.
     Callers read ``counts`` but change it only through ``slide``.
+
+    ``Coverage.around`` builds a tracker for the slides out of one vertex
+    u alone: it holds hit counts for the sets in N[u] only, which is all
+    that ``can_slide(u, w)`` reads for w in N[u].
     """
 
     __slots__ = ("hits", "counts", "hit_counts")
@@ -485,6 +491,24 @@ class Coverage:
         self.hits = hits
         self.counts = counts
         self.hit_counts = hit
+
+    @classmethod
+    def around(cls, closed: _ClosedNeighborhoods, tokens: TokenMultiset, u: int) -> Coverage:
+        """A tracker of tokens on the N[v] table ``closed`` that answers
+        ``can_slide(u, w)`` for w = u and w in N(u), and nothing else.
+
+        N[s] holds x iff N[x] holds s, so the hit count of N[s] is the
+        number of occupied vertices in N[s]; it is counted for the sets in
+        N[u] only, in O(sum of |N[s]|) and without an n-long list.  The
+        counts are a read-only view of the tokens, so ``slide`` raises.  The
+        caller checks that u and the tokens lie on the graph.
+        """
+        counts = tokens._counts  # a Counter: 0 off the support
+        cover = cls.__new__(cls)
+        cover.hits = closed
+        cover.counts = MappingProxyType(counts)
+        cover.hit_counts = {s: sum(map(counts.__contains__, closed[s])) for s in closed[u]}
+        return cover
 
     @property
     def feasible(self) -> bool:

@@ -15,23 +15,28 @@ creates.  The slide taken is the first feasible one in (source, target)
 order, source side first; ``find_greedy_move`` answers with the same
 worklist, built fresh.  Each repair is one call of the module-level
 ``fix_matching`` with the current configurations, the pairs dict wrapped
-as a ``Matching`` without a copy, and the loop's distance rows; it
-validates and normalises the matching and reads partners from one index
-per call.
+as a ``Matching`` without a copy, and the loop's distance rows.  The
+repair works on the neighbourhood of one vertex v: its candidates are v's
+neighbours, and its slide test counts hits only for the sets in N[v].
+What it still reads of the whole configuration (the matching's marginals
+and self pairs, the ends of its non-self pairs, the source's domination)
+it reads in C, so no repair makes a Python pass over every token.
 """
 
 from __future__ import annotations
 
 import logging
 from heapq import heappop, heappush
+from itertools import chain, compress, repeat
+from operator import eq, gt
 from typing import Callable
 
 from .errors import FeasibilityError, InputError, InvariantError, MatchingError
-from .graphs import Coverage, Distances, Graph, closed_neighborhoods, steps_toward
+from .graphs import Coverage, Distances, Graph, closed_neighborhoods, is_dominating, steps_toward
 from .graphs import distances_from  # noqa: F401  perfbench's --trace 1 patches it here
 from .graphs import require_on_graph, require_same_size
 from .intervals import IntervalRepresentation, intersection_graph
-from .matching import Matching, _shift_pair, min_cost_matching, normalize_matching
+from .matching import Matching, _pair_ends, _shift_pair, min_cost_matching, normalize_matching
 from .moves import MoveSequence, compress_moves
 from .multiset import TokenMultiset
 
@@ -192,6 +197,12 @@ def _dominating_cover(g: Graph, tokens: TokenMultiset, label: str) -> Coverage:
     return cover
 
 
+def _partners(ends: list[int], others: list[int], x: int) -> list[int]:
+    """``others[i]`` for every i with ``ends[i] == x``, x itself left out, by
+    increasing id; the ends are compared in C."""
+    return sorted(o for o in compress(others, map(eq, ends, repeat(x))) if o != x)
+
+
 def fix_matching(
     rep: IntervalRepresentation,
     g: Graph,
@@ -205,16 +216,24 @@ def fix_matching(
     Intended for the stuck state in which no matched token can slide along
     a shortest path without breaking domination.  Let v be the vertex whose
     two counts differ and whose interval ends first; when v carries
-    target-side surplus the problem is solved transposed and the result is
-    transposed back once.  Candidates y (target-side surplus, adjacent to
-    v) are scanned by increasing right endpoint, partners v' of v and y' of
-    y by increasing id, and the first exchange
-    ``(v, v'), (y', y)  ->  (v, y), (y', v')`` that keeps the slide v -> y
-    dominating without raising the matching cost is applied.  Such an
-    exchange always exists here; failing to find one is reported as an
-    internal invariant violation.  One pass on one pairs dict: the matching
-    is validated and normalised once, and the tracker reads the graph's
-    shared N[v] table and also checks that the source side dominates.
+    target-side surplus the problem is solved transposed.  Candidates y
+    (target-side surplus, adjacent to v) are scanned by increasing right
+    endpoint, partners v' of v and y' of y by increasing id, and the first
+    exchange ``(v, v'), (y', y)  ->  (v, y), (y', v')`` that keeps the slide
+    v -> y dominating without raising the matching cost is applied.  Such
+    an exchange always exists here; failing to find one is reported as an
+    internal invariant violation.
+
+    The repair works on v's neighbourhood, not on the whole configuration:
+    the candidates are v's neighbours, and the slide test is
+    ``Coverage.can_slide`` on a tracker that counts hits only for the sets
+    in N[v] (``Coverage.around``).  The pairs dict keeps the caller's
+    orientation when the problem is transposed; the partners of v and of
+    each y scanned are read off its keys, and the exchange writes the keys
+    back in that orientation.  What still reads every pair or token runs in
+    C: validating and normalising the matching once, finding v among the
+    ends of the non-self pairs, and checking that the source side
+    dominates (``is_dominating``).
 
     On a state that is not stuck, v may already be matched to a candidate
     y; the exchange then moves a unit from that pair back onto itself, and
@@ -226,39 +245,46 @@ def fix_matching(
     if d_s == d_t:
         raise InputError("configurations are already equal; nothing to repair")
     pairs = normalize_matching(g, m, d_s, d_t)._pairs  # a fresh dict, ours to change
+    # Self counts now sit at min(d_s, d_t), so no vertex has non-self pairs
+    # both ways, and the vertices whose counts differ are the ends of the
+    # non-self pairs.
+    firsts, seconds, moved = _pair_ends(pairs)
+    right = rep._right.__getitem__
+    v = min(chain(compress(firsts, moved), compress(seconds, moved)), key=right)
     cs, ct = d_s._counts, d_t._counts
-    differ = cs.items() ^ ct.items()  # (vertex, count) on one side only
-    v = min({x for x, _ in differ}, key=rep.right)
     transposed = ct.get(v, 0) > cs.get(v, 0)
+    sources, targets = firsts, seconds
     if transposed:
         d_s, cs, ct = d_t, ct, cs
-        pairs = {(t, s): c for (s, t), c in pairs.items()}
+        sources, targets = targets, sources
+    if not is_dominating(g, d_s):
+        raise FeasibilityError("source configuration is not dominating")
 
-    cover = _dominating_cover(g, d_s, "source")
+    def key(s: int, t: int) -> tuple[int, int]:
+        """The pairs key that matches source s to target t."""
+        return (t, s) if transposed else (s, t)
+
+    cover = Coverage.around(closed_neighborhoods(g), d_s, v)
     dist = Distances(g) if _dist is None else _dist
-    v_partners = sorted(t for s, t in pairs if s == v and t != v)
-    sources_of: dict[int, list[int]] = {}  # target -> its non-self partners
-    for s, t in pairs:
-        if s != t:
-            sources_of.setdefault(t, []).append(s)
-    for y in sorted((x for x, c in ct.items() - cs.items() if c > cs.get(x, 0)), key=rep.right):
-        if not g.has_edge(v, y) or not cover.can_slide(v, y):
+    nbrs = g.neighbors(v)
+    surplus = map(gt, map(ct.get, nbrs, repeat(0)), map(cs.get, nbrs, repeat(0)))
+    v_partners = _partners(sources, targets, v)
+    for y in sorted(compress(nbrs, surplus), key=right):
+        if not cover.can_slide(v, y):
             continue
-        y_partners = sorted(sources_of.get(y, ()))
+        y_partners = _partners(targets, sources, y)
         for v2 in v_partners:
             for y2 in y_partners:
                 d_y2v2, d_vv2, d_y2y = dist[y2][v2], dist[v][v2], dist[y2][y]
                 if min(d_y2v2, d_vv2, d_y2y) >= 0 and 1 + d_y2v2 - d_vv2 - d_y2y <= 0:
-                    _shift_pair(pairs, (v, v2), (v, y))
-                    _shift_pair(pairs, (y2, y), (y2, v2))
+                    _shift_pair(pairs, key(v, v2), key(v, y))
+                    _shift_pair(pairs, key(y2, y), key(y2, v2))
                     logger.debug(
                         "repair: v=%d y=%d swapped partners v'=%d y'=%d", v, y, v2, y2
                     )
                     # No second normalize_matching: the exchange removes two
                     # non-self pairs and keeps the marginals, and self counts,
                     # already at their cap min(d_s, d_t), stay there.
-                    if transposed:
-                        pairs = {(t, s): c for (s, t), c in pairs.items()}
                     return Matching._trusted(pairs)
     raise InvariantError(
         "no cost-preserving repair found; the matching was not minimum or a move existed"

@@ -26,7 +26,7 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping
 from heapq import heappop, heappush
 from importlib.machinery import EXTENSION_SUFFIXES
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from .errors import InputError, InvariantError, MatchingError
 from .graphs import UNREACHABLE, Distances, Graph, require_on_graph, require_same_size, succ_set
@@ -265,6 +265,14 @@ def brute_force_matching(g: Graph, a: TokenMultiset, b: TokenMultiset) -> int | 
     return best
 
 
+def _pair_ends(pairs: dict[tuple[int, int], int]) -> tuple[list[int], list[int], list[bool]]:
+    """The sources and the targets of the pairs, in the dict's order, and
+    whether each pair is non-self; three passes in C."""
+    firsts = list(map(itemgetter(0), pairs))
+    seconds = list(map(itemgetter(1), pairs))
+    return firsts, seconds, list(map(ne, firsts, seconds))
+
+
 def normalize_matching(
     g: Graph, m: Matching, a: TokenMultiset, b: TokenMultiset
 ) -> Matching:
@@ -276,12 +284,16 @@ def normalize_matching(
     """
     m.validate_between(a, b)
     pairs = m.pairs
-    ca, cb = a._counts, b._counts
-    short = sorted(
-        v for v in ca.keys() & cb.keys() if (c := pairs.get((v, v), 0)) < ca[v] and c < cb[v]
-    )
+    # With the marginals right, v's self count is below its cap min(a, b)
+    # iff a non-self pair leaves v and another enters it.  Those vertices
+    # are found in C; when there are none, as on every stuck state of
+    # perfbench's interval_repair chains, m comes back as it is.
+    firsts, seconds, moved = _pair_ends(pairs)
+    leaving = set(itertools.compress(firsts, moved))
+    short = sorted(leaving.intersection(itertools.compress(seconds, moved)))
     if not short:
         return Matching._trusted(pairs)
+    ca, cb = a._counts, b._counts
     # partners of the non-self pairs, kept up to date through the swaps;
     # self counts only rise, so the vertices skipped above stay at their cap
     sources: defaultdict[int, set[int]] = defaultdict(set)

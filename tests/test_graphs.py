@@ -20,7 +20,12 @@ from tokenslide import (
     is_hitting,
     succ_set,
 )
-from tokenslide.generators import random_subtree_family, random_token_multiset, random_tree
+from tokenslide.generators import (
+    random_interval_representation,
+    random_subtree_family,
+    random_token_multiset,
+    random_tree,
+)
 from tokenslide.graphs import (
     Coverage,
     Distances,
@@ -28,9 +33,11 @@ from tokenslide.graphs import (
     closed_neighborhoods,
     is_dominating_tree,
     peel_tree,
+    require_on_graph,
     steps_toward,
 )
 from tokenslide.interval_reconfig import find_greedy_move
+from tokenslide.intervals import intersection_graph
 from tokenslide.matching import Matching
 
 from helpers import bfs_sources
@@ -358,6 +365,51 @@ def _check_tracker_against_oracle(g, hits, n_sets, pred, k):
                 cover.slide(u, w)
                 assert cover.feasible == pred(slid.support_mask)
                 assert TokenMultiset.from_counts_list(cover.counts) == slid
+
+
+def _dominating_by_marking(g, tokens):
+    """Domination as one mark per vertex of N[x] over the support, then a
+    scan for an unmarked vertex; out-of-range tokens as require_on_graph
+    names them."""
+    support = tokens.support
+    require_on_graph(g.n, support)
+    covered = [False] * g.n
+    for v in support:
+        covered[v] = True
+        for w in g.neighbors(v):
+            covered[w] = True
+    return all(covered)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.sampled_from(("plain", "peeled", "interval")),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(-2, 14), max_size=14),
+)
+def test_dominating_union_is_the_marking_loop(n, kind, density, seed, ids):
+    """is_dominating, a union of N[x] tables, agrees with marking N[x] vertex
+    by vertex on plain graphs, peeled trees (asked first, before anything
+    builds their adjacency) and interval graphs, and names the same lowest
+    token outside the graph."""
+    rng = random.Random(seed)
+    if kind == "plain":
+        g = _random_graph(n, density, rng)
+    elif kind == "peeled":
+        g = peel_tree(n, _shuffled_tree_ends(n, rng))
+    else:
+        g = intersection_graph(random_interval_representation(n, rng, connected=density < 0.5))
+    tokens = TokenMultiset(ids)
+
+    def outcome(check):
+        try:
+            return check(g, tokens)
+        except InputError as exc:
+            return str(exc)
+
+    assert outcome(is_dominating) == outcome(_dominating_by_marking)
 
 
 @given(st.integers(1, 7), st.integers(1, 3), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))

@@ -7,7 +7,8 @@ loop with both and compare.  ``find_greedy_move`` is the worklist built
 fresh, so it is held against the same reference.  A counting test checks
 that the shortest-path step lookups grow about linearly with the number of
 stuck gadgets, where a rescan after every move and repair grows
-quadratically.
+quadratically, and a guard checks that one repair reads the N[.] table only
+near the vertex it repairs at.
 """
 
 import random
@@ -278,3 +279,45 @@ def test_step_lookups_grow_linearly_with_the_gadget_count(monkeypatch):
     # 4x the gadgets: a rescan of every pair after every move and repair
     # makes about 16x the lookups
     assert lookups[32] <= 5 * lookups[8]
+
+
+def test_a_repair_reads_only_around_v(monkeypatch):
+    """A repair builds no tracker of the whole configuration, and on a fresh
+    graph it builds N[.] only for the source side's support and for the
+    vertices within distance 2 of v, in both orientations."""
+    rep, d_s, d_t = _gadget_copies(8)
+    real = interval_reconfig.fix_matching
+    stuck = []
+
+    def recording(rep, g, d_s, d_t, m, _dist=None):
+        stuck.append((d_s, d_t, m.pairs))
+        return real(rep, g, d_s, d_t, m, _dist=_dist)
+
+    monkeypatch.setattr(interval_reconfig, "fix_matching", recording)
+    ts.reconf_interval(rep, d_s, d_t)
+    assert len(stuck) == 24
+    trackers = []
+    real_init = Coverage.__init__
+
+    def counting(self, *args):
+        trackers.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(Coverage, "__init__", counting)
+    sides = set()
+    for s, t, pairs in stuck:
+        fresh = ts.IntervalRepresentation(rep.intervals)
+        g = ts.intersection_graph(fresh)
+        m = ts.Matching(pairs)
+        repaired = real(fresh, g, s, t, m)
+        assert ts.matching_cost(g, repaired) == ts.matching_cost(g, m)
+        v = min(s.symmetric_difference(t).support, key=rep.right)
+        source = t if t.count(v) > s.count(v) else s
+        sides.add(source is t)
+        row = distances_from(g, v)
+        near = {x for x in range(g.n) if 0 <= row[x] <= 2}
+        built = closed_neighborhoods(g).keys()
+        assert built <= source.support | near
+        assert len(built) < g.n / 2
+    assert sides == {False, True}
+    assert trackers == []

@@ -36,7 +36,7 @@ from tokenslide import (
 )
 from tokenslide import graphs, intervals, matching
 from tokenslide.generators import gen_bench_interval_instance, random_interval_representation
-from tokenslide.graphs import Distances, RootedTree, closed_neighborhoods
+from tokenslide.graphs import Coverage, Distances, RootedTree, closed_neighborhoods
 from tokenslide.cli import main
 from tokenslide.instances import Instance, emit_instance, emit_moves, parse_instance
 from tokenslide.intervals import _ChainDistances, _verify_normalization
@@ -162,6 +162,26 @@ def token_pairs(draw):
     k = draw(st.integers(1, 8))
     size = st.lists(vertices, min_size=k, max_size=k)
     return raw, draw(size), draw(size)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(token_pairs())
+def test_a_tracker_around_u_slides_as_the_full_tracker(case):
+    """``Coverage.around(closed, tokens, u)`` answers ``can_slide(u, w)`` as
+    the full tracker does, for w = u and every neighbour w of u, whether u
+    holds one token or a stack, and cannot slide."""
+    raw, left, _ = case
+    g = intersection_graph(normalize_representation(raw))
+    closed = closed_neighborhoods(g)
+    tokens = TokenMultiset(left)
+    full = Coverage(closed, g.n, tokens)
+    for u in tokens.support:
+        around = Coverage.around(closed, tokens, u)
+        for w in (u, *g.neighbors(u)):
+            assert around.can_slide(u, w) == full.can_slide(u, w)
+        with pytest.raises(TypeError):
+            around.slide(u, u)
+    assert tokens == TokenMultiset(left)
 
 
 class TestChainRows:

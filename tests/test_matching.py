@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -290,6 +291,47 @@ class TestNormalize:
             inter = a.intersection(b)
             for v in range(n):
                 assert normalized.multiplicity(v, v) == inter.count(v)
+
+
+def _walk_every_shared_vertex(m, a, b):
+    """normalize_matching's rewiring without its early return or partner
+    index: every vertex of a ∩ b in increasing order, each swap of the
+    lowest source x into v and the lowest target y out of v found by a
+    scan of all the pairs."""
+    m.validate_between(a, b)
+    pairs = m.pairs
+    for v in sorted(a.support & b.support):
+        while pairs.get((v, v), 0) < min(a.count(v), b.count(v)):
+            x = min(s for s, t in pairs if t == v and s != v)
+            y = min(t for s, t in pairs if s == v and t != v)
+            for old, new in (((x, v), (v, v)), ((v, y), (x, y))):
+                pairs[old] -= 1
+                if not pairs[old]:
+                    del pairs[old]
+                pairs[new] = pairs.get(new, 0) + 1
+    return Matching(pairs)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_normalize_returns_what_the_full_walk_returns(n, k, seed):
+    """On minimum, arbitrary and already normalised matchings of multisets
+    that share vertices, the pairs that come back, through the early
+    return or the walk, are those of the walk over every shared vertex."""
+    rng = random.Random(seed)
+    g = random_connected_graph(n, rng)
+    a = random_token_multiset(n, k, rng)
+    b = random_token_multiset(n, k, rng)
+    left = [v for v, c in a.items() for _ in range(c)]
+    right = [v for v, c in b.items() for _ in range(c)]
+    rng.shuffle(right)
+    arbitrary = Matching(Counter(zip(left, right)))
+    minimum, _ = min_cost_matching(g, a, b)
+    for m in (minimum, arbitrary, _walk_every_shared_vertex(arbitrary, a, b)):
+        expected = _walk_every_shared_vertex(m, a, b)
+        normalized = normalize_matching(g, m, a, b)
+        assert normalized.pairs == expected.pairs
+        assert normalize_matching(g, normalized, a, b).pairs == expected.pairs
 
 
 class TestRematchAfterSlide:

@@ -271,7 +271,8 @@ class RootedTree:
     """A connected acyclic graph with parent/depth data and a processing order.
 
     ``order`` lists vertices by decreasing depth (ties by increasing id), so
-    every vertex appears before its parent.  The root is its own parent.
+    every vertex appears before its parent; it is sorted on first read, and
+    the solver never reads it.  The root is its own parent.
     Rooted at 0, a graph from ``peel_tree`` hands over its parent and depth
     arrays, which it keeps, so both are read-only, and neither a BFS nor
     the adjacency is needed.  Any other graph or root is checked by
@@ -279,7 +280,7 @@ class RootedTree:
     from it.
     """
 
-    __slots__ = ("graph", "root", "parent", "depth", "order")
+    __slots__ = ("graph", "root", "parent", "depth", "_order")
 
     def __init__(self, graph: Graph, root: int = 0):
         n = graph.n
@@ -305,12 +306,19 @@ class RootedTree:
         self.root = root
         self.parent = parent
         self.depth = depth
-        # the sort is stable under reverse=True, so ties keep increasing id
-        self.order = tuple(sorted(range(n), key=depth.__getitem__, reverse=True))
+        self._order: tuple[int, ...] | None = None
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        if self._order is None:
+            depth = self.depth
+            # the sort is stable under reverse=True, so ties keep increasing id
+            self._order = tuple(sorted(range(len(depth)), key=depth.__getitem__, reverse=True))
+        return self._order
 
     def __repr__(self) -> str:
         return f"RootedTree(n={self.n}, root={self.root})"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import ge
 
 from .errors import ParseError
@@ -284,6 +284,5 @@ def parse_moves(text: str) -> tuple[int, list[tuple[int, int, int]]]:
 
 
 def emit_moves(moves: list[tuple[int, int, int]], total: int) -> str:
-    lines = [f"moves {total}"]
-    lines.extend(f"{u} {v} {c}" for u, v, c in moves)
-    return "\n".join(lines) + "\n"
+    # one format over the flattened triples: no string per line
+    return "moves %d\n" % total + "%d %d %d\n" * len(moves) % tuple(chain.from_iterable(moves))

@@ -1,12 +1,13 @@
 """Shortest token-sliding reconfiguration of hitting sets on trees.
 
-One pass over the vertices in decreasing-depth order: at the deepest vertex
-where the two configurations disagree, the surplus tokens slide to the
-parent.  Moves that push source tokens upward are emitted immediately;
-moves that would pull target-side tokens upward are buffered and emitted
-reversed (parent down to child) at the end, so the whole output runs
-forward from the start configuration.  Linear time, and the output is
-run-length compressed to at most one triple per vertex.
+Deepest vertex first, the surplus of tokens in each subtree slides across
+the edge to its parent.  Moves that push source tokens upward are emitted
+immediately; moves that would pull target-side tokens upward are buffered
+and emitted reversed (parent down to child) at the end, so the whole output
+runs forward from the start configuration.  Only the edges on the root
+paths of the vertices whose counts differ can carry tokens, so the sweep
+visits those and no others: its cost follows these paths, not n, and the
+output is run-length compressed to at most one triple per vertex.
 """
 
 from __future__ import annotations
@@ -53,32 +54,50 @@ def reconf_tree_dominating(
 
 
 def _sweep(tree: RootedTree, h_s: TokenMultiset, h_t: TokenMultiset) -> MoveSequence:
-    """The deepest-first sweep on two feasible configurations of equal size."""
-    n = tree.n
-    cs = [0] * n
-    ct = [0] * n
-    for v, c in h_s.items():
-        cs[v] = c
-    for v, c in h_t.items():
-        ct[v] = c
+    """The deepest-first sweep on two feasible configurations of equal size.
 
+    The surplus S(v) of v's subtree, source minus target tokens, crosses the
+    edge from v to its parent.  It can be non-zero only if some vertex of D,
+    the vertices whose counts differ, lies in that subtree, that is only for
+    v on the root path of a vertex of D.  The walk up from each vertex of D
+    stops at the first vertex already marked, the root from the start, so
+    it visits U, the union of these paths less the root, once.  U is then
+    sorted by id and, stably, by decreasing depth, which is the relative
+    order of ``tree.order``, and S(v) is pushed to the parent in that order;
+    all of it arrives at the root, where S(root) = 0 for equal sizes.  Cost:
+    O(|D| + |U| log |U|), the sorts in C, after two C-level allocations of
+    n entries.
+    """
+    count_s = h_s._counts.get
+    count_t = h_t._counts.get
     parent = tree.parent
+    root = tree.root
+    n = len(parent)
+    surplus = [0] * n
+    marked = bytearray(n)
+    marked[root] = 1
+    up: list[int] = []
+    for v, _ in h_s._counts.items() ^ h_t._counts.items():
+        surplus[v] = count_s(v, 0) - count_t(v, 0)
+        while not marked[v]:
+            marked[v] = 1
+            up.append(v)
+            v = parent[v]
+    # the sort is stable under reverse=True, so ties keep increasing id
+    up.sort()
+    up.sort(key=tree.depth.__getitem__, reverse=True)
+
     front: list[tuple[int, int, int]] = []
     back: list[tuple[int, int, int]] = []
-    for v in tree.order:
-        if v == tree.root:
-            continue
-        delta = cs[v] - ct[v]
-        p = parent[v]
-        if delta > 0:
-            front.append((v, p, delta))
-            cs[v] -= delta
-            cs[p] += delta
-        elif delta < 0:
-            back.append((p, v, -delta))
-            ct[v] += delta
-            ct[p] -= delta
-    if cs[tree.root] != ct[tree.root]:
+    for v in up:
+        delta = surplus[v]
+        if delta:
+            p = parent[v]
+            surplus[p] += delta
+            if delta > 0:
+                front.append((v, p, delta))
+            else:
+                back.append((p, v, -delta))
+    if surplus[root]:
         raise InvariantError("leftover imbalance at the root despite equal sizes")
     return MoveSequence(front + back[::-1])
-

@@ -223,6 +223,20 @@ class TestMoveFiles:
         total, triples = parse_moves(text)
         assert total == 3 and triples == [(0, 1, 2), (2, 3, 1)]
 
+    @pytest.mark.parametrize("case", ["none", "one", "huge", "heavy_path"])
+    def test_emit_matches_one_line_per_triple(self, case):
+        if case == "heavy_path":
+            graph, d_s, d_t = heavy_path_instance(100_001, 3)
+            seq = reconf_tree_dominating(RootedTree(graph, 0), d_s, d_t)
+            moves, total = list(seq.moves), seq.total_length
+            assert len(moves) == 100_000
+        else:
+            moves = {"none": [], "one": [(4, 7, 1)], "huge": [(0, 1, 2**64 + 1), (1, 2, 3**50)]}[case]
+            total = sum(c for _, _, c in moves)
+        text = emit_moves(moves, total)
+        assert text == "\n".join([f"moves {total}", *(f"{u} {v} {c}" for u, v, c in moves)]) + "\n"
+        assert parse_moves(text) == (total, moves)
+
     def test_header_total_must_match(self):
         with pytest.raises(ParseError):
             parse_moves("moves 5\n0 1 1\n")

@@ -7,6 +7,7 @@ from tokenslide import (
     FeasibilityError,
     Graph,
     InputError,
+    InvariantError,
     MoveSequence,
     RootedTree,
     SetSystem,
@@ -21,13 +22,137 @@ from tokenslide import (
     reconfig_distance_bfs,
     verify_sequence,
 )
-from tokenslide.generators import gen_hitting_instance, heavy_path_instance
+from tokenslide.generators import gen_hitting_instance, heavy_path_instance, random_tree
+from tokenslide.graphs import peel_tree
+from tokenslide.tree_reconfig import _sweep
 
 from helpers import iter_tree_instances
 
 
 def path_tree(n, root=0):
     return RootedTree(Graph(n, [(i, i + 1) for i in range(n - 1)]), root)
+
+
+def _dense_sweep(tree, h_s, h_t):
+    """The sweep over every vertex of ``tree.order``, kept as the reference
+    that ``_sweep``, which visits only the root paths of the vertices whose
+    counts differ, must reproduce triple for triple."""
+    n = tree.n
+    cs = [0] * n
+    ct = [0] * n
+    for v, c in h_s.items():
+        cs[v] = c
+    for v, c in h_t.items():
+        ct[v] = c
+    parent = tree.parent
+    front = []
+    back = []
+    for v in tree.order:
+        if v == tree.root:
+            continue
+        delta = cs[v] - ct[v]
+        p = parent[v]
+        if delta > 0:
+            front.append((v, p, delta))
+            cs[v] -= delta
+            cs[p] += delta
+        elif delta < 0:
+            back.append((p, v, -delta))
+            ct[v] += delta
+            ct[p] -= delta
+    if cs[tree.root] != ct[tree.root]:
+        raise InvariantError("leftover imbalance at the root despite equal sizes")
+    return MoveSequence(front + back[::-1])
+
+
+def _random_rooted_tree(n, rng):
+    """A random tree on 0..n-1 with ids in random order: peeled and rooted
+    at 0, or built eagerly and rooted by ``check_tree`` at a random vertex."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in random_tree(n, rng).edges()]
+    if rng.random() < 0.5:
+        return RootedTree(peel_tree(n, [x for e in edges for x in e]), 0)
+    return RootedTree(Graph(n, edges), rng.randrange(n))
+
+
+def _root_path(tree, v):
+    path = [v]
+    while path[-1] != tree.root:
+        path.append(tree.parent[path[-1]])
+    return path
+
+
+def _sweep_case(rng):
+    """A tree and two token multisets of equal size, of one of the shapes
+    where only some root paths carry tokens."""
+    n = rng.choice((1, 2, 3)) if rng.random() < 0.1 else rng.randrange(4, 40)
+    tree = _random_rooted_tree(n, rng)
+    shape = rng.choice(("random", "pile", "cancel", "equal", "root"))
+    base = [rng.randrange(n) for _ in range(rng.randrange(n + 1))]
+    if shape == "random":
+        k = rng.randrange(2 * n + 1)
+        start = [rng.randrange(n) for _ in range(k)]
+        target = [rng.randrange(n) for _ in range(k)]
+    elif shape == "pile":  # a pile on a shared base, as perfbench's trees
+        pile = rng.randrange(1, 2 * n + 1)
+        start = base + [rng.randrange(n)] * pile
+        target = base + [rng.randrange(n)] * pile
+    elif shape == "cancel":  # tokens move within x's subtree, whose surplus stays 0
+        x = rng.randrange(n)
+        below = [v for v in range(n) if x in _root_path(tree, v)]
+        start = base + [rng.choice(below) for _ in range(rng.randrange(1, 4))]
+        target = base + [rng.choice(below) for _ in start[len(base) :]]
+    elif shape == "equal":
+        start = target = base
+    else:  # the root gains or loses tokens
+        extra = [rng.randrange(n) for _ in range(rng.randrange(1, 4))]
+        start, target = base + extra, base + [tree.root] * len(extra)
+        if rng.random() < 0.5:
+            start, target = target, start
+    return tree, TokenMultiset(start), TokenMultiset(target)
+
+
+class TestSweepAgainstDenseReference:
+    def test_sweep_matches_the_dense_sweep(self):
+        rng = random.Random(2501)
+        shapes_with_moves = 0
+        for _ in range(2400):
+            tree, h_s, h_t = _sweep_case(rng)
+            seq = _sweep(tree, h_s, h_t)
+            assert seq.moves == _dense_sweep(tree, h_s, h_t).moves
+            shapes_with_moves += bool(seq.moves)
+        assert shapes_with_moves > 1000
+
+    def test_hitting_families_match_the_dense_sweep(self):
+        rng = random.Random(2502)
+        for seed in range(300):
+            tree, system, h_s, h_t = gen_hitting_instance(rng.randrange(1, 16), seed)
+            # subtrees stay subtrees under any root
+            tree = RootedTree(tree.graph, rng.randrange(tree.n))
+            seq = reconf_tree(tree, SetSystem(system.sets, tree=tree), h_s, h_t)
+            assert seq.moves == _dense_sweep(tree, h_s, h_t).moves
+
+    @pytest.mark.parametrize("root", [0, 2, 4])
+    def test_unequal_sizes_leave_an_imbalance_at_the_root(self, root):
+        tree = path_tree(5, root)
+        for start, target in (([0, 1], [4]), ([root, root], [root]), ([3], [1, 1, 2])):
+            h_s, h_t = TokenMultiset(start), TokenMultiset(target)
+            for sweep in (_sweep, _dense_sweep):
+                with pytest.raises(InvariantError, match="leftover imbalance at the root"):
+                    sweep(tree, h_s, h_t)
+
+    def test_solving_a_peeled_tree_sorts_no_order(self):
+        n = 30
+        tree = RootedTree(peel_tree(n, [x for i in range(1, n) for x in (i, (i - 1) // 2)]), 0)
+        base = list(range(n // 2))  # the inner vertices of this heap-shaped tree
+        d_s = TokenMultiset(base + [n - 1] * 5)
+        d_t = TokenMultiset(base + [n // 2] * 5)
+        seq = reconf_tree_dominating(tree, d_s, d_t)
+        assert tree._order is None
+        depth = tree.depth
+        assert tree.order == tuple(sorted(range(n), key=lambda v: (-depth[v], v)))
+        assert seq.moves == _dense_sweep(tree, d_s, d_t).moves
 
 
 class TestMoveSequence:

@@ -9,8 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Collection, Iterable, Sequence
-from itertools import chain, islice
-from operator import eq, itemgetter
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import FeasibilityError, InputError, SizeMismatchError
@@ -46,18 +45,8 @@ class Graph:
             adj[v].append(u)
         for row in adj:
             row.sort()
-        # A repeated edge leaves two equal neighbours side by side in both its
-        # rows.  Laid end to end, the rows also meet where one row's last entry
-        # equals the next row's first; all other equal neighbours are repeats.
-        ends = list(chain.from_iterable(adj))
-        repeats = sum(map(eq, ends, islice(ends, 1, None)))
-        if repeats:
-            rows = list(filter(None, adj))
-            repeats -= sum(map(eq, map(itemgetter(-1), rows), map(itemgetter(0), islice(rows, 1, None))))
-        if repeats:
-            for row in adj:
-                if len(set(row)) < len(row):
-                    row[:] = sorted(set(row))
+            if len(set(row)) < len(row):  # a repeated edge
+                row[:] = sorted(set(row))
         self._adj = tuple(map(tuple, adj))
         self.edge_count = sum(map(len, adj)) // 2
         self._closed: _ClosedNeighborhoods | None = None  # see closed_neighborhoods
@@ -164,7 +153,8 @@ def distances_from(g: Graph, s: int) -> list[int]:
 
 class Distances(dict):
     """Distance rows of g, each set up the first time the table asks for it
-    and kept in the table.
+    and kept in the table, and blocks of distances between two vertex
+    lists, which are not kept.
 
     ``dist[v][w]`` is the distance between v and w, so the table can stand
     wherever a list of ``distances_from`` rows is read.  A graph built by
@@ -187,6 +177,26 @@ class Distances(dict):
             row = distances_from(g, v)
         self[v] = row
         return row
+
+    def blocks(self, sources: Sequence[int], targets: Sequence[int]):
+        """Yield ``(lo, hi, block)`` over consecutive slices of targets, with
+        ``block[i, j] == distance(sources[i], targets[lo + j])`` as an intp
+        array; sources must not be empty.
+
+        An interval graph's blocks come from its greedy chain
+        (``intervals._ChainDistances.blocks``).  Elsewhere each block is
+        one target's column, gathered from its ``distances_from`` row at
+        the sources; the row is dropped, not kept in the table.
+        """
+        g = self.graph
+        if g._chains is not None:
+            yield from g._chains.blocks(sources, targets)
+            return
+        import numpy as np
+
+        column = itemgetter(*sources)  # a bare value for one source
+        for j, v in enumerate(targets):
+            yield j, j + 1, np.array(column(distances_from(g, v)), dtype=np.intp).reshape(-1, 1)
 
 
 def steps_toward(g: Graph, u: int, row: Sequence[int]) -> tuple[int, ...]:
@@ -350,9 +360,8 @@ class SetSystem:
         parent = tree.parent
         member = [False] * n
         for i, s in enumerate(self.sets):
+            require_on_graph(n, s, f"set {i} mentions vertex {{v}} outside the tree")
             for v in s:
-                if not 0 <= v < n:
-                    raise InputError(f"set {i} mentions vertex {v} outside the tree")
                 member[v] = True
             # a set of size k induces a subtree iff k-1 members have their parent inside
             inner_edges = sum(1 for v in s if parent[v] != v and member[parent[v]])
@@ -365,9 +374,8 @@ class SetSystem:
         """Per vertex of an n-vertex graph, the indices of the sets containing it."""
         out: list[set[int]] = [set() for _ in range(n)]
         for i, s in enumerate(self.sets):
+            require_on_graph(n, s, f"set {i} mentions vertex {{v}} outside the graph")
             for v in s:
-                if not 0 <= v < n:
-                    raise InputError(f"set {i} mentions vertex {v} outside the graph")
                 out[v].add(i)
         return [frozenset(h) for h in out]
 

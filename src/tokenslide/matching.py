@@ -2,18 +2,17 @@
 
 The exact solver expands multiplicities into unit tokens, prices them in a
 float64 matrix, the dtype the kernel reads without a copy, and hands the
-square assignment problem to scipy's shortest augmenting path solver.  On
-an interval graph the distinct (source, target) vertex pairs are priced in
-numpy by chain queries on the intervals' greedy chain
-(``intervals._ChainDistances``), so no n-long row is built; on other
-graphs the matrix is filled from BFS rows (``graphs.Distances``).  The
-solver, ``linear_sum_assignment``, is loaded on first use straight from scipy's
-compiled ``scipy/optimize/_lsap`` extension, so a solve never runs the
-``scipy.optimize`` package's ``__init__`` (most of a cold solve's time and
-memory); when that file is missing or fails to load, the public
-``scipy.optimize`` import supplies the same function.  A factorial
-brute-force oracle and a near-linear greedy matcher for interval
-representations live alongside it.
+square assignment problem to scipy's shortest augmenting path solver.  The
+distinct (source, target) vertex pairs are priced in blocks by
+``graphs.Distances.blocks``: chain queries on an interval graph, one BFS
+row per distinct target elsewhere, gathered at the sources and dropped,
+so memory is O(k^2 + n).  The solver, ``linear_sum_assignment``, is loaded
+on first use straight from scipy's compiled ``scipy/optimize/_lsap``
+extension, so a solve never runs the ``scipy.optimize`` package's
+``__init__`` (most of a cold solve's time and memory); when that file is
+missing or fails to load, the public ``scipy.optimize`` import supplies
+the same function.  A factorial brute-force oracle and a near-linear
+greedy matcher for interval representations live alongside it.
 """
 
 from __future__ import annotations
@@ -202,27 +201,15 @@ def min_cost_matching(
     # entry is an integer far below 2**53, so float64 holds it exactly
     big = k * max(g.n, 1) + 1
     cost = np.empty((k, k), dtype=np.float64)
-    chains = g._chains
-    if chains is None:
-        # priced column by column from the targets' BFS rows; distances are
-        # symmetric, so the matrix is the same as row by row.  itemgetter
-        # gathers a column in C, which keeps the int-to-float conversion
-        # from slowing the fill
-        dist = Distances(g)
-        column = itemgetter(*left)  # a bare value when k == 1, which broadcasts
-        for j, v in enumerate(right):
-            cost[:, j] = column(dist[v])
-        cost[cost == UNREACHABLE] = big
-    else:
-        # one query per distinct (source, target) pair, priced a block of
-        # targets at a time and spread over the tokens on those vertices
-        (sources, s_counts), (targets, t_counts) = zip(*a.items()), zip(*b.items())
-        token_rows = np.repeat(np.arange(len(sources)), s_counts)
-        token_cols = np.repeat(np.arange(len(targets)), t_counts)
-        for lo, hi, block in chains.blocks(sources, targets):
-            block[block == UNREACHABLE] = big
-            c0, c1 = np.searchsorted(token_cols, (lo, hi))
-            cost[:, c0:c1] = block[np.ix_(token_rows, token_cols[c0:c1] - lo)]
+    # one distance per distinct (source, target) pair, priced a block of
+    # targets at a time and spread over the tokens on those vertices
+    (sources, s_counts), (targets, t_counts) = zip(*a.items()), zip(*b.items())
+    token_rows = np.repeat(np.arange(len(sources)), s_counts)
+    token_cols = np.repeat(np.arange(len(targets)), t_counts)
+    for lo, hi, block in Distances(g).blocks(sources, targets):
+        block[block == UNREACHABLE] = big
+        c0, c1 = np.searchsorted(token_cols, (lo, hi))
+        cost[:, c0:c1] = block[np.ix_(token_rows, token_cols[c0:c1] - lo)]
     rows, cols = _assignment_kernel()(cost)
     pairs: Counter[tuple[int, int]] = Counter()
     total = 0

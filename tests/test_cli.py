@@ -3,6 +3,7 @@ import hashlib
 import re
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -551,5 +552,5 @@ class TestInternalError:
         moves = tmp_path / "moves.txt"
         moves.write_text("moves 2\n0 1 1\n2 3 1\n")
         assert main(["verify", p4_file, str(moves)]) == 3
-        digest = hashlib.sha256(open(p4_file, "rb").read()).hexdigest()[:12]
+        digest = hashlib.sha256(Path(p4_file).read_bytes()).hexdigest()[:12]
         assert capsys.readouterr().err == f"internal error: replay lost a token (instance sha256 {digest})\n"

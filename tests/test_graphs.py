@@ -179,6 +179,19 @@ class TestSetSystem:
         with pytest.raises(InputError):
             SetSystem([[0, 5]], tree=tree)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_ids_outside_the_tree_named(self, bad):
+        """The lowest offender of the first bad set is named; 7 lies outside too."""
+        tree = RootedTree(path(3), 0)
+        with pytest.raises(InputError, match=f"^set 1 mentions vertex {bad} outside the tree$"):
+            SetSystem([[0, 1], [bad, 7, 2]], tree=tree)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_ids_outside_the_graph_named(self, bad):
+        system = SetSystem([[0, 1], [bad, 7, 2], [9]])
+        with pytest.raises(InputError, match=f"^set 1 mentions vertex {bad} outside the graph$"):
+            system.hits(3)
+
 
 class TestClosedNeighborhoods:
     def test_path_three(self):

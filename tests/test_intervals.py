@@ -555,25 +555,34 @@ def test_solving_and_repairing_leave_no_reference_cycle():
 
 
 def test_exact_matcher_memory_grows_with_k_squared_not_k_n():
-    """On an interval graph the matcher prices its k x k matrix by chain
-    queries: its peak is a small multiple of the 8 k^2 bytes of the float64
-    matrix (1.8 MB at k = 476), where one n-long row per target took
-    8 k n bytes (19 MB at n = 5 000), and it builds no BFS row."""
-    inst = gen_bench_interval_instance(5000, 81)
-    g, a, b = inst.graph, inst.d_s, inst.d_t
-    k = a.total
+    """The matcher prices its k x k matrix a block at a time and keeps no
+    n-long row: its peak is a small multiple of the 8 k^2 bytes of the
+    float64 matrix, where one n-long row per target took 8 k n bytes.  On
+    an interval graph (k = 476, n = 5 000; 1.8 MB) the blocks are chain
+    queries and no BFS row is built; on a caterpillar tree file (k = 400,
+    n = 6 300; 1.3 MB) each distinct target's BFS row is built once and
+    dropped after its column is read."""
     tokens = TokenMultiset([0, 2])
     min_cost_matching(intersection_graph(P4), tokens, tokens)  # numpy and scipy load outside the measurement
-    with bfs_sources() as sources:
-        tracemalloc.start()
-        try:
-            min_cost_matching(g, a, b)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert k == 476
-    assert peak < 3 * 8 * k * k
-    assert sources == []
+    rng = random.Random(26)
+    spine = 3150
+    edges = [(i, i + 1) for i in range(spine - 1)] + [(v, rng.randrange(spine)) for v in range(spine, 2 * spine)]
+    ends = rng.sample(range(2 * spine), 800)
+    caterpillar = Instance("tree", Graph(2 * spine, edges), None, TokenMultiset(ends[:400]), TokenMultiset(ends[400:]))
+    tree = parse_instance(emit_instance(caterpillar))
+    tree.graph.adjacency  # the tree file's graph builds its adjacency on first read, outside the measurement
+    cases = [(gen_bench_interval_instance(5000, 81), 476, []), (tree, 400, sorted(ends[400:]))]
+    for inst, k, rows in cases:
+        with bfs_sources() as sources:
+            tracemalloc.start()
+            try:
+                min_cost_matching(inst.graph, inst.d_s, inst.d_t)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert inst.d_s.total == k
+        assert peak < 3 * 8 * k * k
+        assert sources == rows
 
 
 def test_path_shaped_interval_graph_roots_like_the_same_edges():

@@ -3,7 +3,10 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from operator import itemgetter
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +15,13 @@ from tokenslide import (
     Graph,
     InputError,
     IntervalRepresentation,
+    UNREACHABLE,
     Matching,
     MatchingError,
     SizeMismatchError,
     TokenMultiset,
     brute_force_matching,
+    distances_from,
     fast_match_intervals,
     intersection_graph,
     matching_cost,
@@ -25,13 +30,16 @@ from tokenslide import (
     rematch_after_slide,
     succ_set,
 )
+from tokenslide import matching
 from tokenslide.generators import (
     random_connected_graph,
     random_interval_representation,
     random_token_multiset,
+    random_tree,
 )
+from tokenslide.graphs import Distances
 
-from helpers import child_env
+from helpers import bfs_sources, child_env
 
 
 def path(n):
@@ -143,6 +151,91 @@ class TestMinCostMatching:
             assert c == brute_force_matching(g, a, b)
             m.validate_between(a, b)
             assert matching_cost(g, m) == c
+
+
+def _expanded_column_matching(g, a, b):
+    """The expanded-column fill, the reference for the block pricing: one
+    BFS row per distinct target, kept for the whole fill, and one matrix
+    column per target token.  Returns the matrix and (matching, cost)."""
+    if a.total == 0:
+        return None, (Matching(), 0)
+    left, right = matching._expand(a), matching._expand(b)
+    k = len(left)
+    big = k * max(g.n, 1) + 1
+    cost = np.empty((k, k), dtype=np.float64)
+    rows = {v: distances_from(g, v) for v in set(right)}
+    column = itemgetter(*left)
+    for j, v in enumerate(right):
+        cost[:, j] = column(rows[v])
+    cost[cost == UNREACHABLE] = big
+    pairs = Counter()
+    total = 0
+    for i, j in zip(*matching._assignment_kernel()(cost)):
+        if cost[i, j] == big:
+            return cost, (None, None)
+        total += int(cost[i, j])
+        pairs[(left[i], right[j])] += 1
+    return cost, (Matching(pairs), total)
+
+
+def _seeded_graph(kind, n, rng):
+    if kind == "tree":
+        return random_tree(n, rng)
+    if kind == "connected":
+        return random_connected_graph(n, rng)
+    if kind == "disconnected":
+        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 1.5 / n])
+    return intersection_graph(random_interval_representation(n, rng, connected=rng.random() < 0.5))
+
+
+def _seeded_tokens(case, n, rng):
+    """k = 0, k = 1, one distinct source, one distinct target, then random
+    multisets drawn from a few vertices, so that most carry multiplicities."""
+    shape = case % 6
+    k = 0 if shape == 0 else 1 if shape == 1 else rng.randint(2, 12)
+    pool = rng.sample(range(n), min(n, rng.randint(1, 6)))
+    a = TokenMultiset([rng.choice(pool) for _ in range(k)])
+    b = TokenMultiset([rng.randrange(n) for _ in range(k)])
+    if shape == 2:
+        a = TokenMultiset({rng.randrange(n): k})
+    elif shape == 3:
+        b = TokenMultiset({rng.randrange(n): k})
+    return a, b
+
+
+@pytest.mark.parametrize("kind", ["tree", "connected", "disconnected", "interval"])
+def test_block_pricing_is_the_expanded_column_fill(kind):
+    """On 500 seeded cases per kind of graph, the matcher hands the kernel
+    the matrix of the expanded-column fill, entry for entry, and returns
+    its matching and cost; pricing builds one BFS row per distinct target,
+    none on an interval graph, and leaves its Distances table empty."""
+    rng = random.Random(f"blocks-{kind}")
+    kernel = matching._assignment_kernel()
+    unreachable = 0
+    for case in range(500):
+        n = rng.randint(1, 30)
+        g = _seeded_graph(kind, n, rng)
+        a, b = _seeded_tokens(case, n, rng)
+        priced = []
+
+        def recording(cost):
+            priced.append(cost.copy())
+            return kernel(cost)
+
+        with mock.patch.object(matching, "_linear_sum_assignment", recording), bfs_sources() as sources:
+            got = min_cost_matching(g, a, b)
+        expected_cost, expected = _expanded_column_matching(g, a, b)
+        assert got == expected
+        unreachable += got[1] is None
+        if a.total:
+            assert np.array_equal(priced[0], expected_cost)
+        assert sources == ([] if kind == "interval" or not a.total else sorted(b.support))
+        table = Distances(g)
+        if a.total:
+            list(table.blocks(sorted(a.support), sorted(b.support)))
+        assert not table
+    if kind == "disconnected":
+        assert unreachable > 0
 
 
 def _run_fresh(script):

@@ -178,12 +178,19 @@ def _bench_tree_point(n: int) -> tuple[int, float]:
     return seq.total_length, elapsed * 1000.0
 
 
-def _bench_verify_point(n: int) -> tuple[int, float]:
+def _heavy_path_pile_text(n: int) -> str:
     graph, d_s, d_t = _heavy_path_pile(n)
-    seq = reconf_tree_dominating(RootedTree(graph, 0), d_s, d_t)
-    pred = dominating_predicate(graph)
+    return emit_instance(Instance("tree", graph, None, d_s, d_t))
+
+
+def _bench_verify_point(n: int) -> tuple[int, float]:
+    # on the parsed instance, as ``tokenslide verify`` sees it: the replay
+    # runs on the peeled tree's parent array
+    inst = parse_instance(_heavy_path_pile_text(n))
+    seq = reconf_tree_dominating(RootedTree(inst.graph, 0), inst.d_s, inst.d_t)
     t0 = time.perf_counter()
-    failure = sequence_failure(graph, pred, d_s, d_t, seq, optimal=False)
+    pred = dominating_predicate(inst.graph)
+    failure = sequence_failure(inst.graph, pred, inst.d_s, inst.d_t, seq, optimal=False)
     elapsed = time.perf_counter() - t0
     if failure is not None:
         raise InvariantError(f"the tree solver's sequence does not verify: {failure}")
@@ -191,12 +198,12 @@ def _bench_verify_point(n: int) -> tuple[int, float]:
 
 
 def _bench_parse_point(n: int) -> tuple[int, float]:
-    graph, d_s, d_t = _heavy_path_pile(n)
-    text = emit_instance(Instance("tree", graph, None, d_s, d_t))
+    text = _heavy_path_pile_text(n)
     t0 = time.perf_counter()
-    tree = RootedTree(parse_instance(text).graph, 0)
+    inst = parse_instance(text)
+    tree = RootedTree(inst.graph, 0)
     elapsed = time.perf_counter() - t0
-    return reconf_tree_dominating(tree, d_s, d_t).total_length, elapsed * 1000.0
+    return reconf_tree_dominating(tree, inst.d_s, inst.d_t).total_length, elapsed * 1000.0
 
 
 def _bench_interval_point(n: int, seed: int) -> tuple[int, float]:
@@ -281,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind",
         choices=("tree", "interval", "verify", "parse"),
         required=True,
-        help="time the tree solver, the interval solver, verify_sequence on the tree ladder, "
-        "or parse_instance and RootedTree on the tree ladder's emitted instances",
+        help="time the tree solver, the interval solver, verify_sequence on the tree ladder's "
+        "parsed instances, or parse_instance and RootedTree on their emitted text",
     )
     p.add_argument("--sizes", required=True, help="comma-separated vertex counts")
     p.add_argument("--seed", type=int, default=0)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Collection, Iterable, Sequence
-from operator import itemgetter
+from operator import itemgetter, or_
 from types import MappingProxyType
 
 from .errors import FeasibilityError, InputError, SizeMismatchError
@@ -114,6 +114,13 @@ class _PeeledTree(Graph):
         self._parent = (parent, depth)
         self._closed = None
         self._chains = None
+
+    def has_edge(self, u: int, v: int) -> bool:
+        # read off the parent array, so the adjacency stays unbuilt; u != v
+        # keeps the root, its own parent, from an edge to itself
+        n = self.n
+        parent = self._parent[0]
+        return 0 <= u < n and 0 <= v < n and u != v and (parent[u] == v or parent[v] == u)
 
     def __getattr__(self, name: str):
         # Python calls this only when the normal lookup fails: for _adj, on
@@ -561,6 +568,102 @@ class Coverage:
         if not counts[w]:
             for s in self.hits[w]:
                 hit[s] += 1
+        counts[w] += count
+
+
+class TreeCoverage:
+    """``Coverage`` of a tree's closed neighbourhoods, kept on its parent
+    array: no adjacency, no N[v] sets, and O(1) work per slide.
+
+    Besides each vertex's token count it keeps ``occupied[v]``, the number
+    of v's children that hold a token, and ``sole[v]``, the number of v's
+    children that only v can dominate: empty, with no occupied child.  A
+    vertex that fills or empties changes O(1) of these entries.  The root
+    is its own parent and nobody's child.
+    Callers read ``counts`` but change it only through ``slide``.
+    """
+
+    __slots__ = ("parent", "counts", "occupied", "sole")
+
+    def __init__(self, tree: RootedTree, tokens: TokenMultiset):
+        parent = tree.parent
+        n = len(parent)
+        held = tokens._counts
+        require_on_graph(n, held.keys())  # min and max in C; no sorted copy
+        counts = [0] * n
+        occupied = [0] * n
+        for v, c in held.items():
+            counts[v] = c
+            occupied[parent[v]] += 1
+        root = tree.root
+        if counts[root]:
+            occupied[root] -= 1  # the root is not its own child
+        sole = [0] * n
+        for v, p in enumerate(parent):
+            if not (counts[v] or occupied[v]):
+                sole[p] += 1
+        if not (counts[root] or occupied[root]):
+            sole[root] -= 1  # nor its own sole child
+        self.parent = parent
+        self.counts = counts
+        self.occupied = occupied
+        self.sole = sole
+
+    @property
+    def feasible(self) -> bool:
+        """True iff every vertex, its parent or one of its children holds a token."""
+        counts = self.counts
+        return all(map(or_, map(or_, counts, self.occupied), map(counts.__getitem__, self.parent)))
+
+    def can_slide(self, u: int, w: int) -> bool:
+        """Would sliding one token u -> w, for w = u or w a neighbour of u,
+        leave every vertex that is dominated now dominated?
+
+        Only u's last token can undominate anything, and only in N[u]; u
+        itself keeps w.  A child of u is lost if only u dominates it and it
+        is not w.  u's parent p is lost unless it is w, holds a token, has
+        a parent that does, or has an occupied child other than u.
+        """
+        counts = self.counts
+        if u == w or counts[u] >= 2:
+            return True
+        parent = self.parent
+        occupied = self.occupied
+        sole = self.sole[u]
+        # w is the one child that only u dominates, or there is none
+        if sole and (sole > 1 or parent[w] != u or counts[w] or occupied[w]):
+            return False
+        p = parent[u]
+        return p == u or p == w or counts[p] > 0 or counts[parent[p]] > 0 or occupied[p] > 1
+
+    def slide(self, u: int, w: int, count: int = 1) -> None:
+        """Move ``count`` >= 1 tokens u -> w; the caller ensures u holds them.
+
+        The other entries change only when u empties or w gains its first
+        token: then the parent p of that vertex x counts one occupied child
+        fewer or more, x may join or leave p's sole children, and p may join
+        or leave those of its own parent.
+        """
+        counts = self.counts
+        counts[u] -= count
+        if not counts[u]:
+            parent, occupied, sole = self.parent, self.occupied, self.sole
+            p = parent[u]
+            if p != u:
+                if not occupied[u]:
+                    sole[p] += 1
+                occupied[p] -= 1
+                if not (occupied[p] or counts[p]) and parent[p] != p:
+                    sole[parent[p]] += 1
+        if not counts[w]:
+            parent, occupied, sole = self.parent, self.occupied, self.sole
+            p = parent[w]
+            if p != w:
+                if not occupied[w]:
+                    sole[p] -= 1
+                if not (occupied[p] or counts[p]) and parent[p] != p:
+                    sole[parent[p]] -= 1
+                occupied[p] += 1
         counts[w] += count
 
 

@@ -32,6 +32,15 @@ class MoveSequence:
         self.moves = moves
         self.total_length = sum(counts)
 
+    @classmethod
+    def _trusted(cls, moves: tuple[tuple[int, int, int], ...]) -> MoveSequence:
+        """The sequence of these triples, taken unchecked: the caller
+        guarantees u != v and c >= 1 in each."""
+        seq = cls.__new__(cls)
+        seq.moves = moves
+        seq.total_length = sum(map(itemgetter(2), moves))
+        return seq
+
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
         return iter(self.moves)
 

@@ -5,9 +5,11 @@ One breadth-first search (``_bfs``) serves both the distance and the
 component, and stops with StateCapExceeded once it passes its state cap.
 States are token multisets; feasibility predicates look only at the support
 and receive it as a bit mask, which keeps the BFS inner loop cheap.  The
-upward-closed predicates (dominating, hitting) also carry ``hit_lists(n)``,
-the per-vertex set lists and set count of a ``graphs.Coverage``, on which
-``verify_sequence`` replays a sequence one triple at a time.
+upward-closed predicates (dominating, hitting) also carry ``tracker(n,
+start)``, which builds the tracker of start's tokens on an n-vertex graph on
+which ``verify_sequence`` replays a sequence one triple at a time: a
+``graphs.TreeCoverage`` on the parent array of a tree from ``peel_tree``,
+and a ``graphs.Coverage`` on N[v] sets or on a family's sets otherwise.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from collections.abc import Iterable
 from typing import Callable, NamedTuple
 
 from .errors import FeasibilityError, InputError, StateCapExceeded
-from .graphs import UNREACHABLE, Coverage, Graph, SetSystem, closed_neighborhoods, distances_from
-from .graphs import require_on_graph, require_same_size
+from .graphs import UNREACHABLE, Coverage, Graph, RootedTree, SetSystem, TreeCoverage
+from .graphs import closed_neighborhoods, distances_from, require_on_graph, require_same_size
 from .matching import min_cost_matching
 from .moves import MoveSequence
 from .multiset import TokenMultiset
@@ -43,7 +45,9 @@ def dominating_predicate(g: Graph) -> Predicate:
     """Feasible iff the support dominates g.
 
     The mask table is built on the first call: it is quadratic in n, and
-    ``verify_sequence`` never calls the predicate, only ``hit_lists``.
+    ``verify_sequence`` never calls the predicate, only ``tracker``.  On a
+    tree from ``peel_tree`` the tracker reads the parent array alone, so a
+    replay builds neither the adjacency nor any N[v] set.
     """
     full = (1 << g.n) - 1
     closed: list[int] = []
@@ -59,7 +63,13 @@ def dominating_predicate(g: Graph) -> Predicate:
             m ^= low
         return covered == full
 
-    pred.hit_lists = lambda n: (closed_neighborhoods(g), g.n)
+    def tracker(n: int, start: TokenMultiset) -> Coverage | TreeCoverage:
+        # n is g.n; a set family, which knows no graph, needs it
+        if g._parent is not None:
+            return TreeCoverage(RootedTree(g), start)
+        return Coverage(closed_neighborhoods(g), g.n, start)
+
+    pred.tracker = tracker
     return pred
 
 
@@ -75,7 +85,7 @@ def hitting_predicate(system: SetSystem) -> Predicate:
             set_masks.extend(_masks(system.sets))
         return all(support_mask & m for m in set_masks)
 
-    pred.hit_lists = lambda n: (system.hits(n), len(system))
+    pred.tracker = lambda n, start: Coverage(system.hits(n), len(system), start)
     return pred
 
 
@@ -198,16 +208,16 @@ def verify_sequence(
     sequence.  On failure, ``final`` is the configuration after the longest
     valid prefix.
 
-    The predicate must be upward-closed and carry ``hit_lists`` (as
+    The predicate must be upward-closed and carry ``tracker`` (as
     ``dominating_predicate`` and ``hitting_predicate`` do).  Then a triple
     (u, v, c) with a tokens on u only visits the supports S + v, which
     contains the feasible S, and, after its a-th move, S + v - u, so one
-    ``Coverage.can_slide`` per triple decides it.
+    ``can_slide`` of the tracker per triple decides it.
     """
-    hit_lists = getattr(pred, "hit_lists", None)
-    if hit_lists is None:
-        raise InputError("verify_sequence needs an upward-closed predicate with hit lists")
-    cover = Coverage(*hit_lists(g.n), start)
+    tracker = getattr(pred, "tracker", None)
+    if tracker is None:
+        raise InputError("verify_sequence needs an upward-closed predicate with a tracker")
+    cover = tracker(g.n, start)
     counts = cover.counts
 
     def fail(message: str) -> VerifyResult:
@@ -215,20 +225,22 @@ def verify_sequence(
 
     if not cover.feasible:
         return fail("start configuration is infeasible")
+    has_edge, can_slide, slide = g.has_edge, cover.can_slide, cover.slide
     i = 0
     for u, v, c in seq.moves:
-        if not g.has_edge(u, v):
+        if not has_edge(u, v):
             return fail(f"move {i}: ({u}, {v}) is not an edge")
         a = counts[u]
         if a < 1:
             return fail(f"move {i}: no token on vertex {u}")
-        bulk = min(c, a - 1)
-        if bulk:
-            cover.slide(u, v, bulk)
-        if c >= a:
-            if not cover.can_slide(u, v):
+        if c < a:
+            slide(u, v, c)
+        else:
+            if a > 1:
+                slide(u, v, a - 1)
+            if not can_slide(u, v):
                 return fail(f"move {i + a - 1}: configuration after ({u}, {v}) is infeasible")
-            cover.slide(u, v)
+            slide(u, v)
             if c > a:
                 return fail(f"move {i + a}: no token on vertex {u}")
         i += c

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tokenslide.cli import main
 from tokenslide.errors import InvariantError, MatchingError
 from tokenslide.generators import heavy_path_instance
-from tokenslide.graphs import Graph, RootedTree
+from tokenslide.graphs import Graph, RootedTree, _PeeledTree
 from tokenslide.instances import Instance, emit_instance, emit_moves, parse_instance
 from tokenslide.interval_reconfig import reconf_interval
 from tokenslide.intervals import normalize_representation
@@ -170,6 +170,25 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("moves", ["moves 2\n0 1 1\n2 3 1\n", "moves 1\n1 0 1\n", "moves 1\n0 2 1\n"])
+    def test_tree_replay_builds_no_adjacency(self, moves, p4_file, tmp_path, capsys, monkeypatch):
+        """A tree file's replay reads the parent array alone, whether the
+        sequence passes or fails: its graph stays a peeled tree with no
+        N[v] table."""
+        parsed = []
+
+        def recording(text):
+            parsed.append(parse_instance(text))
+            return parsed[-1]
+
+        monkeypatch.setattr("tokenslide.cli.parse_instance", recording)
+        mf = tmp_path / "moves.txt"
+        mf.write_text(moves)
+        main(["verify", p4_file, str(mf)])
+        capsys.readouterr()
+        (inst,) = parsed
+        assert type(inst.graph) is _PeeledTree and inst.graph._closed is None
 
     def test_billions_of_moves(self, tmp_path, capsys):
         n = 100_000

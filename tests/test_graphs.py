@@ -29,6 +29,8 @@ from tokenslide.generators import (
 from tokenslide.graphs import (
     Coverage,
     Distances,
+    TreeCoverage,
+    _PeeledTree,
     check_tree,
     closed_neighborhoods,
     is_dominating_tree,
@@ -361,19 +363,20 @@ def test_random_tree_is_a_tree(n, seed):
     assert g.edge_count == n - 1
 
 
-def _check_tracker_against_oracle(g, hits, n_sets, pred, k):
+def _check_tracker_against_oracle(g, make, pred, k):
     """Every size-k configuration, and every slide along an edge from each
-    feasible one: the tracker must agree with the oracle's mask predicate."""
+    feasible one: the tracker ``make(tokens)`` must agree with the oracle's
+    mask predicate."""
     for combo in itertools.combinations_with_replacement(range(g.n), k):
         tokens = TokenMultiset(combo)
         feasible = pred(tokens.support_mask)
-        assert Coverage(hits, n_sets, tokens).feasible == feasible
+        assert make(tokens).feasible == feasible
         if not feasible:
             continue
         for u in tokens.support:
             for w in g.neighbors(u):
                 slid = tokens.slide(u, w)
-                cover = Coverage(hits, n_sets, tokens)
+                cover = make(tokens)
                 assert cover.can_slide(u, w) == pred(slid.support_mask)
                 cover.slide(u, w)
                 assert cover.feasible == pred(slid.support_mask)
@@ -430,7 +433,8 @@ def test_coverage_agrees_with_dominating_predicate(n, k, density, seed):
     rng = random.Random(seed)
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
     g = Graph(n, edges)
-    _check_tracker_against_oracle(g, closed_neighborhoods(g), n, dominating_predicate(g), k)
+    hits = closed_neighborhoods(g)
+    _check_tracker_against_oracle(g, lambda t: Coverage(hits, n, t), dominating_predicate(g), k)
 
 
 @given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
@@ -438,9 +442,84 @@ def test_coverage_agrees_with_hitting_predicate(n, k, seed):
     rng = random.Random(seed)
     tree = RootedTree(random_tree(n, rng), 0)
     system = random_subtree_family(tree, rng, rng.randrange(1, n + 1))
+    hits = system.hits(n)
     _check_tracker_against_oracle(
-        tree.graph, system.hits(n), len(system), hitting_predicate(system), k
+        tree.graph, lambda t: Coverage(hits, len(system), t), hitting_predicate(system), k
     )
+
+
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_tree_coverage_agrees_with_dominating_predicate(n, k, seed):
+    """The parent-array tracker, on a tree rooted anywhere, answers like the
+    mask predicate on every size-k configuration and every slide."""
+    rng = random.Random(seed)
+    tree = RootedTree(random_tree(n, rng), rng.randrange(n))
+    pred = dominating_predicate(tree.graph)
+    _check_tracker_against_oracle(tree.graph, lambda t: TreeCoverage(tree, t), pred, k)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_tree_coverage_state_after_a_walk_of_slides(n, seed):
+    """After each slide of a random walk, feasible or not, every entry the
+    tracker keeps equals that of a tracker built afresh on the new tokens,
+    and its answers equal Coverage's on the N[v] sets."""
+    rng = random.Random(seed)
+    tree = RootedTree(random_tree(n, rng), rng.randrange(n))
+    g = tree.graph
+    tokens = TokenMultiset(rng.choices(range(n), k=rng.randrange(1, n + 2)))
+    walk = TreeCoverage(tree, tokens)
+    for _ in range(3 * n):
+        fresh = TreeCoverage(tree, tokens)
+        assert (walk.counts, walk.occupied, walk.sole) == (fresh.counts, fresh.occupied, fresh.sole)
+        cover = Coverage(closed_neighborhoods(g), n, tokens)
+        assert walk.feasible == cover.feasible
+        if n == 1:
+            break
+        u = rng.choice(sorted(tokens.support))
+        w = rng.choice(g.neighbors(u))
+        assert walk.can_slide(u, w) == cover.can_slide(u, w)
+        c = rng.randrange(1, tokens.count(u) + 1)
+        walk.slide(u, w, c)
+        for _ in range(c):
+            tokens = tokens.slide(u, w)
+
+
+def _labelled_trees(n):
+    """Every tree on 0..n-1, from its Pruefer sequence, as a flat end list."""
+    if n < 2:
+        yield []
+        return
+    for code in itertools.product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for v in code:
+            degree[v] += 1
+        ends = []
+        for v in code:
+            leaf = degree.index(1)
+            ends += [leaf, v]
+            degree[leaf] -= 1
+            degree[v] -= 1
+        ends += [i for i, d in enumerate(degree) if d == 1]
+        yield ends
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_peeled_has_edge_is_the_eager_has_edge(n):
+    """On every labelled tree with n vertices and every pair of ids, in
+    range or not, a peeled tree answers ``has_edge`` like the eager graph
+    before its adjacency is built, and after."""
+    pairs = list(itertools.product(range(-2, n + 2), repeat=2))
+    for ends in _labelled_trees(n):
+        eager = Graph(n, zip(ends[::2], ends[1::2]))
+        peeled = peel_tree(n, ends)
+        expected = [eager.has_edge(u, v) for u, v in pairs]
+        assert [peeled.has_edge(u, v) for u, v in pairs] == expected
+        assert type(peeled) is _PeeledTree  # answered without the adjacency
+        assert not peeled.has_edge(0, 0)  # the root is its own parent, not its neighbour
+        assert peeled.adjacency == eager.adjacency
+        assert type(peeled) is Graph
+        assert [peeled.has_edge(u, v) for u, v in pairs] == expected
 
 
 def _random_graph(n, density, rng):

@@ -1,6 +1,8 @@
+import collections
 import gc
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -35,6 +37,7 @@ from tokenslide.generators import (
     random_tree,
 )
 
+from tokenslide.graphs import _PeeledTree, peel_tree
 from tokenslide.oracle import reconfig_component, sequence_failure
 
 from helpers import shortest_slide_sequence, unit_replay
@@ -295,6 +298,85 @@ def test_verify_equals_unit_replay_dominating(n, density, seed):
     rng = random.Random(seed)
     g = Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density])
     _check_against_unit_replay(g, dominating_predicate(g), rng)
+
+
+def _tree_replay_case(seed):
+    """A random tree on 1-25 vertices, vertex 0 anywhere in its shape, as a
+    peeled tree and as an eager graph, with a mostly dominating start and
+    triples from ``_random_triples``, some with ids off the tree."""
+    rng = random.Random(seed)
+    n = rng.choice((1, 2)) if rng.random() < 0.1 else rng.randrange(3, 26)
+    perm = rng.sample(range(n), n)
+    ends = [perm[x] for v in range(1, n) for x in (v, rng.randrange(v))]
+    eager = Graph(n, zip(ends[::2], ends[1::2]))
+    pred = dominating_predicate(eager)
+    picks = rng.choices(range(n), k=rng.randrange(1, n + 2))
+    if rng.random() < 0.9:
+        while not pred(TokenMultiset(picks).support_mask):
+            picks.append(rng.randrange(n))
+    tokens = TokenMultiset(picks)
+    if n == 1:  # no edge to slide along
+        moves = [(0, -2, 1)] * rng.randrange(2)
+    else:
+        moves = list(_random_triples(eager, tokens, rng, rng.randrange(0, 2 * n + 4)))
+    if moves and rng.random() < 0.1:
+        u, v, c = moves[rng.randrange(len(moves))]
+        off = rng.choice((-1, n, n + 3))
+        moves.insert(rng.randrange(len(moves) + 1), (u, off, c) if rng.random() < 0.5 else (off, v, c))
+    return peel_tree(n, ends), eager, pred, tokens, MoveSequence(moves)
+
+
+def _failed_slide(result):
+    return tuple(map(int, re.search(r"\((-?\d+), (-?\d+)\)", result.failure).groups()))
+
+
+def _replay_end(eager, result):
+    """How a replay ended.  A feasibility failure is named by where the
+    vertices that lose their last dominator sit relative to the slide's
+    source u, in the tree rooted at 0: "root", u's "parent" or a "child"."""
+    if result.ok:
+        return {"valid"}
+    if result.failure.startswith("start"):
+        return {"infeasible start"}
+    if "no token" in result.failure:
+        return {"no token"}
+    u, v = _failed_slide(result)
+    if "not an edge" in result.failure:
+        return {"not an edge" if 0 <= min(u, v) and max(u, v) < eager.n else "off the tree"}
+    after = result.final.slide(u, v).support
+    parent = RootedTree(eager, 0).parent
+    lost = [x for x in range(eager.n) if not ({x, *eager.neighbors(x)} & after)]
+    return {"root" if x == 0 else "parent" if x == parent[u] else "child" for x in lost}
+
+
+def test_tree_replay_equals_unit_replay():
+    """On a parsed (peeled) tree, ``verify_sequence`` replays on the parent
+    array and must give the verdict, message and final configuration of
+    the unit-move replay on the eager graph, in every way a replay ends."""
+    ends_seen = collections.Counter()
+    for seed in range(2400):
+        peeled, eager, pred, tokens, seq = _tree_replay_case(seed)
+        result = verify_sequence(peeled, dominating_predicate(peeled), tokens, seq)
+        assert result == unit_replay(eager, pred, tokens, seq), seed
+        assert type(peeled) is _PeeledTree and peeled._closed is None
+        ends_seen.update(_replay_end(eager, result))
+        if eager.n < 3:
+            ends_seen[f"n={eager.n}"] += 1
+    for end in ("valid", "infeasible start", "no token", "not an edge", "off the tree",
+                "child", "parent", "root", "n=1", "n=2"):
+        assert ends_seen[end] >= 20, (end, ends_seen)
+
+
+def test_tree_replay_names_a_start_token_off_the_tree():
+    peeled = peel_tree(3, [0, 1, 1, 2])
+    eager = Graph(3, [(0, 1), (1, 2)])
+    tokens = TokenMultiset([1, 5, 4])
+    messages = []
+    for g in (peeled, eager):
+        with pytest.raises(InputError) as exc:
+            verify_sequence(g, dominating_predicate(g), tokens, MoveSequence([]))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == "token on vertex 4 outside the graph"
 
 
 @given(st.integers(2, 9), st.integers(0, 2**32 - 1))

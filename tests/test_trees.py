@@ -1,3 +1,4 @@
+import collections
 import random
 import time
 
@@ -23,8 +24,8 @@ from tokenslide import (
     verify_sequence,
 )
 from tokenslide.generators import gen_hitting_instance, heavy_path_instance, random_tree
-from tokenslide.graphs import peel_tree
-from tokenslide.tree_reconfig import _sweep
+from tokenslide.graphs import is_dominating_tree, peel_tree
+from tokenslide.tree_reconfig import _CHILD_SCANS, _sweep
 
 from helpers import iter_tree_instances
 
@@ -220,6 +221,51 @@ class TestTreeReconfErrors:
         system = SetSystem([{0, 1}, {3, 4}], tree=tree)
         with pytest.raises(InputError, match=f"^token on vertex {named} outside the graph$"):
             reconf_tree(tree, system, TokenMultiset(start), TokenMultiset(target))
+
+
+def _outcome(solve, tree, d_s, d_t):
+    try:
+        return "ok", solve(tree, d_s, d_t).moves
+    except (InputError, FeasibilityError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _solve_with_full_checks(tree, d_s, d_t):
+    """``reconf_tree_dominating`` as it read before the target was checked
+    on N[D] only: both sides by ``is_dominating_tree``."""
+    for tokens, label in ((d_s, "start"), (d_t, "target")):
+        if not is_dominating_tree(tree, tokens):
+            raise FeasibilityError(f"{label} configuration is not dominating")
+    return _sweep(tree, d_s, d_t)
+
+
+def test_target_checked_around_the_changed_vertices():
+    """Checking the target on N[D] alone raises the same errors, with the
+    same texts and in the same order, as the full check, both when the
+    emptied vertices' children are scanned for and when there are too many
+    emptied vertices and the full check runs."""
+    seen = collections.Counter()
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 30)
+        tree = _random_rooted_tree(n, rng)
+        pred = dominating_predicate(tree.graph)
+        picks = rng.choices(range(n), k=rng.randrange(1, n + 2))
+        if rng.random() < 0.9:  # mostly dominating starts, so the target gets checked
+            while not pred(TokenMultiset(picks).support_mask):
+                picks.append(rng.randrange(n))
+        moved = list(picks)
+        for _ in range(rng.choice((1, 2, 3, 2 * n))):  # a few tokens moved, or all of them
+            moved[rng.randrange(len(moved))] = rng.randrange(n)
+        if rng.random() < 0.05:
+            moved[rng.randrange(len(moved))] = rng.choice((-1, n, n + 4))
+        d_s, d_t = TokenMultiset(picks), TokenMultiset(moved)
+        outcome = _outcome(reconf_tree_dominating, tree, d_s, d_t)
+        assert outcome == _outcome(_solve_with_full_checks, tree, d_s, d_t), seed
+        emptied = sum(v not in d_t for v in d_s.support)
+        seen["scan" if emptied <= _CHILD_SCANS else "full"] += outcome[1] == "target configuration is not dominating"
+        seen[outcome[0] if outcome[0] != "FeasibilityError" else outcome[1].split()[0]] += 1
+    assert min(seen[k] for k in ("scan", "full", "ok", "InputError", "start", "target")) >= 20, seen
 
 
 class TestTreeOptimality:

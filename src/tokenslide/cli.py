@@ -92,7 +92,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     inst = _load_instance(args.file)
     _, triples = parse_moves(_read(args.moves))
-    seq = MoveSequence(triples)
+    seq = MoveSequence._trusted(tuple(triples))  # parse_moves checked u != v and c >= 1 on each line
     pred = dominating_predicate(inst.graph)
     with _naming_instance(args.file):
         failure = sequence_failure(inst.graph, pred, inst.d_s, inst.d_t, seq, args.optimal)

@@ -117,15 +117,32 @@ def _shift_pair(
 
 
 def matching_cost(g: Graph, m: Matching) -> int | None:
-    """Sum of graph distances weighted by multiplicities; None if any pair is split across components."""
+    """Sum of graph distances weighted by multiplicities; None if any pair is split across components.
+
+    The pairs are priced one target at a time and each target's distance
+    row is dropped once its pairs are priced, so memory is O(n + pairs).
+    As in a pass over the pairs in order, a pair with a vertex outside the
+    graph raises unless an earlier pair is unreachable.
+    """
+    by_target: dict[int, list[tuple[int, int]]] = {}
+    outside = None
+    for (u, v), c in m.items():
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            outside = (u, v)
+            break
+        by_target.setdefault(v, []).append((u, c))
     dist = Distances(g)
     total = 0
-    for (u, v), c in m.items():
-        require_on_graph(g.n, (u, v), "pair {vertices} has a vertex outside the graph")
-        d = dist[v][u]
-        if d == UNREACHABLE:
-            return None
-        total += d * c
+    for v, sources in by_target.items():
+        row = dist[v]
+        del dist[v]  # one row at a time
+        for u, c in sources:
+            d = row[u]
+            if d == UNREACHABLE:
+                return None
+            total += d * c
+    if outside is not None:
+        require_on_graph(g.n, outside, "pair {vertices} has a vertex outside the graph")
     return total
 
 

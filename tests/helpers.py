@@ -398,6 +398,8 @@ def reference_parse_moves(text: str) -> tuple[int, list[tuple[int, int, int]]]:
         u, v, c = _parse_ints(ln, line, expect=3)
         if c < 1:
             raise ParseError(ln, f"move count {c} must be positive")
+        if u == v:
+            raise ParseError(ln, f"move ({u}, {v}) does not change anything")
         triples.append((u, v, c))
         total += c
     if total != declared:

@@ -113,6 +113,12 @@ class TestVerify:
         assert main(["verify", p4_file, str(mf), "--optimal"]) == 2
         assert capsys.readouterr().out == "suboptimal: matching bound 2 differs from length 4\n"
 
+    def test_self_move_names_its_line(self, p4_file, tmp_path, capsys):
+        mf = tmp_path / "moves.txt"
+        mf.write_text("moves 2\n0 1 1\n1 1 1\n")
+        assert main(["verify", p4_file, str(mf)]) == 1
+        assert capsys.readouterr().err == "error: line 3: move (1, 1) does not change anything\n"
+
     def test_graph_file_below_the_bound_is_not_certified(self, tmp_path, capsys):
         """On a graph with an induced 4-cycle, neither a tree nor an interval
         graph, the matching bound 3 lies below the distance 4: a shortest

@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from operator import itemgetter
 from unittest import mock
@@ -37,7 +38,7 @@ from tokenslide.generators import (
     random_token_multiset,
     random_tree,
 )
-from tokenslide.graphs import Distances
+from tokenslide.graphs import Distances, require_on_graph
 
 from helpers import bfs_sources, child_env
 
@@ -101,6 +102,86 @@ class TestMatchingCost:
         message = rf"^pair \({pair[0]}, {pair[1]}\) has a vertex outside the graph$"
         with pytest.raises(InputError, match=message):
             matching_cost(path(4), Matching({pair: 1}))
+
+
+    def test_unreachable_pair_before_an_outside_pair_is_none(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        assert matching_cost(g, Matching({(0, 2): 1, (9, 0): 1})) is None  # pairs run in sorted order
+        with pytest.raises(InputError, match=r"^pair \(-1, 0\) has a vertex outside the graph$"):
+            matching_cost(g, Matching({(0, 2): 1, (-1, 0): 1}))
+
+
+def _reference_matching_cost(g, m):
+    """``matching_cost`` as one pass over the pairs in order, keeping each
+    target's distance row until it returns: the reference for the cost,
+    None and the error text."""
+    dist = Distances(g)
+    total = 0
+    for (u, v), c in m.items():
+        require_on_graph(g.n, (u, v), "pair {vertices} has a vertex outside the graph")
+        d = dist[v][u]
+        if d == UNREACHABLE:
+            return None
+        total += d * c
+    return total
+
+
+def _cost_outcome(cost, g, m):
+    try:
+        return "ok", cost(g, m)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+def test_matching_cost_is_the_pass_over_the_pairs_in_order():
+    """Trees, disconnected graphs and interval graphs, with pairs that
+    repeat a target, cross components or leave the graph, in any order:
+    the cost, None or error text of the pass that keeps every row."""
+    rng = random.Random(28)
+    seen = Counter()
+    for case in range(1800):
+        n = rng.randrange(1, 12)
+        kind = ("tree", "disconnected", "intervals")[case % 3]
+        if kind == "tree":
+            g = random_tree(n, rng)
+        elif kind == "disconnected":
+            cut = rng.randrange(n + 1)
+            left = random_tree(cut, rng).edges() if cut else []
+            right = random_tree(n - cut, rng).edges() if cut < n else []
+            g = Graph(n, [*left, *((u + cut, v + cut) for u, v in right)])
+        else:
+            g = intersection_graph(random_interval_representation(n, rng, connected=rng.random() < 0.5))
+
+        def vertex():
+            return rng.choice((-1, n)) if rng.random() < 0.08 else rng.randrange(n)
+
+        pairs = {}
+        for _ in range(rng.randrange(0, 9)):
+            pairs[(vertex(), vertex())] = rng.randrange(1, 4)
+        m = Matching(pairs)
+        outcome = _cost_outcome(matching_cost, g, m)
+        assert outcome == _cost_outcome(_reference_matching_cost, g, m)
+        seen[kind, "error" if outcome[0] != "ok" else "none" if outcome[1] is None else "cost"] += 1
+    for kind in ("tree", "intervals"):
+        assert seen[kind, "cost"] >= 100 and seen[kind, "error"] >= 50
+    assert min(seen["disconnected", what] for what in ("cost", "none", "error")) >= 50
+
+
+def test_matching_cost_keeps_one_distance_row_at_a_time():
+    """A 10^4-vertex tree, 100 distinct targets: the peak stays within a few
+    n-long rows, where a row kept per target took 100 of them."""
+    rng = random.Random(7)
+    n = 10_000
+    g = random_tree(n, rng)
+    m = Matching({(rng.randrange(n), v): 1 for v in rng.sample(range(n), 100)})
+    tracemalloc.start()
+    try:
+        cost = matching_cost(g, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cost == _reference_matching_cost(g, m)
+    assert peak < 4 * 8 * n
 
 
 @pytest.mark.parametrize("solver", [min_cost_matching, brute_force_matching])

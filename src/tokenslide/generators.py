@@ -211,7 +211,8 @@ def gen_hitting_instance(
     n_sets = rng.randrange(1, n + 1)
     system = random_subtree_family(tree, rng, n_sets)
     # one hitting vertex per set: its member closest to the root
-    base = {min(s, key=lambda v: (tree.depth[v], v)) for s in system.sets}
+    depth = tree.depth
+    base = {min(s, key=lambda v: (depth[v], v)) for s in system.sets}
     start = TokenMultiset(sorted(base))
     hits = system.hits(n)
     h_s = diversify_tokens(tree.graph, Coverage(hits, len(system), start), rng, 2 * n)

@@ -9,7 +9,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Collection, Iterable, Sequence
-from operator import itemgetter, or_
+from itertools import repeat
+from operator import itemgetter, lt, or_, setitem
 from types import MappingProxyType
 
 from .errors import FeasibilityError, InputError, SizeMismatchError
@@ -24,10 +25,10 @@ class Graph:
 
     ``Graph(n, edges)`` checks every edge.  Two builders skip that list and
     equal the graph it would give: a tree from ``peel_tree`` holds its
-    parent and depth arrays, rooted at 0, and builds its adjacency from the
-    parents on the first read; ``intersection_graph`` hands its rows,
-    sorted, to ``_from_rows``.  A graph keeps no distance row: each
-    ``Distances`` table owns the rows it reads.
+    parent array, rooted at 0, and builds its adjacency from it on the
+    first read; ``intersection_graph`` hands its rows, sorted, to
+    ``_from_rows``.  A graph keeps no distance row: each ``Distances``
+    table owns the rows it reads.
     """
 
     __slots__ = ("n", "edge_count", "_adj", "_closed", "_chains", "_parent")
@@ -51,7 +52,7 @@ class Graph:
         self.edge_count = sum(map(len, adj)) // 2
         self._closed: _ClosedNeighborhoods | None = None  # see closed_neighborhoods
         self._chains = None  # an interval graph's distance queries, see Distances
-        self._parent: tuple[list[int], list[int]] | None = None  # see peel_tree
+        self._parent: list[int] | None = None  # see peel_tree
         self.n = n
 
     @classmethod
@@ -99,19 +100,21 @@ class Graph:
 
 
 class _PeeledTree(Graph):
-    """A tree from ``peel_tree``: its parent and depth arrays (vertex 0 is the
-    root, its own parent) as one pair, with the adjacency left unset.
+    """A tree from ``peel_tree``: its parent array alone (vertex 0 is the
+    root, its own parent), with the adjacency left unset.
 
-    The solve path of a tree never reads the adjacency, so it is built from
-    the parent array on the first read instead of by the parser.
+    The solve path of a tree reads neither the adjacency nor the depths, so
+    the adjacency is built from the parent array on the first read instead
+    of by the parser, and ``RootedTree.depth`` by a BFS on the first read
+    of it.
     """
 
     __slots__ = ()
 
-    def __init__(self, parent: list[int], depth: list[int]):
+    def __init__(self, parent: list[int]):
         self.n = len(parent)
         self.edge_count = self.n - 1
-        self._parent = (parent, depth)
+        self._parent = parent
         self._closed = None
         self._chains = None
 
@@ -119,7 +122,7 @@ class _PeeledTree(Graph):
         # read off the parent array, so the adjacency stays unbuilt; u != v
         # keeps the root, its own parent, from an edge to itself
         n = self.n
-        parent = self._parent[0]
+        parent = self._parent
         return 0 <= u < n and 0 <= v < n and u != v and (parent[u] == v or parent[v] == u)
 
     def __getattr__(self, name: str):
@@ -130,7 +133,7 @@ class _PeeledTree(Graph):
         if name != "_adj":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for v, p in enumerate(self._parent[0]):
+        for v, p in enumerate(self._parent):
             if v != p:
                 adj[p].append(v)
                 adj[v].append(p)
@@ -245,43 +248,64 @@ def peel_tree(n: int, ends: list[int]) -> Graph | None:
     (ends[2], ends[3]), ..., rooted at 0, or None unless these edges,
     repeats and self-loops counted, are exactly the edges of such a tree.
 
-    Leaf peeling: deg[v] counts v's edges not yet peeled and xr[v] is the XOR
-    of their other ends, so at degree 1 xr[v] is v's one neighbour left, its
-    parent.  Each peel removes one edge that is no self-loop (a loop adds 2 to
-    a degree for good), so n - 1 peels use up all n - 1 edges, and they join
-    every vertex but 0 to a vertex peeled later or to 0: a tree.  Conversely
-    a tree loses a leaf other than 0 until only 0 is left.  The returned
-    graph builds its adjacency only when first read.
+    Lower-end rooting first, in C: if every edge is written ``lo hi`` with
+    lo < hi, each vertex's parent is taken to be the lower end of the edge
+    that names it as the higher one.  If that gives every vertex but 0 a
+    parent, the n - 1 edges give each of 1..n-1 exactly one edge to a lower
+    id: they are distinct, hold no loop, and every walk up ends at 0, so
+    they form the tree rooted at 0 and these are its parents.  This is how
+    ``emit_instance`` writes a tree whose ids grow away from 0 (random
+    recursive trees, paths, caterpillars).
+
+    Any other edge list goes to leaf peeling: deg[v] counts v's edges not
+    yet peeled and xr[v] is the XOR of their other ends, so at degree 1
+    xr[v] is v's one neighbour left, its parent.  Each peel removes one edge
+    that is no self-loop (a loop adds 2 to a degree for good), so n - 1
+    peels use up all n - 1 edges, and they join every vertex but 0 to a
+    vertex peeled later or to 0: a tree.  Conversely a tree loses a leaf
+    other than 0 until only 0 is left.  The returned graph holds the parent
+    array alone; it builds its adjacency only when first read.
     """
     if len(ends) != 2 * (n - 1) or ends and (min(ends) < 0 or max(ends) >= n):
         return None
+    lo, hi = ends[::2], ends[1::2]
+    parent = _lower_end_parents(n, lo, hi)
+    if parent is not None:
+        return _PeeledTree(parent)
     deg = [0] * n
     xr = [0] * n
-    for u, v in zip(ends[::2], ends[1::2]):
+    for u, v in zip(lo, hi):
         deg[u] += 1
         deg[v] += 1
         xr[u] ^= v
         xr[v] ^= u
-    order: list[int] = []
-    peeled = order.append
+    peeled = 0
     for v in [v for v in range(1, n) if deg[v] == 1]:
         # peel v, then its parent while that is left with one edge: a vertex
         # gets down to one edge only when a child is peeled.  A leaf listed
         # here may have lost its edge since: the other end of a two-vertex
         # component, which must not be peeled towards 0 (xr[v] = 0)
         while v and deg[v] == 1:
-            peeled(v)
+            peeled += 1
             p = xr[v]
             xr[p] ^= v
             deg[p] -= 1
             v = p
-    if len(order) != n - 1:
-        return None
     # a peeled v keeps xr[v] = its parent; 0 is left with xr[0] = 0
-    depth = [0] * n
-    for v in reversed(order):
-        depth[v] = depth[xr[v]] + 1
-    return _PeeledTree(xr, depth)
+    return _PeeledTree(xr) if peeled == n - 1 else None
+
+
+def _lower_end_parents(n: int, lo: list[int], hi: list[int]) -> list[int] | None:
+    """``parent[hi[i]] = lo[i]``, with 0 its own parent, if lo[i] < hi[i]
+    for every i and that gives each vertex a parent; else None.  The
+    caller has checked that the ids lie in 0..n-1.  The test, the scatter
+    and the search for a vertex left without a parent each run in C."""
+    if not all(map(lt, lo, hi)):
+        return None
+    parent = [-1] * n
+    parent[0] = 0
+    deque(map(setitem, repeat(parent), hi, lo), 0)
+    return None if -1 in parent else parent
 
 
 class RootedTree:
@@ -290,14 +314,15 @@ class RootedTree:
     ``order`` lists vertices by decreasing depth (ties by increasing id), so
     every vertex appears before its parent; it is sorted on first read, and
     the solver never reads it.  The root is its own parent.
-    Rooted at 0, a graph from ``peel_tree`` hands over its parent and depth
-    arrays, which it keeps, so both are read-only, and neither a BFS nor
-    the adjacency is needed.  Any other graph or root is checked by
-    ``check_tree``: ``depth`` is the root's BFS row, and the parents come
+    Rooted at 0, a graph from ``peel_tree`` hands over its parent array,
+    which it keeps, so it is read-only, and neither a BFS nor the adjacency
+    is needed; ``depth`` is then the root's BFS row, computed on its first
+    read, which the solver never makes.  Any other graph or root is checked
+    by ``check_tree``: ``depth`` is the root's BFS row, and the parents come
     from it.
     """
 
-    __slots__ = ("graph", "root", "parent", "depth", "_order")
+    __slots__ = ("graph", "root", "parent", "_depth", "_order")
 
     def __init__(self, graph: Graph, root: int = 0):
         n = graph.n
@@ -305,10 +330,9 @@ class RootedTree:
             raise InputError("tree needs at least one vertex")
         if not 0 <= root < n:
             raise InputError(f"root {root} out of range")
-        peeled = graph._parent if root == 0 else None
-        if peeled is not None:
-            parent, depth = peeled
-        else:
+        parent = graph._parent if root == 0 else None
+        depth = None
+        if parent is None:
             depth = check_tree(graph, root)
             # in a tree each other vertex has exactly one neighbour one level
             # up: each row is read only up to it
@@ -322,12 +346,20 @@ class RootedTree:
         self.graph = graph
         self.root = root
         self.parent = parent
-        self.depth = depth
+        self._depth: list[int] | None = depth
         self._order: tuple[int, ...] | None = None
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @property
+    def depth(self) -> list[int]:
+        """Each vertex's distance from the root, read-only.  A peeled graph's
+        are its root's ``distances_from`` row, computed on the first read."""
+        if self._depth is None:
+            self._depth = distances_from(self.graph, self.root)
+        return self._depth
 
     @property
     def order(self) -> tuple[int, ...]:

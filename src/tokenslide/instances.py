@@ -253,18 +253,30 @@ def _graph_from(header: int, kind: str, n: int, flat: list[int]) -> Graph:
     return graph
 
 
-def _instance_from(
-    header: int, kind: str, n: int, nums: Sequence[int], flat: list[int], tail: tuple[list[int], list[str]], last: int
-) -> Instance:
-    """The instance from the block's line numbers and integers, and the
-    content lines after the block (numbers, lines); ``last`` numbers the
-    file's last content line."""
-    rep: IntervalRepresentation | None = None
+def _structure_from(
+    header: int, kind: str, n: int, nums: Sequence[int], flat: list[int]
+) -> tuple[Graph, IntervalRepresentation | None]:
+    """The graph, and an interval file's representation, from the block's
+    line numbers and integers."""
     if kind == "intervals":
         rep = _intervals_from(header, n, nums, flat)
-        graph = intersection_graph(rep)
-    else:
-        graph = _graph_from(header, kind, n, flat)
+        return intersection_graph(rep), rep
+    return _graph_from(header, kind, n, flat), None
+
+
+def _instance_from(
+    header: int,
+    kind: str,
+    n: int,
+    structure: tuple[Graph, IntervalRepresentation | None],
+    tail: tuple[list[int], list[str]],
+    last: int,
+) -> Instance:
+    """The instance from the structure ``_structure_from`` built and the
+    content lines after the block (numbers, lines); ``last`` numbers the
+    file's last content line.  The callers drop the block's integers before
+    this call, so they are freed before the token lines are read."""
+    graph, rep = structure
     tail_nums, tail_lines = tail
     token_sets = []
     for ln, line in zip(tail_nums[:2], tail_lines):
@@ -301,7 +313,9 @@ def _parse_normal_instance(text: str) -> Instance | None:
     if not tokens[1]:
         return None
     first = 2 + len(flat) // width
-    return _instance_from(1, kind, n, range(2, first), flat, ([first, first + 1], tokens), first + 1)
+    structure = _structure_from(1, kind, n, range(2, first), flat)
+    del flat
+    return _instance_from(1, kind, n, structure, ([first, first + 1], tokens), first + 1)
 
 
 def parse_instance(text: str) -> Instance:
@@ -328,9 +342,13 @@ def parse_instance(text: str) -> Instance:
         at = joined.find("\ntokens")
         stop = joined.count("\n", 0, at) + 1 if at >= 0 else len(lines)
         flat = _read_block(joined[len(lines[0]) + 1 : at if at >= 0 else len(joined)], 2)
+        del joined
         if flat is None:
             flat = _read_lines(nums[1:stop], lines[1:stop], 2)
-    return _instance_from(lineno, kind, n, nums[1:stop], flat, (nums[stop:], lines[stop:]), nums[-1])
+    tail = (nums[stop:], lines[stop:])
+    structure = _structure_from(lineno, kind, n, nums[1:stop], flat)
+    del flat, lines
+    return _instance_from(lineno, kind, n, structure, tail, nums[-1])
 
 
 def _emit_tokens(tokens: TokenMultiset) -> str:

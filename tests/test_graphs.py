@@ -1,5 +1,8 @@
+import collections
 import itertools
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from tokenslide import (
     is_hitting,
     succ_set,
 )
+from tokenslide import graphs
 from tokenslide.generators import (
     random_interval_representation,
     random_subtree_family,
@@ -267,21 +271,22 @@ def _eager_tree(n, ends):
     return g
 
 
+def _increasing_tree_ends(n, rng):
+    """The edges of a random recursive tree, whose ids grow away from 0, as
+    a flat list in the order of ``Graph.edges``: sorted ``lo hi`` lines, as
+    ``emit_instance`` writes them."""
+    return [x for e in random_tree(n, rng).edges() for x in e]
+
+
 PEEL_OPS = ("dup", "loop", "range", "rewire", "detach")
 
 
-@settings(max_examples=600, derandomize=True, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.lists(st.sampled_from(PEEL_OPS), max_size=3))
-def test_peel_accepts_exactly_the_trees(n, seed, ops):
-    """Repeated edges, self-loops, out-of-range ids, rewired edges (cycles and
-    several components) and a detached two-vertex component whose edge was
-    spent on a self-loop at 0: the peel succeeds exactly when the eager
-    Graph and check_tree accept the edges, and then roots them as a BFS
-    does and builds the same adjacency on first read."""
-    rng = random.Random(seed)
-    ends = _shuffled_tree_ends(n, rng)
+def _mutated_ends(n, rng, ends):
+    """ends with up to three of PEEL_OPS applied: repeated edges, self-loops,
+    out-of-range ids, rewired edges (cycles and several components) and a
+    detached two-vertex component whose edge was spent on a self-loop at 0."""
     m = len(ends) // 2
-    for op in ops if m else ():
+    for op in rng.choices(PEEL_OPS, k=rng.randrange(4)) if m else ():
         i = rng.randrange(m)
         if op == "dup":
             j = rng.randrange(m)
@@ -298,23 +303,91 @@ def test_peel_accepts_exactly_the_trees(n, seed, ops):
             j = (i + 1) % m
             ends[2 * i : 2 * i + 2] = [a, b]
             ends[2 * j : 2 * j + 2] = [0, 0]
+    return ends
+
+
+@contextmanager
+def _rooting_spy():
+    """Record what each call of the lower-end rooting returns."""
+    seen = []
+    real = graphs._lower_end_parents
+
+    def spy(n, lo, hi):
+        seen.append(real(n, lo, hi))
+        return seen[-1]
+
+    with mock.patch.object(graphs, "_lower_end_parents", spy):
+        yield seen
+
+
+def _check_peel(n, ends, rng):
+    """peel_tree(n, ends) is None exactly when the eager Graph and check_tree
+    reject the edges; else it roots them as a BFS does and builds the same
+    adjacency on first read.  Returns whether it accepted."""
     peeled = peel_tree(n, list(ends))
     eager = _eager_tree(n, ends)
     assert (peeled is None) == (eager is None)
     if eager is None:
-        return
+        return False
     tree = RootedTree(peeled, 0)
+    assert tree._depth is None  # computed on the first read below
     with pytest.raises(AttributeError):
         Graph._adj.__get__(peeled)  # the slot itself, without __getattr__ filling it
     expected = RootedTree(eager, 0)
     assert (tree.parent, tree.depth, tree.order) == (expected.parent, expected.depth, expected.order)
     assert peeled.edge_count == eager.edge_count == n - 1
-    assert peeled.adjacency == eager.adjacency  # built now, from the parent array
+    assert peeled.adjacency == eager.adjacency  # built from the parent array by the depth read
     assert type(peeled) is Graph  # and later lookups take the plain path
     assert peeled == eager and peeled.edges() == eager.edges()
     root = rng.randrange(n)  # any other root roots the lazily built adjacency by BFS
     other, expected = RootedTree(peeled, root), RootedTree(eager, root)
     assert (other.parent, other.depth, other.order) == (expected.parent, expected.depth, expected.order)
+    return True
+
+
+def test_peel_accepts_exactly_the_trees():
+    """Both rooting paths, on 2 000 seeded edge lists, n = 1-12: half are
+    increasing-id trees written ``lo hi`` (lower-end rooting decides most),
+    half shuffled trees with random ids and random ends first (the peel
+    decides), each with up to three mutations.  Each path must decide at
+    least 200 cases; the lower-end rooting accepts or declines, the peel
+    accepts or rejects."""
+    rng = random.Random(2901)
+    decided = collections.Counter()
+    with _rooting_spy() as seen:
+        for case in range(2000):
+            n = rng.randrange(1, 13)
+            ends = _increasing_tree_ends(n, rng) if case % 2 else _shuffled_tree_ends(n, rng)
+            ends = _mutated_ends(n, rng, ends)
+            del seen[:]
+            accepted = _check_peel(n, ends, rng)
+            rooted = bool(seen) and seen[-1] is not None
+            assert not rooted or accepted
+            if seen and not rooted:
+                decided["lower ends declined"] += 1
+            decided["lower ends" if rooted else "peel accepted" if accepted else "peel rejected"] += 1
+    assert min(decided.values()) >= 200, decided
+
+
+@pytest.mark.parametrize(
+    "n, ends, parent, by_lower_ends",
+    [
+        (1, [], [0], True),
+        (2, [0, 1], [0, 0], True),
+        (2, [1, 0], [0, 0], False),
+        (3, [0, 1, 0, 1], None, False),  # a repeated line
+        (3, [0, 1, 0, 0], None, False),  # a 0 0 loop
+        (4, [1, 0, 2, 1, 3, 1], [0, 0, 1, 1], False),  # an increasing tree written hi lo
+        (4, [0, 1, 0, 2, 1, 2], None, False),  # all lo < hi; 3 has no parent, 0 1 2 a cycle
+        (3, [0, 2, 1, 2], [0, 2, 0], False),  # all lo < hi; 1 has no parent, yet a tree
+    ],
+)
+def test_peel_pinned_cases(n, ends, parent, by_lower_ends):
+    with _rooting_spy() as seen:
+        peeled = peel_tree(n, ends)
+    assert (peeled and peeled._parent) == parent
+    assert (seen[-1] is not None) == by_lower_ends
+    assert (_eager_tree(n, ends) is None) == (parent is None)
 
 
 @pytest.mark.parametrize(

@@ -175,8 +175,9 @@ def test_parse_and_root_run_one_bfs_per_tree_file(text):
     with bfs_sources() as sources:
         inst = parse_instance(text)
         tree = RootedTree(inst.graph, 0)
-    assert sources == []  # the parser roots the tree by leaf peeling
-    assert tree.depth == distances_from(inst.graph, 0)  # the depths the parser handed over
+    assert sources == []  # the parser roots the tree from its edge lines, with no BFS
+    assert tree._depth is None
+    assert tree.depth == distances_from(inst.graph, 0)  # computed by a BFS on this read
 
 
 @pytest.mark.parametrize("text", [P4_TREE, emit_instance(gen_instance("tree", 60, 20, 3))])

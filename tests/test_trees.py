@@ -24,8 +24,9 @@ from tokenslide import (
     verify_sequence,
 )
 from tokenslide.generators import gen_hitting_instance, heavy_path_instance, random_tree
-from tokenslide.graphs import is_dominating_tree, peel_tree
-from tokenslide.tree_reconfig import _CHILD_SCANS, _sweep
+from tokenslide.graphs import _PeeledTree, is_dominating_tree, peel_tree
+from tokenslide.instances import emit_instance, parse_instance
+from tokenslide.tree_reconfig import _CHILD_SCANS, _differ, _sweep
 
 from helpers import iter_tree_instances
 
@@ -84,11 +85,11 @@ def _root_path(tree, v):
     return path
 
 
-def _sweep_case(rng):
-    """A tree and two token multisets of equal size, of one of the shapes
-    where only some root paths carry tokens."""
+def _sweep_case(rng, rooted=_random_rooted_tree):
+    """A tree, ``rooted(n, rng)``, and two token multisets of equal size, of
+    one of the shapes where only some root paths carry tokens."""
     n = rng.choice((1, 2, 3)) if rng.random() < 0.1 else rng.randrange(4, 40)
-    tree = _random_rooted_tree(n, rng)
+    tree = rooted(n, rng)
     shape = rng.choice(("random", "pile", "cancel", "equal", "root"))
     base = [rng.randrange(n) for _ in range(rng.randrange(n + 1))]
     if shape == "random":
@@ -133,6 +134,39 @@ class TestSweepAgainstDenseReference:
             tree = RootedTree(tree.graph, rng.randrange(tree.n))
             seq = reconf_tree(tree, SetSystem(system.sets, tree=tree), h_s, h_t)
             assert seq.moves == _dense_sweep(tree, h_s, h_t).moves
+
+    def test_sweep_reads_no_depth(self):
+        """The depths the sweep gives U on its walks order U as ``tree.depth``
+        does, over 2 000 seeded cases on trees rooted from the lower ends of
+        their edge lines, whose depth is never read: dominating instances
+        solved from their parsed files, and increasing-id trees with the
+        token shapes of ``_sweep_case``, each against the eager graph rooted
+        by BFS.  Other roots: ``test_hitting_families_match_the_dense_sweep``."""
+        rng = random.Random(2903)
+        for inst in iter_tree_instances(1400, 2903, max_n=40, max_k=14):
+            parsed = parse_instance(emit_instance(inst))
+            tree = RootedTree(parsed.graph, 0)
+            seq = reconf_tree_dominating(tree, parsed.d_s, parsed.d_t)
+            assert tree._depth is None and type(parsed.graph) is _PeeledTree
+            eager = RootedTree(inst.graph, 0)
+            assert seq.moves == _sweep(eager, inst.d_s, inst.d_t).moves == _dense_sweep(eager, inst.d_s, inst.d_t).moves
+
+        eagers = []
+
+        def lower_end_tree(n, rng):
+            edges = random_tree(n, rng).edges()  # sorted lo hi lines
+            eagers.append(RootedTree(Graph(n, edges), 0))
+            return RootedTree(peel_tree(n, [x for e in edges for x in e]), 0)
+
+        long_walks = 0
+        for _ in range(600):
+            tree, h_s, h_t = _sweep_case(rng, lower_end_tree)
+            eager = eagers.pop()
+            seq = _sweep(tree, h_s, h_t)
+            assert tree._depth is None
+            assert seq.moves == _dense_sweep(eager, h_s, h_t).moves
+            long_walks += len(seq.moves) > len(_differ(h_s, h_t))  # some walk passed two vertices
+        assert long_walks > 100
 
     @pytest.mark.parametrize("root", [0, 2, 4])
     def test_unequal_sizes_leave_an_imbalance_at_the_root(self, root):

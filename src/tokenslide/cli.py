@@ -85,7 +85,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if seq is None:
         print("unreachable")
         return EXIT_INFEASIBLE
-    sys.stdout.write(emit_moves(list(seq.moves), seq.total_length))
+    sys.stdout.write(emit_moves(seq.moves, seq.total_length))
     return EXIT_OK
 
 

@@ -12,17 +12,18 @@ Format (``#`` starts a comment, blank lines are ignored)::
 Emitting is canonical (sorted edges and token lists), so parse and emit
 round-trip byte-identically on emitted files.
 
-A text in *normal form* is read in bulk.  Normal form is what
-``emit_instance`` and ``emit_moves`` write: ASCII, ``\n`` line ends, no
-comment and no blank line, and a block of edge, interval or move lines
-that holds only unsigned integers without leading zeros, one space apart.
-``str.find`` cuts such a text into its header, its block and its token
-lines, and ``_read_block`` reads the whole block with one ``json.loads``,
-so no list of lines and no string per integer is built.  Every other text
-goes through the line reader (``_content_lines``), which numbers the lines
-that hold more than a comment.  Both readers hand their integers to the
-same checks, so a text gets the same result, or the same ParseError, from
-either.
+Each file kind has one reader, ``_read_instance`` or ``_read_moves``, which
+cuts its input into header, block and token lines with ``str.find`` on one
+string; ``_read_block`` reads a block in *normal form* with one
+``json.loads``, so no list of lines and no string per integer is built.
+Normal form is what ``emit_instance`` and ``emit_moves`` write: ASCII,
+``\n`` line ends, no comment, no blank line, and a block of unsigned
+integers without leading zeros, one space apart.  ``_parse`` feeds the
+reader the text itself when it may be in normal form, and the reader
+returns None at the first sign that it is not.  Any other text is fed as
+its content lines joined by ``\n``, with their line numbers, and a block
+``_read_block`` rejects is read line by line.  Either way a text meets the
+same checks, so it gets the same result or the same ParseError.
 
 A ``graph N`` file may list no edges, so N is capped at
 ``MAX_GRAPH_VERTICES`` before anything is allocated per vertex; ``tree`` and
@@ -37,6 +38,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, count
 from operator import eq, ge
+from typing import TypeVar
 
 from .errors import ParseError
 from .graphs import Graph, check_tree, peel_tree
@@ -52,6 +54,7 @@ _COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 #: boundary of ``str.splitlines`` but ``\n``.
 _NOT_NORMAL = ("#", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 _DIGITS = b"0123456789"
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -67,24 +70,29 @@ class Instance:
         return self.graph.n
 
 
-def _content_lines(text: str) -> tuple[list[int], list[str]]:
-    """The lines holding more than a comment, stripped, and their 1-based
-    line numbers, as two parallel lists."""
+def _content_lines(text: str) -> tuple[list[int], str]:
+    """The 1-based numbers of the lines holding more than a comment, and
+    those lines, stripped, joined by ``\n``."""
     stripped = list(map(str.strip, _COMMENT.sub("", text).splitlines()))
-    return list(compress(count(1), stripped)), list(filter(None, stripped))
+    return list(compress(count(1), stripped)), "\n".join(filter(None, stripped))
 
 
-def _normal_header(text: str) -> tuple[str, int] | None:
-    """The first line of text, stripped, and where it ends, if text passes
-    the whole-text test of normal form: ASCII, with no comment, no line
-    boundary but ``\n`` and a first line that is not blank.  Else None."""
-    if not text.isascii() or any(map(text.__contains__, _NOT_NORMAL)):
-        return None
-    end = text.find("\n")
-    if end < 0:
-        end = len(text)
-    header = text[:end].strip()
-    return (header, end) if header else None
+def _parse(text: str, read: Callable[[str, Sequence[int] | None], _T | None], empty: str) -> _T:
+    """What ``read(body, nums)`` makes of text.  A text that passes the
+    whole-text test of normal form (ASCII, no comment, no line boundary but
+    ``\n``, a first character that is not white space) is read as it is,
+    with ``nums=None``; the reader returns None at the first sign that the
+    text is not in normal form, before it builds anything.  Every other
+    text, and one the reader turned down, is read as its content lines
+    joined by ``\n``, with their line numbers."""
+    if text[:1].strip() and text.isascii() and not any(map(text.__contains__, _NOT_NORMAL)):
+        out = read(text, None)
+        if out is not None:
+            return out
+    nums, body = _content_lines(text)
+    if not nums:
+        raise ParseError(1, empty)
+    return read(body, nums)
 
 
 def _parse_ints(lineno: int, line: str, expect: int | None = None) -> list[int]:
@@ -99,9 +107,10 @@ def _parse_ints(lineno: int, line: str, expect: int | None = None) -> list[int]:
 
 
 def _read_block(block: str, width: int) -> list[int] | None:
-    """The integers of block, lines joined by ``\n`` with no line break at
-    the end, in order; None unless the block is in normal form and every
-    line holds exactly ``width`` integers.
+    """The integers of block, one or more lines joined by ``\n`` with no
+    line break at the end, in order; None unless the block is in normal
+    form and every line holds exactly ``width`` integers.  An empty block
+    is one blank line.
 
     Deleting the digits (one ``bytes.translate``) must leave ``width - 1``
     spaces on each line and one ``\n`` between lines: that checks every
@@ -112,9 +121,7 @@ def _read_block(block: str, width: int) -> list[int] | None:
     ``,,``, and raises the ValueError of ``int`` for a value past the
     digit limit.
     """
-    if not block:
-        return []
-    if width < 1 or not block.isascii():
+    if not block or width < 1 or not block.isascii():
         return None
     separators = block.encode().translate(None, _DIGITS)
     breaks = block.count("\n")
@@ -253,102 +260,69 @@ def _graph_from(header: int, kind: str, n: int, flat: list[int]) -> Graph:
     return graph
 
 
-def _structure_from(
-    header: int, kind: str, n: int, nums: Sequence[int], flat: list[int]
-) -> tuple[Graph, IntervalRepresentation | None]:
-    """The graph, and an interval file's representation, from the block's
-    line numbers and integers."""
+def _read_instance(body: str, nums: Sequence[int] | None) -> Instance | None:
+    """The instance of body, whose lines ``nums`` numbers; see ``_parse``.
+
+    The header is the first line.  The block runs up to the first line that
+    starts with ``tokens``, but in an intervals file read line by line it is
+    the n lines after the header.  The token lines follow the block."""
+    normal = nums is None
+    if normal:
+        nums = range(1, len(body) + 2)
+    end = body.find("\n") if "\n" in body else len(body)
+    kind, n = _instance_header(nums[0], body[:end].strip())
+    width = 3 if kind == "intervals" else 2
+    if kind == "intervals" and not normal:
+        # the n lines after the header, or as many as there are
+        at = end
+        for _ in range(min(n, len(nums) - 1)):
+            at = body.find("\n", at + 1)
+        if at < 0:
+            at = len(body)
+    else:
+        at = body.find("\ntokens", end)
+        if at < 0:
+            if normal:
+                return None
+            at = len(body)
+    # a block that ends past the header holds a line, maybe a blank one
+    flat = _read_block(body[end + 1 : at], width) if at > end else []
+    if flat is None or kind == "intervals" and len(flat) != 3 * n:
+        if normal:
+            return None
+        check = _interval_check(n) if kind == "intervals" else None
+        flat = _read_lines(nums[1:], body[end + 1 : at].split("\n"), width, check)
+        if kind == "intervals" and len(flat) != 3 * n:
+            raise ParseError(nums[-1], f"expected {n} interval lines")
+    tokens = body[at + 1 : len(body) - body.endswith("\n")].split("\n") if at < len(body) else []
+    if normal and (len(tokens) != 2 or not tokens[1].strip()):
+        return None
+    first = 1 + len(flat) // width  # where the token lines start in nums
+    rep = None
     if kind == "intervals":
-        rep = _intervals_from(header, n, nums, flat)
-        return intersection_graph(rep), rep
-    return _graph_from(header, kind, n, flat), None
-
-
-def _instance_from(
-    header: int,
-    kind: str,
-    n: int,
-    structure: tuple[Graph, IntervalRepresentation | None],
-    tail: tuple[list[int], list[str]],
-    last: int,
-) -> Instance:
-    """The instance from the structure ``_structure_from`` built and the
-    content lines after the block (numbers, lines); ``last`` numbers the
-    file's last content line.  The callers drop the block's integers before
-    this call, so they are freed before the token lines are read."""
-    graph, rep = structure
-    tail_nums, tail_lines = tail
+        rep = _intervals_from(nums[0], n, nums[1:first], flat)
+        graph = intersection_graph(rep)
+    else:
+        graph = _graph_from(nums[0], kind, n, flat)
+    del flat  # freed before the token lines are read
     token_sets = []
-    for ln, line in zip(tail_nums[:2], tail_lines):
+    for ln, line in zip(nums[first : first + 2], map(str.strip, tokens)):
         if not line.startswith("tokens"):
             raise ParseError(ln, f"expected a token line, got {line!r}")
         token_sets.append(_parse_tokens(ln, line, n))
     if len(token_sets) < 2:
-        raise ParseError(last, "expected two token lines")
-    if len(tail_lines) > 2:
-        raise ParseError(tail_nums[2], "unexpected trailing content")
+        raise ParseError(nums[-1], "expected two token lines")
+    if len(tokens) > 2:
+        raise ParseError(nums[first + 2], "unexpected trailing content")
     d_s, d_t = token_sets
     if d_s.total != d_t.total:
-        raise ParseError(header, f"token blocks differ in size: {d_s.total} vs {d_t.total}")
+        raise ParseError(nums[0], f"token blocks differ in size: {d_s.total} vs {d_t.total}")
     return Instance(kind=kind, graph=graph, rep=rep, d_s=d_s, d_t=d_t)
-
-
-def _parse_normal_instance(text: str) -> Instance | None:
-    """The instance of a text in normal form; None for any other text."""
-    head = _normal_header(text)
-    if head is None:
-        return None
-    header, end = head
-    kind, n = _instance_header(1, header)
-    # the block runs up to the first line that starts with "tokens"
-    at = text.find("\ntokens", end)
-    if at < 0:
-        return None
-    width = 3 if kind == "intervals" else 2
-    flat = _read_block(text[end + 1 : at], width)
-    tokens = text[at + 1 : len(text) - text.endswith("\n")].split("\n")
-    if flat is None or kind == "intervals" and len(flat) != 3 * n or len(tokens) != 2:
-        return None
-    tokens = [line.strip() for line in tokens]
-    if not tokens[1]:
-        return None
-    first = 2 + len(flat) // width
-    structure = _structure_from(1, kind, n, range(2, first), flat)
-    del flat
-    return _instance_from(1, kind, n, structure, ([first, first + 1], tokens), first + 1)
 
 
 def parse_instance(text: str) -> Instance:
     """Parse an instance file; raises ParseError with a line number on bad input."""
-    inst = _parse_normal_instance(text)
-    if inst is not None:
-        return inst
-    nums, lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "empty instance")
-    lineno = nums[0]
-    kind, n = _instance_header(lineno, lines[0])
-    if kind == "intervals":
-        stop = n + 1
-        flat = _read_block("\n".join(lines[1:stop]), 3)
-        if flat is None or len(lines) < stop:
-            flat = _read_lines(nums[1:stop], lines[1:stop], 3, _interval_check(n))
-        if len(lines) < stop:
-            raise ParseError(nums[-1], f"expected {n} interval lines")
-    else:
-        # the edge lines run up to the first line starting with "tokens";
-        # no line holds a newline, so the first "\ntokens" starts that line
-        joined = "\n".join(lines)
-        at = joined.find("\ntokens")
-        stop = joined.count("\n", 0, at) + 1 if at >= 0 else len(lines)
-        flat = _read_block(joined[len(lines[0]) + 1 : at if at >= 0 else len(joined)], 2)
-        del joined
-        if flat is None:
-            flat = _read_lines(nums[1:stop], lines[1:stop], 2)
-    tail = (nums[stop:], lines[stop:])
-    structure = _structure_from(lineno, kind, n, nums[1:stop], flat)
-    del flat, lines
-    return _instance_from(lineno, kind, n, structure, tail, nums[-1])
+    return _parse(text, _read_instance, "empty instance")
 
 
 def _emit_tokens(tokens: TokenMultiset) -> str:
@@ -405,26 +379,29 @@ def _moves_from(
     return declared, list(zip(*[iter(flat)] * 3))
 
 
+def _read_moves(body: str, nums: Sequence[int] | None) -> tuple[int, list[tuple[int, int, int]]] | None:
+    """The move count and triples of body, whose lines ``nums`` numbers;
+    see ``_parse``.  Every line after the header is a move line."""
+    normal = nums is None
+    if normal:
+        nums = range(1, len(body) + 2)
+    end = body.find("\n") if "\n" in body else len(body)
+    declared = _moves_header(nums[0], body[:end].strip())
+    at = len(body) - body.endswith("\n")
+    # a block that ends past the header holds a line, maybe a blank one
+    flat = _read_block(body[end + 1 : at], 3) if at > end else []
+    if flat is None:
+        if normal:
+            return None
+        flat = _read_lines(nums[1:], body[end + 1 : at].split("\n"), 3, _check_move)
+    return _moves_from(nums[0], declared, nums[1:], flat)
+
+
 def parse_moves(text: str) -> tuple[int, list[tuple[int, int, int]]]:
     """Parse solver output: a 'moves N' header then one 'u v count' per line."""
-    head = _normal_header(text)
-    if head is not None:
-        header, end = head
-        declared = _moves_header(1, header)
-        flat = _read_block(text[end + 1 : len(text) - text.endswith("\n")], 3)
-        if flat is not None:
-            return _moves_from(1, declared, range(2, 2 + len(flat) // 3), flat)
-    nums, lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "empty move file")
-    lineno = nums[0]
-    declared = _moves_header(lineno, lines[0])
-    flat = _read_block("\n".join(lines[1:]), 3)
-    if flat is None:
-        flat = _read_lines(nums[1:], lines[1:], 3, _check_move)
-    return _moves_from(lineno, declared, nums[1:], flat)
+    return _parse(text, _read_moves, "empty move file")
 
 
-def emit_moves(moves: list[tuple[int, int, int]], total: int) -> str:
+def emit_moves(moves: Sequence[tuple[int, int, int]], total: int) -> str:
     # one format over the flattened triples: no string per line
     return "moves %d\n" % total + "%d %d %d\n" * len(moves) % tuple(chain.from_iterable(moves))

@@ -31,7 +31,7 @@ from itertools import chain, compress, repeat
 from operator import eq, gt
 from typing import Callable
 
-from .errors import FeasibilityError, InputError, InvariantError, MatchingError
+from .errors import FeasibilityError, InputError, InvariantError
 from .graphs import Coverage, Distances, Graph, closed_neighborhoods, is_dominating, steps_toward
 from .graphs import distances_from  # noqa: F401  perfbench's --trace 1 patches it here
 from .graphs import require_on_graph, require_same_size
@@ -175,15 +175,9 @@ def find_greedy_move(
     hits = closed_neighborhoods(g)
     cover_s, cover_t = Coverage(hits, n, d_s), Coverage(hits, n, d_t)
     pairs = m._pairs  # only read: first() never writes to it
-    left, right = cover_s.counts[:], cover_t.counts[:]
-    for (u, v), c in pairs.items():
-        require_on_graph(n, (u, v), "pair {vertices} has a vertex outside the graph")
-        left[u] -= c
-        right[v] -= c
-    if any(left):
-        raise MatchingError("source marginals do not match the left multiset")
-    if any(right):
-        raise MatchingError("target marginals do not match the right multiset")
+    for pair in pairs:
+        require_on_graph(n, pair, "pair {vertices} has a vertex outside the graph")
+    m.validate_between(d_s, d_t)
     if dist is None:
         dist = Distances(g)
     return _Worklist(g, dist, pairs, cover_s, cover_t).first()

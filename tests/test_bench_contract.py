@@ -3,17 +3,23 @@
 The traced run (``perfbench/run.py --trace 1``) wraps module attributes
 listed by ``perfbench/tracing.py::patch_points``, the repair check wraps
 ``interval_reconfig.fix_matching`` with a fixed signature, and the gadget
-search hands ``find_greedy_move`` a list of BFS rows.  A refactor that
-drops one of those names fails here rather than only in a traced run.
+search hands ``find_greedy_move`` a list of BFS rows.  Every other name
+the benchmark reaches, as ``ts.<module>.<name>`` on the imported package or
+by ``from tokenslide... import``, is resolved here too.  A refactor that
+drops or renames one of those names fails here rather than only in a
+benchmark run.
 """
 
+import ast
+import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
 import tokenslide as ts
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -41,3 +47,35 @@ def test_find_greedy_move_keeps_its_dist_parameter():
     assert params[4].name == "dist"
     assert params[4].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
     assert params[4].default is None
+
+
+def _perfbench_names():
+    """(where, module, dotted name) for every attribute chain read off the
+    name ``ts`` and every name a ``from tokenslide... import`` takes, in
+    ``perfbench/*.py``."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs = []
+                while isinstance(node, ast.Attribute):
+                    attrs.append(node.attr)
+                    node = node.value
+                if isinstance(node, ast.Name) and node.id == "ts":
+                    yield where, "tokenslide", ".".join(reversed(attrs))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tokenslide":
+                for alias in node.names:
+                    yield where, node.module, alias.name
+
+
+def test_every_name_perfbench_reaches_resolves():
+    names = list(_perfbench_names())
+    found = {(module, name) for _, module, name in names}
+    # the walk sees both ways in: chains on ts and imports inside functions
+    assert ("tokenslide", "instances.parse_moves") in found
+    assert ("tokenslide.generators", "heavy_path_instance") in found
+    for where, module, name in names:
+        owner = importlib.import_module(module)
+        for attr in name.split("."):
+            assert hasattr(owner, attr), f"{where}: {module}.{name} does not resolve"
+            owner = getattr(owner, attr)

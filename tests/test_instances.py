@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import random
 import re
@@ -330,10 +331,11 @@ READER_OPS = (
 def test_bulk_reader_agrees_with_the_line_by_line_reader():
     """Comments, blank lines, other line breaks, extra or missing fields,
     odd spacing, odd integer spellings, out-of-range ids, self-loops,
-    self-moves, repeated lines and missing or trailing lines: the bulk
-    reader gives the same instance, or the same error text, as the
-    line-by-line reader it replaced.  Most texts end their lines in \\n, and
-    several hundred of them are read without the line reader."""
+    self-moves, repeated lines and missing or trailing lines: the reader
+    of each file kind gives the same instance, or the same error text, as
+    the line-by-line reference in ``helpers``.  Most texts end their lines
+    in \\n, and several hundred of them are read in normal form, without
+    ``_content_lines``."""
     normal = 0
 
     @settings(max_examples=1500, derandomize=True, database=None, deadline=None)
@@ -479,3 +481,50 @@ def test_a_bad_line_near_the_end_is_named(which, bad, message):
     with pytest.raises(ParseError, match=f"^{re.escape(message.format(len(lines) - 4))}$"):
         parse(text)
     assert _outcome(parse, text) == _outcome(reference, text)
+
+
+MOVES = "moves 3\n0 1 2\n2 3 1\n"
+INTERVALS_1 = "intervals 1\n0 1 4\n1 3 6\ntokens 1: 0\ntokens 1: 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,expected,line_reader",
+    [
+        (P4_TREE + "\n", "ok", True),  # a blank line after the token lines
+        (P4_TREE + "  \n", "ok", True),
+        (P4_TREE + "\t", "ok", True),
+        (P4_TREE + "tokens 2: 1 3\n", "line 7: unexpected trailing content", True),
+        (P4_TREE.replace("tokens 2: 1", "  tokens 2: 1"), "ok", False),  # stripped as the line reader strips it
+        (P4_TREE.replace("tokens 2: 1", "\ntokens 2: 1"), "ok", True),
+        (P4_TREE[: P4_TREE.rindex("tokens")] + "\n", "line 5: expected two token lines", True),
+        (P4_TREE[: P4_TREE.rindex("tokens")] + " \n", "line 5: expected two token lines", True),
+        (TWO_INTERVALS.replace("intervals 2", "intervals 3"), "line 4: expected integers, got 'tokens 1: 0'", True),
+        (INTERVALS_1, "line 3: expected a token line, got '1 3 6'", True),
+        ("tree 1\n\ntokens 1: 5\ntokens 1: 0\n", "line 3: token vertex 5 out of range for 1 vertices", True),
+        ("graph 2\n\ntokens 1: 1\ntokens 1: 0\n", "ok", True),  # a blank line where the block would be
+        ("", "line 1: empty instance", True),
+        ("\n", "line 1: empty instance", True),
+        (MOVES + "\n", "ok", True),
+        ("moves 0\n\n", "ok", True),
+        ("", "line 1: empty move file", True),
+        ("\n", "line 1: empty move file", True),
+    ],
+)
+def test_where_normal_form_reading_stops(text, expected, line_reader):
+    """Texts that pass the whole-text test of normal form, or nearly: the
+    same value or error text as the line-by-line reference, the line reader
+    run exactly when the text is not in normal form, and a valid text's
+    structure built once."""
+    moves = text.startswith("moves") or "move file" in expected
+    parse, reference = (parse_moves, reference_parse_moves) if moves else (parse_instance, reference_parse_instance)
+    builders = ("peel_tree", "_graph_from", "intersection_graph", "_moves_from")
+    with contextlib.ExitStack() as stack:
+        lines = stack.enter_context(mock.patch.object(instances, "_content_lines", wraps=instances._content_lines))
+        built = [stack.enter_context(mock.patch.object(instances, b, wraps=getattr(instances, b))) for b in builders]
+        outcome = _outcome(parse, text)
+    assert outcome == _outcome(reference, text)
+    assert outcome[0] == "ok" if expected == "ok" else outcome == ("ParseError", expected)
+    assert lines.called == line_reader
+    if expected == "ok":
+        # a tree goes through _graph_from and peel_tree, once each
+        assert max(b.call_count for b in built) == 1

@@ -164,55 +164,37 @@ def _cmd_match(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _heavy_path_pile(n: int):
-    # heavy path traffic: quadratically many unit moves, linearly many triples
-    return heavy_path_instance(n, max(1, n // 10))
+def _bench_point(kind: str, n: int, seed: int) -> tuple[int, float]:
+    """Total moves and wall ms of one ladder point.
 
-
-def _bench_tree_point(n: int) -> tuple[int, float]:
-    graph, d_s, d_t = _heavy_path_pile(n)
-    tree = RootedTree(graph, 0)
-    t0 = time.perf_counter()
-    seq = reconf_tree_dominating(tree, d_s, d_t)
-    elapsed = time.perf_counter() - t0
-    return seq.total_length, elapsed * 1000.0
-
-
-def _heavy_path_pile_text(n: int) -> str:
-    graph, d_s, d_t = _heavy_path_pile(n)
-    return emit_instance(Instance("tree", graph, None, d_s, d_t))
-
-
-def _bench_verify_point(n: int) -> tuple[int, float]:
-    # on the parsed instance, as ``tokenslide verify`` sees it: the replay
-    # runs on the peeled tree's parent array
-    inst = parse_instance(_heavy_path_pile_text(n))
-    seq = reconf_tree_dominating(RootedTree(inst.graph, 0), inst.d_s, inst.d_t)
-    t0 = time.perf_counter()
-    pred = dominating_predicate(inst.graph)
-    failure = sequence_failure(inst.graph, pred, inst.d_s, inst.d_t, seq, optimal=False)
-    elapsed = time.perf_counter() - t0
-    if failure is not None:
-        raise InvariantError(f"the tree solver's sequence does not verify: {failure}")
-    return seq.total_length, elapsed * 1000.0
-
-
-def _bench_parse_point(n: int) -> tuple[int, float]:
-    text = _heavy_path_pile_text(n)
+    ``interval`` times the interval solver on
+    ``gen_bench_interval_instance(n, seed)``.  The tree kinds emit one
+    heavy-path pile (quadratically many unit moves, linearly many triples),
+    parse, root, solve and verify it as ``tokenslide solve`` and ``verify``
+    do, and time the phase the kind names: ``parse`` (``parse_instance``
+    and ``RootedTree``), ``tree`` (the solver) or ``verify`` (the replay).
+    """
+    if kind == "interval":
+        inst = gen_bench_interval_instance(n, seed)
+        assert inst.rep is not None
+        t0 = time.perf_counter()
+        seq = reconf_interval(inst.rep, inst.d_s, inst.d_t)
+        return (seq.total_length if seq is not None else -1), (time.perf_counter() - t0) * 1000.0
+    graph, d_s, d_t = heavy_path_instance(n, max(1, n // 10))
+    text = emit_instance(Instance("tree", graph, None, d_s, d_t))
     t0 = time.perf_counter()
     inst = parse_instance(text)
     tree = RootedTree(inst.graph, 0)
-    elapsed = time.perf_counter() - t0
-    return reconf_tree_dominating(tree, inst.d_s, inst.d_t).total_length, elapsed * 1000.0
-
-
-def _bench_interval_point(n: int, seed: int) -> tuple[int, float]:
-    inst = gen_bench_interval_instance(n, seed)
-    assert inst.rep is not None
-    t0 = time.perf_counter()
-    seq = reconf_interval(inst.rep, inst.d_s, inst.d_t)
-    elapsed = time.perf_counter() - t0
-    return (seq.total_length if seq is not None else -1), elapsed * 1000.0
+    t1 = time.perf_counter()
+    seq = reconf_tree_dominating(tree, inst.d_s, inst.d_t)
+    t2 = time.perf_counter()
+    pred = dominating_predicate(inst.graph)
+    failure = sequence_failure(inst.graph, pred, inst.d_s, inst.d_t, seq, optimal=False)
+    t3 = time.perf_counter()
+    if failure is not None:
+        raise InvariantError(f"the tree solver's sequence does not verify: {failure}")
+    elapsed = {"parse": t1 - t0, "tree": t2 - t1, "verify": t3 - t2}[kind]
+    return seq.total_length, elapsed * 1000.0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -231,14 +213,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise InputError("no sizes given")
     print("n,total_moves,wall_ms")
     for n in sizes:
-        if args.kind == "tree":
-            total, ms = _bench_tree_point(n)
-        elif args.kind == "verify":
-            total, ms = _bench_verify_point(n)
-        elif args.kind == "parse":
-            total, ms = _bench_parse_point(n)
-        else:
-            total, ms = _bench_interval_point(n, args.seed + n)
+        total, ms = _bench_point(args.kind, n, args.seed + n)
         print(f"{n},{total},{ms:.2f}")
     return EXIT_OK
 

@@ -11,7 +11,6 @@ from collections import deque
 from collections.abc import Collection, Iterable, Sequence
 from itertools import repeat
 from operator import itemgetter, lt, or_, setitem
-from types import MappingProxyType
 
 from .errors import FeasibilityError, InputError, SizeMismatchError
 from .multiset import TokenMultiset
@@ -23,12 +22,16 @@ UNREACHABLE = -1
 class Graph:
     """Immutable undirected graph given by symmetric adjacency lists.
 
-    ``Graph(n, edges)`` checks every edge.  Two builders skip that list and
-    equal the graph it would give: a tree from ``peel_tree`` holds its
-    parent array, rooted at 0, and builds its adjacency from it on the
-    first read; ``intersection_graph`` hands its rows, sorted, to
-    ``_from_rows``.  A graph keeps no distance row: each ``Distances``
-    table owns the rows it reads.
+    ``Graph(n, edges)`` checks every edge.  Two builders skip that list,
+    through ``_from_rows``, and equal the graph it would give:
+    ``intersection_graph`` hands over its rows, sorted; a tree from
+    ``peel_tree`` holds only its parent array, rooted at 0 (``_parent``),
+    and leaves ``_adj`` None until ``adjacency`` builds the rows from it on
+    the first read, which is the only place that happens.  Until then
+    ``has_edge`` reads the parent array, and every other reader of the rows
+    goes through ``adjacency``.  An eager tree gets ``_parent`` too when a
+    ``RootedTree`` first roots it at 0.  A graph keeps no distance row: each
+    ``Distances`` table owns the rows it reads.
     """
 
     __slots__ = ("n", "edge_count", "_adj", "_closed", "_chains", "_parent")
@@ -48,7 +51,7 @@ class Graph:
             row.sort()
             if len(set(row)) < len(row):  # a repeated edge
                 row[:] = sorted(set(row))
-        self._adj = tuple(map(tuple, adj))
+        self._adj: tuple[tuple[int, ...], ...] | None = tuple(map(tuple, adj))
         self.edge_count = sum(map(len, adj)) // 2
         self._closed: _ClosedNeighborhoods | None = None  # see closed_neighborhoods
         self._chains = None  # an interval graph's distance queries, see Distances
@@ -56,92 +59,66 @@ class Graph:
         self.n = n
 
     @classmethod
-    def _from_rows(cls, adj: tuple[tuple[int, ...], ...]) -> Graph:
+    def _from_rows(
+        cls, adj: tuple[tuple[int, ...], ...] | None, parent: list[int] | None = None
+    ) -> Graph:
         """The graph with these adjacency rows, taken unchecked: the caller
         guarantees that they are symmetric, sorted by id, and free of
-        self-loops and repeats."""
+        self-loops and repeats.  With adj None, the tree with this parent
+        array instead, rooted at 0 (its own parent), its rows unbuilt."""
         g = cls.__new__(cls)
+        g.n = len(parent) if adj is None else len(adj)
+        g.edge_count = g.n - 1 if adj is None else sum(map(len, adj)) // 2
         g._adj = adj
-        g.edge_count = sum(map(len, adj)) // 2
+        g._parent = parent
         g._closed = None
         g._chains = None
-        g._parent = None
-        g.n = len(adj)
         return g
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self._adj
+        adj = self._adj
+        if adj is None:  # a tree from peel_tree, read for the first time
+            rows: list[list[int]] = [[] for _ in range(self.n)]
+            for v, p in enumerate(self._parent):
+                if v != p:
+                    rows[p].append(v)
+                    rows[v].append(p)
+            for row in rows:
+                row.sort()
+            self._adj = adj = tuple(map(tuple, rows))
+        return adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return self.adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             return False
+        if self._adj is None:
+            # read off the parent array, so the adjacency stays unbuilt;
+            # u != v keeps the root, its own parent, from an edge to itself
+            parent = self._parent
+            return u != v and (parent[u] == v or parent[v] == u)
         # adjacency tuples are sorted: O(log deg), even at a star's centre
         nbrs = self._adj[u]
         i = bisect_left(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
+        adj = self.adjacency
+        return [(u, v) for u in range(self.n) for v in adj[u] if u < v]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self.n == other.n and self.adjacency == other.adjacency
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self.adjacency))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-class _PeeledTree(Graph):
-    """A tree from ``peel_tree``: its parent array alone (vertex 0 is the
-    root, its own parent), with the adjacency left unset.
-
-    The solve path of a tree reads neither the adjacency nor the depths, so
-    the adjacency is built from the parent array on the first read instead
-    of by the parser, and ``RootedTree.depth`` by a BFS on the first read
-    of it.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, parent: list[int]):
-        self.n = len(parent)
-        self.edge_count = self.n - 1
-        self._parent = parent
-        self._closed = None
-        self._chains = None
-
-    def has_edge(self, u: int, v: int) -> bool:
-        # read off the parent array, so the adjacency stays unbuilt; u != v
-        # keeps the root, its own parent, from an edge to itself
-        n = self.n
-        parent = self._parent
-        return 0 <= u < n and 0 <= v < n and u != v and (parent[u] == v or parent[v] == u)
-
-    def __getattr__(self, name: str):
-        # Python calls this only when the normal lookup fails: for _adj, on
-        # its first read.  It also slows every other lookup on the class,
-        # which is why eager graphs are plain Graphs and this one turns into
-        # one as soon as its adjacency is built.
-        if name != "_adj":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for v, p in enumerate(self._parent):
-            if v != p:
-                adj[p].append(v)
-                adj[v].append(p)
-        for row in adj:
-            row.sort()
-        self._adj = adj = tuple(map(tuple, adj))
-        self.__class__ = Graph
-        return adj
 
 
 def distances_from(g: Graph, s: int) -> list[int]:
@@ -271,7 +248,7 @@ def peel_tree(n: int, ends: list[int]) -> Graph | None:
     lo, hi = ends[::2], ends[1::2]
     parent = _lower_end_parents(n, lo, hi)
     if parent is not None:
-        return _PeeledTree(parent)
+        return Graph._from_rows(None, parent)
     deg = [0] * n
     xr = [0] * n
     for u, v in zip(lo, hi):
@@ -292,7 +269,7 @@ def peel_tree(n: int, ends: list[int]) -> Graph | None:
             deg[p] -= 1
             v = p
     # a peeled v keeps xr[v] = its parent; 0 is left with xr[0] = 0
-    return _PeeledTree(xr) if peeled == n - 1 else None
+    return Graph._from_rows(None, xr) if peeled == n - 1 else None
 
 
 def _lower_end_parents(n: int, lo: list[int], hi: list[int]) -> list[int] | None:
@@ -314,12 +291,13 @@ class RootedTree:
     ``order`` lists vertices by decreasing depth (ties by increasing id), so
     every vertex appears before its parent; it is sorted on first read, and
     the solver never reads it.  The root is its own parent.
-    Rooted at 0, a graph from ``peel_tree`` hands over its parent array,
-    which it keeps, so it is read-only, and neither a BFS nor the adjacency
-    is needed; ``depth`` is then the root's BFS row, computed on its first
-    read, which the solver never makes.  Any other graph or root is checked
-    by ``check_tree``: ``depth`` is the root's BFS row, and the parents come
-    from it.
+    Rooted at 0, a graph that holds ``graph._parent`` (from ``peel_tree``,
+    or rooted at 0 before) hands it over, and the tree keeps it, so it is
+    read-only; neither a BFS runs nor is the adjacency built, and ``depth``
+    is the root's BFS row, computed on its first read, which the solver
+    never makes.  Any other graph or root is checked by ``check_tree``:
+    ``depth`` is the root's BFS row, and the parents come from it; rooted
+    at 0, the graph then keeps them as ``_parent``.
     """
 
     __slots__ = ("graph", "root", "parent", "_depth", "_order")
@@ -343,6 +321,8 @@ class RootedTree:
                     if depth[u] == up:
                         parent[w] = u
                         break
+            if root == 0:  # kept on the graph, as peel_tree's: is_dominating reads it
+                graph._parent = parent
         self.graph = graph
         self.root = root
         self.parent = parent
@@ -436,22 +416,22 @@ class SetSystem:
 def is_dominating(g: Graph, tokens: TokenMultiset) -> bool:
     """True iff every vertex is in the support or adjacent to it.
 
-    One union, in C, of N[x] over the support, taken from the graph's N[v]
-    table, which builds the sets it does not hold yet; after a tracker of
-    the same tokens has read them, only the union is left to do.
+    On a tree that holds its parent array (from ``peel_tree`` or rooted at
+    0 by ``RootedTree``) it reads that array: v is dominated iff v, its
+    parent or one of its children holds a token.  Domination
+    does not depend on the root, so this holds however the tree is rooted.
+    Any other graph takes one union, in C, of N[x] over the support, from
+    the graph's N[v] table, which builds the sets it does not hold yet;
+    after a tracker of the same tokens has read them, only the union is
+    left to do.
     """
     support = tokens._counts.keys()
     require_on_graph(g.n, support)
-    closed = closed_neighborhoods(g)
-    return len(set().union(*map(closed.__getitem__, support))) == g.n
-
-
-def is_dominating_tree(tree: RootedTree, tokens: TokenMultiset) -> bool:
-    """``is_dominating(tree.graph, tokens)`` read off the parent array: v is
-    dominated iff v, its parent or one of its children holds a token."""
-    support = tokens.support
-    require_on_graph(tree.n, support)
-    parent = tree.parent
+    parent = g._parent
+    if parent is None:
+        closed = closed_neighborhoods(g)
+        return len(set().union(*map(closed.__getitem__, support))) == g.n
+    support = frozenset(support)  # probed n times below: a set answers faster than a view
     covered = [p in support for p in parent]  # the parent holds a token
     for v in support:
         covered[v] = covered[parent[v]] = True
@@ -505,7 +485,7 @@ def closed_neighborhoods(g: Graph) -> _ClosedNeighborhoods:
     """
     table = g._closed
     if table is None:
-        table = g._closed = _ClosedNeighborhoods(g._adj)
+        table = g._closed = _ClosedNeighborhoods(g.adjacency)
     return table
 
 
@@ -522,10 +502,6 @@ class Coverage:
     reads ``hits``, so trackers on one graph share its cached N[v] table,
     which builds only the sets they read.
     Callers read ``counts`` but change it only through ``slide``.
-
-    ``Coverage.around`` builds a tracker for the slides out of one vertex
-    u alone: it holds hit counts for the sets in N[u] only, which is all
-    that ``can_slide(u, w)`` reads for w in N[u].
     """
 
     __slots__ = ("hits", "counts", "hit_counts")
@@ -546,24 +522,6 @@ class Coverage:
         self.hits = hits
         self.counts = counts
         self.hit_counts = hit
-
-    @classmethod
-    def around(cls, closed: _ClosedNeighborhoods, tokens: TokenMultiset, u: int) -> Coverage:
-        """A tracker of tokens on the N[v] table ``closed`` that answers
-        ``can_slide(u, w)`` for w = u and w in N(u), and nothing else.
-
-        N[s] holds x iff N[x] holds s, so the hit count of N[s] is the
-        number of occupied vertices in N[s]; it is counted for the sets in
-        N[u] only, in O(sum of |N[s]|) and without an n-long list.  The
-        counts are a read-only view of the tokens, so ``slide`` raises.  The
-        caller checks that u and the tokens lie on the graph.
-        """
-        counts = tokens._counts  # a Counter: 0 off the support
-        cover = cls.__new__(cls)
-        cover.hits = closed
-        cover.counts = MappingProxyType(counts)
-        cover.hit_counts = {s: sum(map(counts.__contains__, closed[s])) for s in closed[u]}
-        return cover
 
     @property
     def feasible(self) -> bool:

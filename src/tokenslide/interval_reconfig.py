@@ -219,12 +219,13 @@ def fix_matching(
     internal invariant violation.
 
     The repair works on v's neighbourhood, not on the whole configuration:
-    the candidates are v's neighbours, and the slide test is
-    ``Coverage.can_slide`` on a tracker that counts hits only for the sets
-    in N[v] (``Coverage.around``).  The pairs dict keeps the caller's
-    orientation when the problem is transposed; the partners of v and of
-    each y scanned are read off its keys, and the exchange writes the keys
-    back in that orientation.  What still reads every pair or token runs in
+    the candidates are v's neighbours, and y passes the slide test iff N[y]
+    holds every set in N[v] that only v's token hits (none if v holds two
+    or more).  That is ``Coverage.can_slide(v, y)`` without a tracker: a
+    set that only v hits holds no occupied y.  The pairs dict keeps the
+    caller's orientation when the problem is transposed; the partners of v
+    and of each y scanned are read off its keys, and the exchange writes
+    the keys back in that orientation.  What still reads every pair or token runs in
     C: validating and normalising the matching once, finding v among the
     ends of the non-self pairs, and checking that the source side
     dominates (``is_dominating``).
@@ -258,13 +259,15 @@ def fix_matching(
         """The pairs key that matches source s to target t."""
         return (t, s) if transposed else (s, t)
 
-    cover = Coverage.around(closed_neighborhoods(g), d_s, v)
+    closed = closed_neighborhoods(g)
+    # the sets of N[v] that only v's token hits, none if v holds two
+    lone = set() if cs[v] > 1 else {s for s in closed[v] if sum(map(cs.__contains__, closed[s])) == 1}
     dist = Distances(g) if _dist is None else _dist
     nbrs = g.neighbors(v)
     surplus = map(gt, map(ct.get, nbrs, repeat(0)), map(cs.get, nbrs, repeat(0)))
     v_partners = _partners(sources, targets, v)
     for y in sorted(compress(nbrs, surplus), key=right):
-        if not cover.can_slide(v, y):
+        if not closed[y].issuperset(lone):
             continue
         y_partners = _partners(targets, sources, y)
         for v2 in v_partners:

@@ -6,10 +6,12 @@ component, and stops with StateCapExceeded once it passes its state cap.
 States are token multisets; feasibility predicates look only at the support
 and receive it as a bit mask, which keeps the BFS inner loop cheap.  The
 upward-closed predicates (dominating, hitting) also carry ``tracker(n,
-start)``, which builds the tracker of start's tokens on an n-vertex graph on
-which ``verify_sequence`` replays a sequence one triple at a time: a
-``graphs.TreeCoverage`` on the parent array of a tree from ``peel_tree``,
-and a ``graphs.Coverage`` on N[v] sets or on a family's sets otherwise.
+start)``, which builds the tracker of start's tokens on an n-vertex graph:
+a ``graphs.TreeCoverage`` on the parent array of a tree that holds one
+(``_parent``: a tree from ``peel_tree``, or one rooted at 0), and a
+``graphs.Coverage`` on N[v] sets or on a family's sets otherwise.  ``verify_sequence`` replays a
+sequence on it one triple at a time, and ``_bfs`` checks both ends with it,
+so an infeasible end is rejected before any mask is built.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ def dominating_predicate(g: Graph) -> Predicate:
     """Feasible iff the support dominates g.
 
     The mask table is built on the first call: it is quadratic in n, and
-    ``verify_sequence`` never calls the predicate, only ``tracker``.  On a
-    tree from ``peel_tree`` the tracker reads the parent array alone, so a
-    replay builds neither the adjacency nor any N[v] set.
+    neither ``verify_sequence`` nor the end checks of the search call the
+    predicate, only ``tracker``.  On a tree that holds its parent array the
+    tracker reads that array alone, so a replay builds neither the adjacency
+    nor any N[v] set.
     """
     full = (1 << g.n) - 1
     closed: list[int] = []
@@ -119,10 +122,12 @@ def _bfs(g: Graph, pred: Predicate, start: TokenMultiset, goal: TokenMultiset, c
         raise InputError(f"state cap must be at least 1, got {cap}")
     require_same_size(start, goal)
     require_on_graph(g.n, start.support | goal.support)
-    if not pred(start.support_mask):
-        raise FeasibilityError("start configuration is infeasible")
-    if not pred(goal.support_mask):
-        raise FeasibilityError("goal configuration is infeasible")
+    tracker = getattr(pred, "tracker", None)
+    for tokens, label in ((start, "start"), (goal, "goal")):
+        # a tracker decides without the predicate's masks, Theta(n^2) bits
+        # for domination, which an infeasible end would build for nothing
+        if not (tracker(g.n, tokens).feasible if tracker else pred(tokens.support_mask)):
+            raise FeasibilityError(f"{label} configuration is infeasible")
     adj = g.adjacency
     start_key = start.key()
     depth = {start_key: 0}
@@ -282,4 +287,6 @@ def sequence_failure(
 
 
 def _is_tree(g: Graph) -> bool:
-    return g.edge_count == g.n - 1 and UNREACHABLE not in distances_from(g, 0)
+    # a graph that holds a parent array is a tree; any other graph runs a BFS
+    tree_sized = g.edge_count == g.n - 1
+    return g._parent is not None or tree_sized and UNREACHABLE not in distances_from(g, 0)

@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import setitem
 
 from .errors import FeasibilityError, InvariantError
-from .graphs import RootedTree, SetSystem, is_dominating_tree, require_hitting, require_on_graph
+from .graphs import RootedTree, SetSystem, is_dominating, require_hitting, require_on_graph
 from .graphs import require_same_size
 from .graphs import closed_neighborhood_system  # noqa: F401  perfbench's --trace 1 patches it here
 from .moves import MoveSequence
@@ -47,13 +47,13 @@ def reconf_tree_dominating(
     """Dominating-set specialization: hit the family of closed neighborhoods.
 
     Every closed neighborhood of a tree is a star, hence a subtree, so the
-    family needs no validation and is never built: domination is checked on
-    the parent array, and the tree's adjacency is never read.  The target
-    is checked only around the vertices whose counts differ from the
-    start's (``_dominates_around``).
+    family needs no validation and is never built.  On a tree that holds
+    its parent array (see ``RootedTree``) domination is checked on that
+    array, and the tree's adjacency is never read.  The target is checked only around the
+    vertices whose counts differ from the start's (``_dominates_around``).
     """
     require_same_size(d_s, d_t)
-    if not is_dominating_tree(tree, d_s):
+    if not is_dominating(tree.graph, d_s):
         raise FeasibilityError("start configuration is not dominating")
     differ = _differ(d_s, d_t)
     if not _dominates_around(tree, d_t, differ):
@@ -72,7 +72,7 @@ _CHILD_SCANS = 4
 
 
 def _dominates_around(tree: RootedTree, tokens: TokenMultiset, differ: set[int]) -> bool:
-    """``is_dominating_tree(tree, tokens)``, given a dominating configuration
+    """``is_dominating(tree.graph, tokens)``, given a dominating configuration
     whose counts differ from the tokens' on the vertices ``differ`` alone.
 
     Only a vertex x with N[x] meeting ``differ`` can have lost its last
@@ -88,7 +88,7 @@ def _dominates_around(tree: RootedTree, tokens: TokenMultiset, differ: set[int])
     held = tokens._counts.__contains__
     emptied = [v for v in differ if not held(v)]
     if len(emptied) > _CHILD_SCANS:
-        return is_dominating_tree(tree, tokens)
+        return is_dominating(tree.graph, tokens)
     parent = tree.parent
     near = set(differ)
     near.update(map(parent.__getitem__, differ))

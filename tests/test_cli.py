@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tokenslide.cli import main
 from tokenslide.errors import InvariantError, MatchingError
 from tokenslide.generators import heavy_path_instance
-from tokenslide.graphs import Graph, RootedTree, _PeeledTree
+from tokenslide.graphs import Graph, RootedTree
 from tokenslide.instances import Instance, emit_instance, emit_moves, parse_instance
 from tokenslide.interval_reconfig import reconf_interval
 from tokenslide.intervals import normalize_representation
@@ -180,8 +180,8 @@ class TestVerify:
     @pytest.mark.parametrize("moves", ["moves 2\n0 1 1\n2 3 1\n", "moves 1\n1 0 1\n", "moves 1\n0 2 1\n"])
     def test_tree_replay_builds_no_adjacency(self, moves, p4_file, tmp_path, capsys, monkeypatch):
         """A tree file's replay reads the parent array alone, whether the
-        sequence passes or fails: its graph stays a peeled tree with no
-        N[v] table."""
+        sequence passes or fails: its graph keeps no adjacency and no N[v]
+        table."""
         parsed = []
 
         def recording(text):
@@ -194,7 +194,7 @@ class TestVerify:
         main(["verify", p4_file, str(mf)])
         capsys.readouterr()
         (inst,) = parsed
-        assert type(inst.graph) is _PeeledTree and inst.graph._closed is None
+        assert inst.graph._adj is None and inst.graph._closed is None
 
     def test_billions_of_moves(self, tmp_path, capsys):
         n = 100_000
@@ -241,6 +241,25 @@ class TestOracle:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"infeasible: {bad} configuration is infeasible\n"
+
+    def test_infeasible_start_on_a_wide_graph_in_little_memory(self, tmp_path):
+        """On 10^5 vertices and one edge the answer comes from the tracker,
+        not from the predicate's N[v] masks (10^5 masks of 10^5 bits, over a
+        gigabyte): the child, whose address space it caps at 200 MB itself,
+        prints the verdict instead of running out of memory."""
+        f = tmp_path / "wide.txt"
+        f.write_text("graph 100000\n0 1\ntokens 1: 0\ntokens 1: 1\n")
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))\n"
+            "from tokenslide.cli import main\n"
+            f"sys.exit(main(['oracle', {str(f)!r}]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=child_env()
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "infeasible: start configuration is infeasible\n"
 
     @pytest.mark.parametrize("dot", [[], ["--dot"]], ids=["distance", "dot"])
     @pytest.mark.parametrize("cap", ["0", "-1"])

@@ -21,6 +21,7 @@ from tokenslide import (
     hitting_predicate,
     is_dominating,
     is_hitting,
+    parse_instance,
     succ_set,
 )
 from tokenslide import graphs
@@ -34,10 +35,8 @@ from tokenslide.graphs import (
     Coverage,
     Distances,
     TreeCoverage,
-    _PeeledTree,
     check_tree,
     closed_neighborhoods,
-    is_dominating_tree,
     peel_tree,
     require_on_graph,
     steps_toward,
@@ -330,14 +329,12 @@ def _check_peel(n, ends, rng):
     if eager is None:
         return False
     tree = RootedTree(peeled, 0)
-    assert tree._depth is None  # computed on the first read below
-    with pytest.raises(AttributeError):
-        Graph._adj.__get__(peeled)  # the slot itself, without __getattr__ filling it
+    assert tree._depth is None and peeled._adj is None  # both built by the depth read below
     expected = RootedTree(eager, 0)
     assert (tree.parent, tree.depth, tree.order) == (expected.parent, expected.depth, expected.order)
     assert peeled.edge_count == eager.edge_count == n - 1
     assert peeled.adjacency == eager.adjacency  # built from the parent array by the depth read
-    assert type(peeled) is Graph  # and later lookups take the plain path
+    assert peeled._adj is peeled.adjacency  # and kept
     assert peeled == eager and peeled.edges() == eager.edges()
     root = rng.randrange(n)  # any other root roots the lazily built adjacency by BFS
     other, expected = RootedTree(peeled, root), RootedTree(eager, root)
@@ -404,29 +401,38 @@ def test_peel_rejects_a_detached_component(n, edges):
     assert _eager_tree(n, [x for e in edges for x in e]) is None
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(
-    st.integers(1, 12),
-    st.integers(0, 2**32 - 1),
-    st.booleans(),
-    st.lists(st.integers(-2, 13), max_size=8),
-)
-def test_domination_on_the_parent_array(n, seed, peeled, ids):
-    """is_dominating_tree agrees with is_dominating on the eager graph, for
-    any root, and names the same lowest vertex outside the graph."""
-    rng = random.Random(seed)
-    ends = _shuffled_tree_ends(n, rng)
-    g = Graph(n, zip(ends[::2], ends[1::2]))
-    tree = RootedTree(peel_tree(n, ends), 0) if peeled else RootedTree(g, rng.randrange(n))
-    tokens = TokenMultiset(ids)
+def test_domination_on_the_parent_array():
+    """On 2 000 seeded trees parsed from their edge lines (increasing ids
+    and shuffled ones) and rooted anywhere, ``is_dominating`` on the tree's
+    graph, which reads its root-0 parent array, agrees with the N[x] union
+    on the eager graph of the same edges, and names the same lowest vertex
+    outside the graph."""
+    rng = random.Random(3101)
+    seen = collections.Counter()
+    for case in range(2000):
+        n = rng.randrange(1, 15)
+        ends = _increasing_tree_ends(n, rng) if case % 2 else _shuffled_tree_ends(n, rng)
+        text = f"tree {n}\n" + "".join(f"{u} {v}\n" for u, v in zip(ends[::2], ends[1::2]))
+        root = rng.randrange(n)
+        tree = RootedTree(parse_instance(text + "tokens 1: 0\ntokens 1: 0\n").graph, root)
+        eager = Graph(n, zip(ends[::2], ends[1::2]))
+        assert tree.graph._parent is not None and eager._parent is None
+        ids = rng.choices(range(n), k=rng.randrange(0, n + 1))
+        if rng.random() < 0.1:
+            ids.append(rng.choice((-2, -1, n, n + 3)))
+        tokens = TokenMultiset(ids)
 
-    def outcome(check, *args):
-        try:
-            return check(*args)
-        except InputError as exc:
-            return str(exc)
+        def outcome(g):
+            try:
+                return is_dominating(g, tokens)
+            except InputError as exc:
+                return str(exc)
 
-    assert outcome(is_dominating_tree, tree, tokens) == outcome(is_dominating, g, tokens)
+        got = outcome(tree.graph)
+        assert got == outcome(eager), case
+        seen[got if isinstance(got, bool) else "outside"] += 1
+        seen["root > 0"] += root > 0
+    assert min(seen.values()) >= 150, seen
 
 
 @given(st.integers(2, 30), st.integers(0, 2**32 - 1))
@@ -479,10 +485,11 @@ def _dominating_by_marking(g, tokens):
     st.lists(st.integers(-2, 14), max_size=14),
 )
 def test_dominating_union_is_the_marking_loop(n, kind, density, seed, ids):
-    """is_dominating, a union of N[x] tables, agrees with marking N[x] vertex
-    by vertex on plain graphs, peeled trees (asked first, before anything
-    builds their adjacency) and interval graphs, and names the same lowest
-    token outside the graph."""
+    """is_dominating, a union of N[x] tables or a scan of a peeled tree's
+    parent array, agrees with marking N[x] vertex by vertex on plain
+    graphs, peeled trees (asked first, before anything builds their
+    adjacency) and interval graphs, and names the same lowest token outside
+    the graph."""
     rng = random.Random(seed)
     if kind == "plain":
         g = _random_graph(n, density, rng)
@@ -588,10 +595,10 @@ def test_peeled_has_edge_is_the_eager_has_edge(n):
         peeled = peel_tree(n, ends)
         expected = [eager.has_edge(u, v) for u, v in pairs]
         assert [peeled.has_edge(u, v) for u, v in pairs] == expected
-        assert type(peeled) is _PeeledTree  # answered without the adjacency
+        assert peeled._adj is None  # answered without the adjacency
         assert not peeled.has_edge(0, 0)  # the root is its own parent, not its neighbour
         assert peeled.adjacency == eager.adjacency
-        assert type(peeled) is Graph
+        assert peeled._adj is not None
         assert [peeled.has_edge(u, v) for u, v in pairs] == expected
 
 

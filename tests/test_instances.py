@@ -172,7 +172,7 @@ class TestParse:
 
 
 @pytest.mark.parametrize("text", [P4_TREE, emit_instance(gen_instance("tree", 60, 20, 3))])
-def test_parse_and_root_run_one_bfs_per_tree_file(text):
+def test_parse_and_root_run_no_bfs_on_a_tree_file(text):
     with bfs_sources() as sources:
         inst = parse_instance(text)
         tree = RootedTree(inst.graph, 0)
@@ -186,9 +186,9 @@ def test_tree_solve_path_never_builds_the_adjacency(text):
     inst = parse_instance(text)
     seq = reconf_tree_dominating(RootedTree(inst.graph, 0), inst.d_s, inst.d_t)
     emit_moves(list(seq.moves), seq.total_length)
-    with pytest.raises(AttributeError):
-        Graph._adj.__get__(inst.graph)  # the slot itself, without __getattr__ filling it
-    assert inst.graph == reference_parse_instance(text).graph  # filled on this first read
+    assert inst.graph._adj is None
+    assert inst.graph == reference_parse_instance(text).graph  # built on this first read
+    assert inst.graph._adj is not None
 
 
 class TestRoundTrip:

@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,8 @@ from tokenslide.generators import (
     random_tree,
 )
 
-from tokenslide.graphs import _PeeledTree, peel_tree
+from tokenslide import oracle
+from tokenslide.graphs import peel_tree
 from tokenslide.oracle import reconfig_component, sequence_failure
 
 from helpers import shortest_slide_sequence, unit_replay
@@ -75,6 +77,23 @@ class TestDistanceBfs:
             reconfig_distance_bfs(
                 g, dominating_predicate(g), TokenMultiset([0]), TokenMultiset([1])
             )
+
+    @pytest.mark.parametrize("graph", ["plain", "peeled", "family"])
+    @pytest.mark.parametrize("search", [reconfig_distance_bfs, reconfig_component])
+    def test_an_infeasible_end_builds_no_mask(self, graph, search, monkeypatch):
+        """A predicate with a tracker decides both ends with it, in the same
+        order and with the same texts, and never reaches ``_masks``."""
+        g = path(4) if graph == "plain" else peel_tree(4, [0, 1, 1, 2, 2, 3])
+        pred = (
+            hitting_predicate(SetSystem([{0, 1}, {0, 1, 2}, {1, 2, 3}, {2, 3}]))
+            if graph == "family"
+            else dominating_predicate(g)
+        )
+        monkeypatch.setattr(oracle, "_masks", mock.Mock(side_effect=AssertionError("built masks")))
+        # the sets of the family are P4's N[v], so all three read alike
+        for start, goal, bad in (([0], [1], "start"), ([1, 2], [0, 1], "goal"), ([3], [0], "start")):
+            with pytest.raises(FeasibilityError, match=f"^{bad} configuration is infeasible$"):
+                search(g, pred, TokenMultiset(start), TokenMultiset(goal))
 
     def test_cap_exceeded(self):
         g = path(8)
@@ -358,7 +377,7 @@ def test_tree_replay_equals_unit_replay():
         peeled, eager, pred, tokens, seq = _tree_replay_case(seed)
         result = verify_sequence(peeled, dominating_predicate(peeled), tokens, seq)
         assert result == unit_replay(eager, pred, tokens, seq), seed
-        assert type(peeled) is _PeeledTree and peeled._closed is None
+        assert peeled._adj is None and peeled._closed is None
         ends_seen.update(_replay_end(eager, result))
         if eager.n < 3:
             ends_seen[f"n={eager.n}"] += 1

@@ -24,7 +24,7 @@ from tokenslide import (
     verify_sequence,
 )
 from tokenslide.generators import gen_hitting_instance, heavy_path_instance, random_tree
-from tokenslide.graphs import _PeeledTree, is_dominating_tree, peel_tree
+from tokenslide.graphs import is_dominating, peel_tree
 from tokenslide.instances import emit_instance, parse_instance
 from tokenslide.tree_reconfig import _CHILD_SCANS, _differ, _sweep
 
@@ -147,7 +147,7 @@ class TestSweepAgainstDenseReference:
             parsed = parse_instance(emit_instance(inst))
             tree = RootedTree(parsed.graph, 0)
             seq = reconf_tree_dominating(tree, parsed.d_s, parsed.d_t)
-            assert tree._depth is None and type(parsed.graph) is _PeeledTree
+            assert tree._depth is None and parsed.graph._adj is None
             eager = RootedTree(inst.graph, 0)
             assert seq.moves == _sweep(eager, inst.d_s, inst.d_t).moves == _dense_sweep(eager, inst.d_s, inst.d_t).moves
 
@@ -266,9 +266,9 @@ def _outcome(solve, tree, d_s, d_t):
 
 def _solve_with_full_checks(tree, d_s, d_t):
     """``reconf_tree_dominating`` as it read before the target was checked
-    on N[D] only: both sides by ``is_dominating_tree``."""
+    on N[D] only: both sides by ``is_dominating``."""
     for tokens, label in ((d_s, "start"), (d_t, "target")):
-        if not is_dominating_tree(tree, tokens):
+        if not is_dominating(tree.graph, tokens):
             raise FeasibilityError(f"{label} configuration is not dominating")
     return _sweep(tree, d_s, d_t)
 

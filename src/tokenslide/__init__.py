@@ -40,7 +40,7 @@ from .matching import (
     normalize_matching,
     rematch_after_slide,
 )
-from .moves import MoveSequence, compress_moves
+from .moves import MoveSequence
 from .multiset import TokenMultiset
 from .oracle import (
     DEFAULT_STATE_CAP,
@@ -77,7 +77,6 @@ __all__ = [
     "check_shortest_path_structure",
     "classify_relation",
     "closed_neighborhood_system",
-    "compress_moves",
     "distances_from",
     "dominating_predicate",
     "emit_instance",

@@ -21,6 +21,11 @@ neighbours, and its slide test counts hits only for the sets in N[v].
 What it still reads of the whole configuration (the matching's marginals
 and self pairs, the ends of its non-self pairs, the source's domination)
 it reads in C, so no repair makes a Python pass over every token.
+
+The loop keeps its output as run-length triples while it slides, one list
+of maximal runs per side, and ``MoveSequence._two_sided`` joins the two
+sides as the tree sweep's are joined: no list holds one entry per unit
+move.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .graphs import distances_from  # noqa: F401  perfbench's --trace 1 patches 
 from .graphs import require_on_graph, require_same_size
 from .intervals import IntervalRepresentation, intersection_graph
 from .matching import Matching, _pair_ends, _shift_pair, min_cost_matching, normalize_matching
-from .moves import MoveSequence, compress_moves
+from .moves import MoveSequence
 from .multiset import TokenMultiset
 
 logger = logging.getLogger(__name__)
@@ -297,17 +302,22 @@ def _greedy_moves(
     pairs: dict[tuple[int, int], int],
     cost: int,
     on_fix: FixListener | None,
-) -> list[tuple[int, int]]:
-    """The unit moves of the greedy loop from a minimum-cost matching ``pairs``
-    of cost ``cost`` between the trackers' configurations.
+) -> MoveSequence:
+    """The moves of the greedy loop from a minimum-cost matching ``pairs`` of
+    cost ``cost`` between the trackers' configurations.
 
     The trackers and ``pairs`` are changed in place.  Every slide lowers the
     matching cost by one, so the loop runs until ``cost`` moves are out.
+    The slides are kept as run-length triples as they are taken, one list
+    of maximal runs per side: a slide that repeats the last run on its side
+    adds 1 to that run's count, any other starts a new run.  The target
+    side's runs are emitted reversed, after the source side's
+    (``MoveSequence._two_sided``), so no list holds one entry per unit move.
     """
     cs, ct = cover_s.counts, cover_t.counts
     work = _Worklist(g, dist, pairs, cover_s, cover_t)
-    front: list[tuple[int, int]] = []
-    back: list[tuple[int, int]] = []
+    front: list[tuple[int, int, int]] = []
+    back: list[tuple[int, int, int]] = []
     emitted = 0
     repaired = False  # a repair that no move has followed yet
     while emitted < cost:
@@ -329,17 +339,19 @@ def _greedy_moves(
         side, a, a2, other = found
         logger.debug("move %d: side=%s %d->%d toward %d", emitted, side, a, a2, other)
         work.slide(side, a, a2, other)
-        if side == "s":
-            front.append((a, a2))
+        # a target-side slide a -> a2 is emitted reversed, as a2 -> a
+        runs, u, v = (front, a, a2) if side == "s" else (back, a2, a)
+        if runs and runs[-1][0] == u and runs[-1][1] == v:
+            runs[-1] = (u, v, runs[-1][2] + 1)
         else:
-            back.append((a2, a))
+            runs.append((u, v, 1))
         emitted += 1
     if cs != ct:
         raise InvariantError(
             f"configurations still differ after {cost} moves: "
             "reaching the target would emit more moves than the matching bound allows"
         )
-    return front + back[::-1]
+    return MoveSequence._two_sided(front, back)
 
 
 def reconf_interval(
@@ -365,5 +377,4 @@ def reconf_interval(
     if cost is None:
         return None
     m = normalize_matching(g, m, d_s, d_t)
-    moves = _greedy_moves(rep, g, Distances(g), cover_s, cover_t, m.pairs, cost, on_fix)
-    return compress_moves(moves)
+    return _greedy_moves(rep, g, Distances(g), cover_s, cover_t, m.pairs, cost, on_fix)

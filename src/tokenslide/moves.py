@@ -1,4 +1,10 @@
-"""Compressed move sequences: lists of (from, to, count) slide triples."""
+"""Compressed move sequences: lists of (from, to, count) slide triples.
+
+Both solvers build their output as runs of such triples while they slide:
+the source side's runs in order, the target side's runs to be emitted in
+reverse.  ``MoveSequence._two_sided`` joins the two sides into one
+sequence, so no solver holds a list with one entry per unit move.
+"""
 
 from __future__ import annotations
 
@@ -41,6 +47,22 @@ class MoveSequence:
         seq.total_length = sum(map(itemgetter(2), moves))
         return seq
 
+    @classmethod
+    def _two_sided(cls, front: list[tuple[int, int, int]], back: list[tuple[int, int, int]]) -> MoveSequence:
+        """The runs ``front`` in order, then the runs ``back`` in reverse,
+        taken unchecked as in ``_trusted``; ``back`` is emptied.
+
+        Where the two sides meet on one (u, v) their runs are merged.  So when
+        neither side holds two consecutive runs of one (u, v), the result is
+        the run-length encoding of the unit moves that the runs stand for.
+        """
+        if front and back and front[-1][:2] == back[-1][:2]:
+            u, v, c = front.pop()
+            back[-1] = (u, v, c + back[-1][2])
+        front.extend(reversed(back))
+        back.clear()
+        return cls._trusted(tuple(front))
+
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
         return iter(self.moves)
 
@@ -52,13 +74,3 @@ class MoveSequence:
     def __repr__(self) -> str:
         return f"MoveSequence({len(self.moves)} triples, {self.total_length} moves)"
 
-
-def compress_moves(unit_moves: Iterable[tuple[int, int]]) -> MoveSequence:
-    """Merge consecutive identical unit moves into triples."""
-    triples: list[list[int]] = []
-    for u, v in unit_moves:
-        if triples and triples[-1][0] == u and triples[-1][1] == v:
-            triples[-1][2] += 1
-        else:
-            triples.append([u, v, 1])
-    return MoveSequence(tuple(t) for t in triples)

@@ -178,7 +178,5 @@ def _sweep(
     if surplus[root]:
         raise InvariantError("leftover imbalance at the root despite equal sizes")
     del surplus, up  # n and |U| entries, freed before the triples are copied
-    front.extend(reversed(back))
-    del back
     # each triple has v != p and a count of at least 1
-    return MoveSequence._trusted(tuple(front))
+    return MoveSequence._two_sided(front, back)

@@ -166,6 +166,23 @@ def harvest_interval_stalls(max_states: int, seed_cap: int = 400):
     return tuple(out)
 
 
+def run_length(unit_moves) -> tuple[tuple[int, int, int], ...]:
+    """Consecutive equal unit moves (u, v) merged into triples (u, v, c): the
+    reference for the runs that both solvers build as they slide."""
+    triples: list[list[int]] = []
+    for u, v in unit_moves:
+        if triples and triples[-1][0] == u and triples[-1][1] == v:
+            triples[-1][2] += 1
+        else:
+            triples.append([u, v, 1])
+    return tuple(map(tuple, triples))
+
+
+def has_maximal_runs(moves) -> bool:
+    """No two consecutive triples share (u, v)."""
+    return all(a[:2] != b[:2] for a, b in zip(moves, moves[1:]))
+
+
 def unit_replay(g: ts.Graph, pred, start: ts.TokenMultiset, seq: ts.MoveSequence):
     """Reference for ``verify_sequence``: expand every triple into unit moves
     and run the mask predicate after each one."""

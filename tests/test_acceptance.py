@@ -230,14 +230,15 @@ import gc, random, sys, time
 import tokenslide as ts
 from tokenslide.generators import random_interval_representation
 
-def timed(n, seed, repeats=9):
+def instance(n, seed):
     r = random.Random(seed)
     rep = random_interval_representation(n, r, connected=True)
     verts = list(range(n))
     r.shuffle(verts)
     k = n // 50
-    a = ts.TokenMultiset(verts[:k])
-    b = ts.TokenMultiset(verts[k:2 * k])
+    return rep, ts.TokenMultiset(verts[:k]), ts.TokenMultiset(verts[k:2 * k])
+
+def timed(rep, a, b, repeats=9):
     best = None
     for _ in range(repeats):
         t0 = time.process_time()
@@ -249,9 +250,14 @@ def timed(n, seed, repeats=9):
 
 gc.collect()
 gc.disable()
-timed(2000, 1, repeats=2)  # warm numpy and allocator paths
-small = sum(timed(10_000, seed) for seed in (61, 62, 63))
-large = sum(timed(100_000, seed) for seed in (61, 62, 63))
+timed(*instance(2000, 1), repeats=2)  # warm numpy and allocator paths
+small = large = 0.0
+for seed in (61, 62, 63):
+    # one block of hot calls per size, back to back, so both sizes of a
+    # seed run in the same machine speed mode
+    cases = instance(10_000, seed), instance(100_000, seed)
+    small += timed(*cases[0])
+    large += timed(*cases[1])
 print(f"{small} {large}")
 """
     import subprocess

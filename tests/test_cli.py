@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import json
 import re
 import subprocess
 import sys
@@ -392,6 +393,71 @@ def test_repeated_endpoint_names_its_line(tmp_path, capsys):
     f.write_text("intervals 2\n0 1 2\n1 1 4\ntokens 1: 0\ntokens 1: 1\n")
     assert main(["solve", str(f)]) == 1
     assert capsys.readouterr().err == "error: line 3: interval endpoints must be pairwise distinct\n"
+
+
+# Small files that name huge sizes, and the exit codes of solve, verify
+# --optimal (against an empty move file), match, match --fast and oracle.
+ADVERSARIAL = {
+    "huge-tree": ("tree 1000000000\n0 1\ntokens 1: 0\ntokens 1: 1\n", (1, 1, 1, 1, 1)),
+    "huge-intervals": (
+        "intervals 1000000000\n0 1 4\n1 2 5\ntokens 1: 0\ntokens 1: 1\n",
+        (1, 1, 1, 1, 1),
+    ),
+    "huge-token-count": ("tree 2\n0 1\ntokens 1000000000000: 0\ntokens 1: 1\n", (1, 1, 1, 1, 1)),
+    "huge-endpoint": (
+        "intervals 2\n0 1 100000000000000000000000\n1 2 5\ntokens 1: 0\ntokens 1: 1\n",
+        (0, 2, 0, 0, 0),
+    ),
+    "wide-graph": ("graph 100000\n0 1\ntokens 1: 0\ntokens 1: 1\n", (1, 2, 0, 1, 2)),
+}
+
+# Runs every command in-process under a 600 MB address-space limit that the
+# child sets on itself; prints each command's exit code and output, then the
+# child's peak resident size in kB.  That is VmHWM, not ru_maxrss: a child
+# started by fork keeps in ru_maxrss the peak its parent had reached before
+# exec, which in a full test session is over 100 MB.
+ADVERSARIAL_CHILD = r"""
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+from tokenslide.cli import main
+inst, moves = sys.argv[1:]
+runs = []
+for argv in (
+    ["solve", inst], ["verify", inst, moves, "--optimal"], ["match", inst],
+    ["match", inst, "--fast"], ["oracle", inst],
+):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append((code, out.getvalue() + err.getvalue()))
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps([runs, peak_kb]))
+"""
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_adversarial_files_end_in_little_memory(name, tmp_path):
+    """Each command answers a small file that names a huge size with its
+    exit code, one line when it refuses, no traceback, and at most 100 MB
+    peak resident size in a child that caps its own address space at 600 MB."""
+    text, codes = ADVERSARIAL[name]
+    inst, moves = tmp_path / "inst.txt", tmp_path / "moves.txt"
+    inst.write_text(text)
+    moves.write_text("moves 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", ADVERSARIAL_CHILD, str(inst), str(moves)],
+        capture_output=True, text=True, timeout=60, env=child_env(),
+    )
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
+    runs, peak_kb = json.loads(proc.stdout)
+    assert tuple(code for code, _ in runs) == codes
+    for code, output in runs:
+        assert "Traceback" not in output
+        if code in (1, 2):
+            assert len(output.splitlines()) == 1, output
+    assert peak_kb <= 100 << 10
 
 
 # Tokens a mutation may insert, besides those of the file it mutates.

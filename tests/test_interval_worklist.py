@@ -8,11 +8,13 @@ fresh, so it is held against the same reference.  A counting test checks
 that the shortest-path step lookups grow about linearly with the number of
 stuck gadgets, where a rescan after every move and repair grows
 quadratically, and a guard checks that one repair reads the N[.] table only
-near the vertex it repairs at.
+near the vertex it repairs at.  A property test holds the loop's output to
+the run-length encoding of the slides it applies.
 """
 
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -20,6 +22,7 @@ import tokenslide as ts
 from tokenslide import interval_reconfig
 from tokenslide.generators import (
     gen_bench_interval_instance,
+    heavy_path_instance,
     random_interval_representation,
     random_token_multiset,
 )
@@ -32,7 +35,7 @@ from tokenslide.graphs import (
 )
 from tokenslide.interval_reconfig import find_greedy_move
 
-from helpers import harvest_interval_stalls, iter_interval_instances
+from helpers import harvest_interval_stalls, has_maximal_runs, iter_interval_instances, run_length
 from test_golden import GADGET_CHAIN, REPAIR
 
 
@@ -108,14 +111,73 @@ def test_first_is_the_scan_from_harvested_stalls(steps):
         for a, b, start in ((d_s, d_t, m), (d_t, d_s, m.inverse())):
             hits = closed_neighborhoods(g)
             cost = ts.matching_cost(g, start)
-            moves = interval_reconfig._greedy_moves(
+            seq = interval_reconfig._greedy_moves(
                 rep, g, Distances(g), Coverage(hits, g.n, a), Coverage(hits, g.n, b),
                 start.pairs, cost, None,
             )
-            seq = ts.compress_moves(moves)
             assert seq.total_length == cost
             assert ts.verify_sequence(g, ts.dominating_predicate(g), a, seq) == (True, b, None)
     assert steps["stuck"] >= 12
+
+
+def _path_pile(n):
+    """``heavy_path_instance(n, n // 10)`` with vertex v drawn as [2v, 2v + 3)."""
+    _, d_s, d_t = heavy_path_instance(n, n // 10)
+    return ts.IntervalRepresentation([(2 * v, 2 * v + 3) for v in range(n)]), d_s, d_t
+
+
+def _run_cases():
+    """(rep, d_s, d_t, solve) for the run-length property test: seeded random
+    instances, many with stacked tokens, path piles drawn as intervals,
+    benchmark instances and the gadget chain through ``reconf_interval``,
+    then the harvested stuck states in both orientations through
+    ``_greedy_moves``."""
+    chain_inst = ts.parse_instance(GADGET_CHAIN)
+    instances = [
+        *((i.rep, i.d_s, i.d_t) for i in iter_interval_instances(1900, 3201, max_n=12, max_k=6)),
+        *(_path_pile(n) for n in range(6, 121)),
+        *((i.rep, i.d_s, i.d_t) for i in map(gen_bench_interval_instance, [200] * 4, range(81, 85))),
+        (chain_inst.rep, chain_inst.d_s, chain_inst.d_t),
+    ]
+    for rep, d_s, d_t in instances:
+        yield rep, d_s, d_t, partial(ts.reconf_interval, rep, d_s, d_t)
+    for rep, g, d_s, d_t, m in harvest_interval_stalls(max_states=6):
+        hits = closed_neighborhoods(g)
+        for a, b, start in ((d_s, d_t, m), (d_t, d_s, m.inverse())):
+            covers = Coverage(hits, g.n, a), Coverage(hits, g.n, b)
+            cost = ts.matching_cost(g, start)
+            yield rep, a, b, partial(
+                interval_reconfig._greedy_moves, rep, g, Distances(g), *covers, start.pairs, cost, None
+            )
+
+
+def test_moves_are_the_slides_run_length_encoded(monkeypatch):
+    """The loop's runs are the run-length encoding of its slides: the source
+    slides (a, a2) in order, then the target slides as (a2, a) in reverse
+    order.  The length is the matching cost and no two consecutive triples
+    share (u, v)."""
+    real = interval_reconfig._Worklist.slide
+    slides = []
+
+    def recording(self, side, a, a2, goal):
+        slides.append((side, a, a2))
+        real(self, side, a, a2, goal)
+
+    monkeypatch.setattr(interval_reconfig._Worklist, "slide", recording)
+    cases = stacked = merged = 0
+    for rep, d_s, d_t, solve in _run_cases():
+        slides.clear()
+        seq = solve()
+        front = [(a, a2) for side, a, a2 in slides if side == "s"]
+        back = [(a2, a) for side, a, a2 in slides if side == "t"]
+        assert seq.moves == run_length(front + back[::-1])
+        g = ts.intersection_graph(rep)
+        assert seq.total_length == ts.min_cost_matching(g, d_s, d_t)[1] == len(slides)
+        assert has_maximal_runs(seq.moves)
+        cases += 1
+        stacked += max(d_s.count(v) for v in d_s.support) > 1
+        merged += len(seq.moves) < len(slides)
+    assert cases >= 2000 and stacked >= 700 and merged >= 250
 
 
 def _random_pairs(rng, cs, ct):

@@ -1,4 +1,5 @@
 import collections
+import gc
 import random
 import time
 
@@ -14,7 +15,6 @@ from tokenslide import (
     SetSystem,
     SizeMismatchError,
     TokenMultiset,
-    compress_moves,
     dominating_predicate,
     hitting_predicate,
     min_cost_matching,
@@ -28,7 +28,7 @@ from tokenslide.graphs import is_dominating, peel_tree
 from tokenslide.instances import emit_instance, parse_instance
 from tokenslide.tree_reconfig import _CHILD_SCANS, _differ, _sweep
 
-from helpers import iter_tree_instances
+from helpers import has_maximal_runs, iter_tree_instances, run_length
 
 
 def path_tree(n, root=0):
@@ -123,6 +123,7 @@ class TestSweepAgainstDenseReference:
             tree, h_s, h_t = _sweep_case(rng)
             seq = _sweep(tree, h_s, h_t)
             assert seq.moves == _dense_sweep(tree, h_s, h_t).moves
+            assert has_maximal_runs(seq.moves)
             shapes_with_moves += bool(seq.moves)
         assert shapes_with_moves > 1000
 
@@ -134,6 +135,7 @@ class TestSweepAgainstDenseReference:
             tree = RootedTree(tree.graph, rng.randrange(tree.n))
             seq = reconf_tree(tree, SetSystem(system.sets, tree=tree), h_s, h_t)
             assert seq.moves == _dense_sweep(tree, h_s, h_t).moves
+            assert has_maximal_runs(seq.moves)
 
     def test_sweep_reads_no_depth(self):
         """The depths the sweep gives U on its walks order U as ``tree.depth``
@@ -191,10 +193,25 @@ class TestSweepAgainstDenseReference:
 
 
 class TestMoveSequence:
-    def test_compress_merges_consecutive_runs(self):
-        seq = compress_moves([(0, 1), (0, 1), (1, 2), (0, 1)])
-        assert seq.moves == ((0, 1, 2), (1, 2, 1), (0, 1, 1))
-        assert seq.total_length == 4
+    @pytest.mark.parametrize(
+        "front, back",
+        [
+            ([(0, 1, 2), (1, 2, 1)], [(3, 2, 4), (1, 2, 3)]),
+            ([], [(3, 2, 4), (1, 2, 3)]),
+            ([(0, 1, 2), (1, 2, 1)], []),
+            ([], []),
+        ],
+        ids=["shared-pair", "empty-front", "empty-back", "both-empty"],
+    )
+    def test_two_sided_is_the_run_length_encoding(self, front, back):
+        """The source side's runs in order, the target side's in reverse,
+        merged where the two meet on one (u, v); ``back`` is emptied."""
+        units = [(u, v) for u, v, c in front + back[::-1] for _ in range(c)]
+        emptied = list(back)
+        seq = MoveSequence._two_sided(list(front), emptied)
+        assert seq.moves == run_length(units)
+        assert seq.total_length == len(units)
+        assert emptied == []
 
     def test_rejects_degenerate_triples(self):
         with pytest.raises(InputError):
@@ -313,6 +330,7 @@ class TestTreeOptimality:
             d = reconfig_distance_bfs(inst.graph, pred, inst.d_s, inst.d_t)
             _, c = min_cost_matching(inst.graph, inst.d_s, inst.d_t)
             assert seq.total_length == d == c
+            assert has_maximal_runs(seq.moves)
 
     def test_hitting_set_families(self):
         rng = random.Random(5)
@@ -360,12 +378,19 @@ class TestTreeScaling:
             graph, d_s, d_t = heavy_path_instance(n, n // 3)
             cases.append((RootedTree(graph, 0), d_s, d_t))
         # the repeats alternate between the sizes, so a drift in machine
-        # speed slows both alike instead of only the later one
+        # speed slows both alike instead of only the later one; with the
+        # collector off, no collection of the suite's live objects lands in
+        # one timed solve
         best = [float("inf")] * len(cases)
-        for _ in range(3):
-            for i, (tree, d_s, d_t) in enumerate(cases):
-                t0 = time.perf_counter()
-                reconf_tree_dominating(tree, d_s, d_t)
-                best[i] = min(best[i], time.perf_counter() - t0)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                for i, (tree, d_s, d_t) in enumerate(cases):
+                    t0 = time.perf_counter()
+                    reconf_tree_dominating(tree, d_s, d_t)
+                    best[i] = min(best[i], time.perf_counter() - t0)
+        finally:
+            gc.enable()
         t1, t2 = best
         assert t2 / t1 < 2.5, f"time grew {t2 / t1:.2f}x when n doubled"

@@ -9,8 +9,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Collection, Iterable, Sequence
-from itertools import repeat
-from operator import itemgetter, lt, or_, setitem
+from itertools import compress, repeat
+from operator import itemgetter, lt, not_, setitem
 
 from .errors import FeasibilityError, InputError, SizeMismatchError
 from .multiset import TokenMultiset
@@ -29,9 +29,9 @@ class Graph:
     and leaves ``_adj`` None until ``adjacency`` builds the rows from it on
     the first read, which is the only place that happens.  Until then
     ``has_edge`` reads the parent array, and every other reader of the rows
-    goes through ``adjacency``.  An eager tree gets ``_parent`` too when a
-    ``RootedTree`` first roots it at 0.  A graph keeps no distance row: each
-    ``Distances`` table owns the rows it reads.
+    goes through ``adjacency``.  No other graph holds a parent array.  A
+    graph keeps no distance row: each ``Distances`` table owns the rows it
+    reads.
     """
 
     __slots__ = ("n", "edge_count", "_adj", "_closed", "_chains", "_parent")
@@ -291,13 +291,13 @@ class RootedTree:
     ``order`` lists vertices by decreasing depth (ties by increasing id), so
     every vertex appears before its parent; it is sorted on first read, and
     the solver never reads it.  The root is its own parent.
-    Rooted at 0, a graph that holds ``graph._parent`` (from ``peel_tree``,
-    or rooted at 0 before) hands it over, and the tree keeps it, so it is
-    read-only; neither a BFS runs nor is the adjacency built, and ``depth``
-    is the root's BFS row, computed on its first read, which the solver
-    never makes.  Any other graph or root is checked by ``check_tree``:
-    ``depth`` is the root's BFS row, and the parents come from it; rooted
-    at 0, the graph then keeps them as ``_parent``.
+    Rooted at 0, a tree from ``peel_tree`` hands over its parent array
+    (``graph._parent``), and the tree keeps it, so it is read-only; neither
+    a BFS runs nor is the adjacency built, and ``depth`` is the root's BFS
+    row, computed on its first read, which the solver never makes.  Any
+    other graph or root is checked by ``check_tree``: ``depth`` is the
+    root's BFS row, and the parents come from it.  The graph is left as it
+    was.
     """
 
     __slots__ = ("graph", "root", "parent", "_depth", "_order")
@@ -321,8 +321,6 @@ class RootedTree:
                     if depth[u] == up:
                         parent[w] = u
                         break
-            if root == 0:  # kept on the graph, as peel_tree's: is_dominating reads it
-                graph._parent = parent
         self.graph = graph
         self.root = root
         self.parent = parent
@@ -416,26 +414,18 @@ class SetSystem:
 def is_dominating(g: Graph, tokens: TokenMultiset) -> bool:
     """True iff every vertex is in the support or adjacent to it.
 
-    On a tree that holds its parent array (from ``peel_tree`` or rooted at
-    0 by ``RootedTree``) it reads that array: v is dominated iff v, its
-    parent or one of its children holds a token.  Domination
-    does not depend on the root, so this holds however the tree is rooted.
-    Any other graph takes one union, in C, of N[x] over the support, from
-    the graph's N[v] table, which builds the sets it does not hold yet;
-    after a tracker of the same tokens has read them, only the union is
-    left to do.
+    A tree from ``peel_tree`` answers through ``TreeCoverage`` on its parent
+    array, so its adjacency is never built.  Any other graph takes one
+    union, in C, of N[x] over the support, from the graph's N[v] table,
+    which builds the sets it does not hold yet; after a tracker of the same
+    tokens has read them, only the union is left to do.
     """
+    if g._parent is not None:
+        return TreeCoverage(RootedTree(g), tokens).feasible
     support = tokens._counts.keys()
     require_on_graph(g.n, support)
-    parent = g._parent
-    if parent is None:
-        closed = closed_neighborhoods(g)
-        return len(set().union(*map(closed.__getitem__, support))) == g.n
-    support = frozenset(support)  # probed n times below: a set answers faster than a view
-    covered = [p in support for p in parent]  # the parent holds a token
-    for v in support:
-        covered[v] = covered[parent[v]] = True
-    return False not in covered
+    closed = closed_neighborhoods(g)
+    return len(set().union(*map(closed.__getitem__, support))) == g.n
 
 
 def is_hitting(system: SetSystem, tokens: TokenMultiset) -> bool:
@@ -569,11 +559,15 @@ class TreeCoverage:
     of v's children that hold a token, and ``sole[v]``, the number of v's
     children that only v can dominate: empty, with no occupied child.  A
     vertex that fills or empties changes O(1) of these entries.  The root
-    is its own parent and nobody's child.
+    is its own parent and nobody's child.  v is dominated iff v or its
+    parent holds a token or v has an occupied child.  This one model
+    answers every domination question on a tree: both ends of a solve
+    (``feasible``, then ``reach``), each slide of a replay and
+    ``is_dominating`` on a tree from ``peel_tree``.
     Callers read ``counts`` but change it only through ``slide``.
     """
 
-    __slots__ = ("parent", "counts", "occupied", "sole")
+    __slots__ = ("parent", "root", "counts", "occupied", "sole", "_feasible")
 
     def __init__(self, tree: RootedTree, tokens: TokenMultiset):
         parent = tree.parent
@@ -589,21 +583,36 @@ class TreeCoverage:
         if counts[root]:
             occupied[root] -= 1  # the root is not its own child
         sole = [0] * n
+        undominated = 0
         for v, p in enumerate(parent):
             if not (counts[v] or occupied[v]):
                 sole[p] += 1
+                if not counts[p]:  # the root, its own parent, is counted here too
+                    undominated += 1
         if not (counts[root] or occupied[root]):
             sole[root] -= 1  # nor its own sole child
         self.parent = parent
+        self.root = root
         self.counts = counts
         self.occupied = occupied
         self.sole = sole
+        self._feasible: bool | None = not undominated  # None once a slide has run
 
     @property
     def feasible(self) -> bool:
-        """True iff every vertex, its parent or one of its children holds a token."""
-        counts = self.counts
-        return all(map(or_, map(or_, counts, self.occupied), map(counts.__getitem__, self.parent)))
+        """True iff every vertex, its parent or one of its children holds a token.
+
+        The constructor's answer until a ``slide``; after one, the root is
+        checked and then every vertex with a sole child must hold a token,
+        both in C.
+        """
+        if self._feasible is None:
+            counts = self.counts
+            root = self.root
+            self._feasible = bool(counts[root] or self.occupied[root]) and not any(
+                compress(map(not_, counts), self.sole)
+            )
+        return self._feasible
 
     def can_slide(self, u: int, w: int) -> bool:
         """Would sliding one token u -> w, for w = u or w a neighbour of u,
@@ -632,8 +641,10 @@ class TreeCoverage:
         The other entries change only when u empties or w gains its first
         token: then the parent p of that vertex x counts one occupied child
         fewer or more, x may join or leave p's sole children, and p may join
-        or leave those of its own parent.
+        or leave those of its own parent.  No edge is read, so u and w need
+        not be adjacent (``reach`` relies on this).
         """
+        self._feasible = None
         counts = self.counts
         counts[u] -= count
         if not counts[u]:
@@ -655,6 +666,41 @@ class TreeCoverage:
                     sole[parent[p]] -= 1
                 occupied[p] += 1
         counts[w] += count
+
+    def reach(self, tokens: TokenMultiset, differ: set[int]) -> bool:
+        """Move the tracker to ``tokens``, whose counts differ from the
+        tracker's on the vertices ``differ`` alone and whose size is the
+        same, and tell whether they dominate, given that the tracker's
+        configuration does.
+
+        Every surplus on ``differ`` slides straight to one vertex short of
+        tokens, which then hands each other such vertex what it lacks, so
+        it never empties.  Only a vertex u that emptied can undominate
+        anything, and only in N[u]: a child of u that only u dominated, u
+        itself, or its parent, so only these are checked.  A token outside
+        the tree lies in ``differ`` and raises as ``require_on_graph``
+        names it.
+        """
+        counts = self.counts
+        require_on_graph(len(counts), differ)
+        want = tokens._counts.get
+        gaps = [(v, want(v, 0) - counts[v]) for v in differ]
+        hub = next((v for v, gap in gaps if gap > 0), None)
+        for u, gap in gaps:
+            if gap < 0:
+                self.slide(u, hub, -gap)
+        for w, gap in gaps:
+            if gap > 0 and w != hub:
+                self.slide(hub, w, gap)
+        parent, occupied, sole = self.parent, self.occupied, self.sole
+        for u, gap in gaps:
+            if gap < 0 and not counts[u]:
+                p = parent[u]
+                if sole[u] or not (occupied[u] or counts[p]):
+                    return False
+                if not (counts[p] or occupied[p] or counts[parent[p]]):
+                    return False
+        return True
 
 
 def require_same_size(a: TokenMultiset, b: TokenMultiset) -> None:

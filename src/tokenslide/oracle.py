@@ -8,8 +8,8 @@ and receive it as a bit mask, which keeps the BFS inner loop cheap.  The
 upward-closed predicates (dominating, hitting) also carry ``tracker(n,
 start)``, which builds the tracker of start's tokens on an n-vertex graph:
 a ``graphs.TreeCoverage`` on the parent array of a tree that holds one
-(``_parent``: a tree from ``peel_tree``, or one rooted at 0), and a
-``graphs.Coverage`` on N[v] sets or on a family's sets otherwise.  ``verify_sequence`` replays a
+(``_parent``: a tree from ``peel_tree``), and a ``graphs.Coverage`` on
+N[v] sets or on a family's sets otherwise.  ``verify_sequence`` replays a
 sequence on it one triple at a time, and ``_bfs`` checks both ends with it,
 so an infeasible end is rejected before any mask is built.
 """

@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import setitem
 
 from .errors import FeasibilityError, InvariantError
-from .graphs import RootedTree, SetSystem, is_dominating, require_hitting, require_on_graph
+from .graphs import RootedTree, SetSystem, TreeCoverage, require_hitting, require_on_graph
 from .graphs import require_same_size
 from .graphs import closed_neighborhood_system  # noqa: F401  perfbench's --trace 1 patches it here
 from .moves import MoveSequence
@@ -47,75 +47,26 @@ def reconf_tree_dominating(
     """Dominating-set specialization: hit the family of closed neighborhoods.
 
     Every closed neighborhood of a tree is a star, hence a subtree, so the
-    family needs no validation and is never built.  On a tree that holds
-    its parent array (see ``RootedTree``) domination is checked on that
-    array, and the tree's adjacency is never read.  The target is checked only around the
-    vertices whose counts differ from the start's (``_dominates_around``).
+    family needs no validation and is never built.  One ``TreeCoverage`` of
+    the start, on the tree's parent array, checks both ends, and the tree's
+    adjacency is never read: the start in its constructor, the target by
+    ``reach``, which looks only at the vertices that the move to the target
+    empties.
     """
     require_same_size(d_s, d_t)
-    if not is_dominating(tree.graph, d_s):
+    cover = TreeCoverage(tree, d_s)
+    if not cover.feasible:
         raise FeasibilityError("start configuration is not dominating")
     differ = _differ(d_s, d_t)
-    if not _dominates_around(tree, d_t, differ):
+    if not cover.reach(d_t, differ):
         raise FeasibilityError("target configuration is not dominating")
+    del cover  # three lists of n entries, freed before the sweep allocates its own
     return _sweep(tree, d_s, d_t, differ)
 
 
 def _differ(h_s: TokenMultiset, h_t: TokenMultiset) -> set[int]:
     """The vertices whose counts differ between h_s and h_t."""
     return {v for v, _ in h_s._counts.items() ^ h_t._counts.items()}
-
-
-#: Emptied vertices whose children ``_dominates_around`` finds by scanning
-#: the parent list; one scan, in C, costs about an eighth of the full check.
-_CHILD_SCANS = 4
-
-
-def _dominates_around(tree: RootedTree, tokens: TokenMultiset, differ: set[int]) -> bool:
-    """``is_dominating(tree.graph, tokens)``, given a dominating configuration
-    whose counts differ from the tokens' on the vertices ``differ`` alone.
-
-    Only a vertex x with N[x] meeting ``differ`` can have lost its last
-    dominator: a vertex of ``differ``, its parent, or a child of a vertex
-    that the tokens leave empty (a child of an occupied vertex is
-    dominated).  x is dominated iff x or its parent holds a token or x has
-    an occupied child.  Those children are found by scanning the parent
-    list, so past ``_CHILD_SCANS`` emptied vertices the full check runs.
-    A token outside the tree lies in ``differ`` and raises as in the full
-    check.
-    """
-    require_on_graph(tree.n, differ)
-    held = tokens._counts.__contains__
-    emptied = [v for v in differ if not held(v)]
-    if len(emptied) > _CHILD_SCANS:
-        return is_dominating(tree.graph, tokens)
-    parent = tree.parent
-    near = set(differ)
-    near.update(map(parent.__getitem__, differ))
-    for v in emptied:
-        near.update(_children(parent, v))
-    with_child = None  # the parents of the occupied vertices, built if needed
-    for x in near:
-        if held(x) or held(parent[x]):
-            continue
-        if with_child is None:
-            with_child = set(map(parent.__getitem__, tokens._counts))
-        if x not in with_child:
-            return False
-    return True
-
-
-def _children(parent: list[int], v: int) -> list[int]:
-    """The vertices whose parent is v (v too if it is the root), found by
-    ``list.index`` scans."""
-    out = []
-    i = -1
-    try:
-        while True:
-            i = parent.index(v, i + 1)
-            out.append(i)
-    except ValueError:
-        return out
 
 
 def _sweep(

@@ -485,11 +485,11 @@ def _dominating_by_marking(g, tokens):
     st.lists(st.integers(-2, 14), max_size=14),
 )
 def test_dominating_union_is_the_marking_loop(n, kind, density, seed, ids):
-    """is_dominating, a union of N[x] tables or a scan of a peeled tree's
-    parent array, agrees with marking N[x] vertex by vertex on plain
-    graphs, peeled trees (asked first, before anything builds their
-    adjacency) and interval graphs, and names the same lowest token outside
-    the graph."""
+    """is_dominating, a union of N[x] tables or a ``TreeCoverage`` on a
+    peeled tree's parent array, agrees with marking N[x] vertex by vertex
+    on plain graphs, peeled trees (asked first, before anything builds
+    their adjacency) and interval graphs, and names the same lowest token
+    outside the graph."""
     rng = random.Random(seed)
     if kind == "plain":
         g = _random_graph(n, density, rng)
@@ -563,6 +563,48 @@ def test_tree_coverage_state_after_a_walk_of_slides(n, seed):
         walk.slide(u, w, c)
         for _ in range(c):
             tokens = tokens.slide(u, w)
+
+
+def test_tree_coverage_reach():
+    """On 2 400 seeded trees (ids growing away from 0, and shuffled ones),
+    peeled or built eagerly and rooted anywhere, ``reach`` from a
+    dominating start with stacked tokens to a target with 1, 2, 3 or all
+    of its tokens moved answers like the oracle's mask predicate on the
+    target, and leaves every entry and ``feasible`` as a tracker built
+    afresh on the target.  Rooting the eager graph leaves it as it was."""
+    rng = random.Random(3303)
+    seen = collections.Counter()
+    for case in range(2400):
+        n = rng.randrange(1, 15)
+        ends = _increasing_tree_ends(n, rng) if case % 2 else _shuffled_tree_ends(n, rng)
+        eager = Graph(n, zip(ends[::2], ends[1::2]))
+        g = peel_tree(n, ends) if case % 4 < 2 else eager
+        tree = RootedTree(g, rng.randrange(n))
+        assert eager._parent is None
+        pred = dominating_predicate(g)
+        picks = rng.choices(range(n), k=rng.randrange(1, n + 1))
+        picks += rng.choices(picks, k=rng.randrange(4))  # stacks
+        while not pred(TokenMultiset(picks).support_mask):
+            picks.append(rng.randrange(n))
+        moved = list(picks)
+        shifts = rng.choice((1, 2, 3, len(moved)))
+        for i in rng.sample(range(len(moved)), min(shifts, len(moved))):
+            moved[i] = rng.randrange(n)
+        d_s, d_t = TokenMultiset(picks), TokenMultiset(moved)
+        differ = {v for v in d_s.support | d_t.support if d_s.count(v) != d_t.count(v)}
+        cover = TreeCoverage(tree, d_s)
+        assert cover.feasible
+        verdict = cover.reach(d_t, differ)
+        assert verdict == pred(d_t.support_mask), case
+        fresh = TreeCoverage(tree, d_t)
+        assert (cover.counts, cover.occupied, cover.sole) == (fresh.counts, fresh.occupied, fresh.sole)
+        assert cover.feasible == fresh.feasible == verdict
+        seen[verdict] += 1
+        seen["all moved"] += shifts == len(moved)
+        seen["root emptied"] += tree.root in d_s and tree.root not in d_t
+        seen["stack partly emptied"] += any(0 < d_t.count(v) < c for v, c in d_s.items())
+        seen["root emptied, not dominating"] += tree.root in d_s and tree.root not in d_t and not verdict
+    assert min(seen.values()) >= 50, seen
 
 
 def _labelled_trees(n):

@@ -24,9 +24,9 @@ from tokenslide import (
     verify_sequence,
 )
 from tokenslide.generators import gen_hitting_instance, heavy_path_instance, random_tree
-from tokenslide.graphs import is_dominating, peel_tree
+from tokenslide.graphs import peel_tree, require_on_graph
 from tokenslide.instances import emit_instance, parse_instance
-from tokenslide.tree_reconfig import _CHILD_SCANS, _differ, _sweep
+from tokenslide.tree_reconfig import _differ, _sweep
 
 from helpers import has_maximal_runs, iter_tree_instances, run_length
 
@@ -282,19 +282,25 @@ def _outcome(solve, tree, d_s, d_t):
 
 
 def _solve_with_full_checks(tree, d_s, d_t):
-    """``reconf_tree_dominating`` as it read before the target was checked
-    on N[D] only: both sides by ``is_dominating``."""
+    """``reconf_tree_dominating`` with both sides checked in full, apart from
+    the tracker under test: the range by ``require_on_graph``, then
+    domination by the oracle's mask predicate."""
+    pred = dominating_predicate(tree.graph)
     for tokens, label in ((d_s, "start"), (d_t, "target")):
-        if not is_dominating(tree.graph, tokens):
+        require_on_graph(tree.n, tokens.support)
+        if not pred(tokens.support_mask):
             raise FeasibilityError(f"{label} configuration is not dominating")
     return _sweep(tree, d_s, d_t)
 
 
+#: Emptied vertices up to which a case counts as a few; past it, as many.
+_FEW_EMPTIED = 4
+
+
 def test_target_checked_around_the_changed_vertices():
-    """Checking the target on N[D] alone raises the same errors, with the
-    same texts and in the same order, as the full check, both when the
-    emptied vertices' children are scanned for and when there are too many
-    emptied vertices and the full check runs."""
+    """Checking the target on the vertices it empties alone raises the same
+    errors, with the same texts and in the same order, as the full check,
+    both when a few vertices empty and when many do."""
     seen = collections.Counter()
     for seed in range(3000):
         rng = random.Random(seed)
@@ -314,9 +320,9 @@ def test_target_checked_around_the_changed_vertices():
         outcome = _outcome(reconf_tree_dominating, tree, d_s, d_t)
         assert outcome == _outcome(_solve_with_full_checks, tree, d_s, d_t), seed
         emptied = sum(v not in d_t for v in d_s.support)
-        seen["scan" if emptied <= _CHILD_SCANS else "full"] += outcome[1] == "target configuration is not dominating"
+        seen["few" if emptied <= _FEW_EMPTIED else "many"] += outcome[1] == "target configuration is not dominating"
         seen[outcome[0] if outcome[0] != "FeasibilityError" else outcome[1].split()[0]] += 1
-    assert min(seen[k] for k in ("scan", "full", "ok", "InputError", "start", "target")) >= 20, seen
+    assert min(seen[k] for k in ("few", "many", "ok", "InputError", "start", "target")) >= 20, seen
 
 
 class TestTreeOptimality:
@@ -385,7 +391,7 @@ class TestTreeScaling:
         gc.collect()
         gc.disable()
         try:
-            for _ in range(3):
+            for _ in range(7):
                 for i, (tree, d_s, d_t) in enumerate(cases):
                     t0 = time.perf_counter()
                     reconf_tree_dominating(tree, d_s, d_t)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Collection, Iterable, Sequence
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter, lt, not_, setitem
 
 from .errors import FeasibilityError, InputError, SizeMismatchError
@@ -208,22 +208,12 @@ def succ_set(g: Graph, u: int, v: int) -> tuple[int, ...]:
     return steps_toward(g, u, row)
 
 
-def check_tree(graph: Graph, root: int = 0) -> list[int]:
-    """The ``distances_from`` row of root in graph, after checking that graph
-    is a tree: n - 1 distinct edges and every vertex reachable."""
-    n = graph.n
-    if graph.edge_count != n - 1:
-        raise InputError(f"tree on {n} vertices must have {n - 1} edges, got {graph.edge_count}")
-    depth = distances_from(graph, root)
-    if UNREACHABLE in depth:
-        raise InputError("tree is not connected")
-    return depth
-
-
 def peel_tree(n: int, ends: list[int]) -> Graph | None:
     """The tree on vertices 0..n-1 with the edges (ends[0], ends[1]),
     (ends[2], ends[3]), ..., rooted at 0, or None unless these edges,
     repeats and self-loops counted, are exactly the edges of such a tree.
+    It is the one way a tree gets its parents: the parser roots a tree
+    file's edge lines with it, and ``RootedTree`` a graph's ``edges()``.
 
     Lower-end rooting first, in C: if every edge is written ``lo hi`` with
     lo < hi, each vertex's parent is taken to be the lower end of the edge
@@ -291,13 +281,15 @@ class RootedTree:
     ``order`` lists vertices by decreasing depth (ties by increasing id), so
     every vertex appears before its parent; it is sorted on first read, and
     the solver never reads it.  The root is its own parent.
-    Rooted at 0, a tree from ``peel_tree`` hands over its parent array
-    (``graph._parent``), and the tree keeps it, so it is read-only; neither
-    a BFS runs nor is the adjacency built, and ``depth`` is the root's BFS
-    row, computed on its first read, which the solver never makes.  Any
-    other graph or root is checked by ``check_tree``: ``depth`` is the
-    root's BFS row, and the parents come from it.  The graph is left as it
-    was.
+    The parents come from a parent array rooted at 0: the one the graph
+    holds (``graph._parent``, a tree from ``peel_tree``), or else the one
+    ``peel_tree`` gives for ``graph.edges()``, which is also the check that
+    the graph is a tree.  Rooted at 0 the tree keeps that array, so it is
+    read-only; at any other root r, a copy has the pointers on r's path to
+    0 reversed: O(n) for the copy plus O(depth of r).  No BFS runs, a tree
+    from ``peel_tree`` never builds its adjacency here, and the graph is
+    left as it was.  ``depth`` is the root's BFS row, computed on its first
+    read, which the solver never makes.
     """
 
     __slots__ = ("graph", "root", "parent", "_depth", "_order")
@@ -308,23 +300,26 @@ class RootedTree:
             raise InputError("tree needs at least one vertex")
         if not 0 <= root < n:
             raise InputError(f"root {root} out of range")
-        parent = graph._parent if root == 0 else None
-        depth = None
+        parent = graph._parent
         if parent is None:
-            depth = check_tree(graph, root)
-            # in a tree each other vertex has exactly one neighbour one level
-            # up: each row is read only up to it
-            parent = [root] * n
-            for w, nbrs in enumerate(graph.adjacency):
-                up = depth[w] - 1
-                for u in nbrs:
-                    if depth[u] == up:
-                        parent[w] = u
-                        break
+            if graph.edge_count != n - 1:
+                raise InputError(f"tree on {n} vertices must have {n - 1} edges, got {graph.edge_count}")
+            # n - 1 distinct edges without loops: a tree unless disconnected
+            peeled = peel_tree(n, list(chain.from_iterable(graph.edges())))
+            if peeled is None:
+                raise InputError("tree is not connected")
+            parent = peeled._parent
+        if root:
+            path = [root]
+            while path[-1]:  # up to 0, the old root
+                path.append(parent[path[-1]])
+            # root points to itself, each other vertex of the path to the one below it
+            parent = parent.copy()
+            deque(map(setitem, repeat(parent), path, [root, *path]), 0)
         self.graph = graph
         self.root = root
         self.parent = parent
-        self._depth: list[int] | None = depth
+        self._depth: list[int] | None = None
         self._order: tuple[int, ...] | None = None
 
     @property
@@ -333,8 +328,8 @@ class RootedTree:
 
     @property
     def depth(self) -> list[int]:
-        """Each vertex's distance from the root, read-only.  A peeled graph's
-        are its root's ``distances_from`` row, computed on the first read."""
+        """Each vertex's distance from the root, read-only: the root's
+        ``distances_from`` row, computed on the first read."""
         if self._depth is None:
             self._depth = distances_from(self.graph, self.root)
         return self._depth
@@ -417,15 +412,15 @@ def is_dominating(g: Graph, tokens: TokenMultiset) -> bool:
     A tree from ``peel_tree`` answers through ``TreeCoverage`` on its parent
     array, so its adjacency is never built.  Any other graph takes one
     union, in C, of N[x] over the support, from the graph's N[v] table,
-    which builds the sets it does not hold yet; after a tracker of the same
-    tokens has read them, only the union is left to do.
+    which builds the sets it does not hold yet.  That union is several
+    times faster than building the ``Coverage`` that ``domination_tracker``
+    gives, and the interval solver asks this once per matching repair.
     """
     if g._parent is not None:
         return TreeCoverage(RootedTree(g), tokens).feasible
     support = tokens._counts.keys()
     require_on_graph(g.n, support)
-    closed = closed_neighborhoods(g)
-    return len(set().union(*map(closed.__getitem__, support))) == g.n
+    return len(set().union(*map(closed_neighborhoods(g).__getitem__, support))) == g.n
 
 
 def is_hitting(system: SetSystem, tokens: TokenMultiset) -> bool:
@@ -562,8 +557,9 @@ class TreeCoverage:
     is its own parent and nobody's child.  v is dominated iff v or its
     parent holds a token or v has an occupied child.  This one model
     answers every domination question on a tree: both ends of a solve
-    (``feasible``, then ``reach``), each slide of a replay and
-    ``is_dominating`` on a tree from ``peel_tree``.
+    (``feasible``, then ``reach``), each slide of a replay (through
+    ``domination_tracker``) and ``is_dominating`` on a tree from
+    ``peel_tree``.
     Callers read ``counts`` but change it only through ``slide``.
     """
 
@@ -701,6 +697,16 @@ class TreeCoverage:
                 if not (counts[p] or occupied[p] or counts[parent[p]]):
                     return False
         return True
+
+
+def domination_tracker(g: Graph, tokens: TokenMultiset) -> Coverage | TreeCoverage:
+    """The tracker of tokens dominating g: a ``TreeCoverage`` on the parent
+    array of a tree that holds one (a tree from ``peel_tree``), which reads
+    no edge, and a ``Coverage`` on g's N[v] table otherwise, which builds
+    only the sets of the support."""
+    if g._parent is not None:
+        return TreeCoverage(RootedTree(g), tokens)
+    return Coverage(closed_neighborhoods(g), g.n, tokens)
 
 
 def require_same_size(a: TokenMultiset, b: TokenMultiset) -> None:

@@ -41,7 +41,7 @@ from operator import eq, ge
 from typing import TypeVar
 
 from .errors import ParseError
-from .graphs import Graph, check_tree, peel_tree
+from .graphs import Graph, RootedTree, peel_tree
 from .intervals import IntervalRepresentation, intersection_graph
 from .multiset import TokenMultiset
 
@@ -242,19 +242,20 @@ def _graph_from(header: int, kind: str, n: int, flat: list[int]) -> Graph:
 
     A tree file whose edges form a tree gets the rooted graph of
     ``peel_tree``; any other edge list is built eagerly and, in a tree file,
-    ``check_tree`` names what is wrong with it."""
+    ``RootedTree`` names what is wrong with it: the edge count or a
+    disconnected graph."""
     if kind == "tree":
         if len(flat) != 2 * (n - 1):
             raise ParseError(header, f"tree on {n} vertices needs {n - 1} edges, got {len(flat) // 2}")
         graph = peel_tree(n, flat)
         if graph is not None:
             return graph
-        # not a tree: the eager build and check_tree below name the fault
+        # not a tree: the eager build and RootedTree below name the fault
     try:
         graph = Graph(n, zip(flat[::2], flat[1::2]))
         if kind == "tree":
             # duplicate edges collapse in Graph, so n - 1 lines need not be n - 1 edges
-            check_tree(graph)
+            RootedTree(graph)
     except ValueError as exc:
         raise ParseError(header, str(exc)) from None
     return graph

@@ -7,11 +7,12 @@ States are token multisets; feasibility predicates look only at the support
 and receive it as a bit mask, which keeps the BFS inner loop cheap.  The
 upward-closed predicates (dominating, hitting) also carry ``tracker(n,
 start)``, which builds the tracker of start's tokens on an n-vertex graph:
-a ``graphs.TreeCoverage`` on the parent array of a tree that holds one
-(``_parent``: a tree from ``peel_tree``), and a ``graphs.Coverage`` on
-N[v] sets or on a family's sets otherwise.  ``verify_sequence`` replays a
-sequence on it one triple at a time, and ``_bfs`` checks both ends with it,
-so an infeasible end is rejected before any mask is built.
+``graphs.domination_tracker`` for domination, and a ``graphs.Coverage`` on
+a family's sets for hitting.  ``verify_sequence`` replays a sequence on it
+one triple at a time, and ``_bfs`` checks both ends with it, so an
+infeasible end is rejected before any mask is built.  Whether a graph is a
+tree, which decides what a short certificate means, is asked of
+``graphs.RootedTree``; no tree logic lives here.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from collections.abc import Iterable
 from typing import Callable, NamedTuple
 
 from .errors import FeasibilityError, InputError, StateCapExceeded
-from .graphs import UNREACHABLE, Coverage, Graph, RootedTree, SetSystem, TreeCoverage
-from .graphs import closed_neighborhoods, distances_from, require_on_graph, require_same_size
+from .graphs import Coverage, Graph, RootedTree, SetSystem, closed_neighborhoods
+from .graphs import domination_tracker, require_on_graph, require_same_size
 from .matching import min_cost_matching
 from .moves import MoveSequence
 from .multiset import TokenMultiset
@@ -48,9 +49,9 @@ def dominating_predicate(g: Graph) -> Predicate:
 
     The mask table is built on the first call: it is quadratic in n, and
     neither ``verify_sequence`` nor the end checks of the search call the
-    predicate, only ``tracker``.  On a tree that holds its parent array the
-    tracker reads that array alone, so a replay builds neither the adjacency
-    nor any N[v] set.
+    predicate, only ``tracker``, which is ``graphs.domination_tracker``: on
+    a tree that holds its parent array it reads that array alone, so a
+    replay builds neither the adjacency nor any N[v] set.
     """
     full = (1 << g.n) - 1
     closed: list[int] = []
@@ -66,13 +67,8 @@ def dominating_predicate(g: Graph) -> Predicate:
             m ^= low
         return covered == full
 
-    def tracker(n: int, start: TokenMultiset) -> Coverage | TreeCoverage:
-        # n is g.n; a set family, which knows no graph, needs it
-        if g._parent is not None:
-            return TreeCoverage(RootedTree(g), start)
-        return Coverage(closed_neighborhoods(g), g.n, start)
-
-    pred.tracker = tracker
+    # n is g.n; a set family, which knows no graph, needs it
+    pred.tracker = lambda n, start: domination_tracker(g, start)
     return pred
 
 
@@ -280,13 +276,10 @@ def sequence_failure(
     if optimal:
         _, cost = min_cost_matching(g, start, goal)
         if cost != length:
-            if g._chains is None and not _is_tree(g):
+            try:
+                if g._chains is None:  # not an interval graph, so c* is exact only on a tree
+                    RootedTree(g)
+            except InputError:
                 return f"not certified: matching bound {cost} is below length {length}"
             return f"suboptimal: matching bound {cost} differs from length {length}"
     return None
-
-
-def _is_tree(g: Graph) -> bool:
-    # a graph that holds a parent array is a tree; any other graph runs a BFS
-    tree_sized = g.edge_count == g.n - 1
-    return g._parent is not None or tree_sized and UNREACHABLE not in distances_from(g, 0)

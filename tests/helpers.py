@@ -14,7 +14,7 @@ import tokenslide as ts
 from tokenslide import graphs
 from tokenslide.errors import InputError, ParseError
 from tokenslide.generators import gen_instance, random_interval_representation
-from tokenslide.graphs import check_tree
+from tokenslide.graphs import UNREACHABLE, distances_from
 from tokenslide.instances import KINDS, MAX_GRAPH_VERTICES, Instance
 from tokenslide.intervals import IntervalRepresentation, intersection_graph
 from tokenslide.multiset import TokenMultiset
@@ -32,6 +32,30 @@ def bfs_sources():
 
     with mock.patch.object(graphs, "distances_from", counting):
         yield sources
+
+
+def check_tree(graph, root: int = 0) -> list[int]:
+    """The ``distances_from`` row of root in graph, after checking that graph
+    is a tree: n - 1 distinct edges and every vertex reachable."""
+    n = graph.n
+    if graph.edge_count != n - 1:
+        raise InputError(f"tree on {n} vertices must have {n - 1} edges, got {graph.edge_count}")
+    depth = distances_from(graph, root)
+    if UNREACHABLE in depth:
+        raise InputError("tree is not connected")
+    return depth
+
+
+def reference_rooting(g, root: int) -> tuple[list[int], list[int]]:
+    """(parent, depth) of g rooted at root, by a BFS of its own."""
+    parent, depth = {root: root}, {root: 0}
+    queue = [root]
+    for u in queue:
+        for w in g.neighbors(u):
+            if w not in depth:
+                parent[w], depth[w] = u, depth[u] + 1
+                queue.append(w)
+    return [parent[v] for v in range(g.n)], [depth[v] for v in range(g.n)]
 
 
 def child_env() -> dict[str, str]:

@@ -35,7 +35,6 @@ from tokenslide.graphs import (
     Coverage,
     Distances,
     TreeCoverage,
-    check_tree,
     closed_neighborhoods,
     peel_tree,
     require_on_graph,
@@ -45,7 +44,7 @@ from tokenslide.interval_reconfig import find_greedy_move
 from tokenslide.intervals import intersection_graph
 from tokenslide.matching import Matching
 
-from helpers import bfs_sources
+from helpers import bfs_sources, check_tree, reference_rooting
 
 
 def path(n):
@@ -223,31 +222,30 @@ class TestClosedNeighborhoods:
             assert is_hitting(system, tokens) == is_dominating(tree.graph, tokens)
 
 
-def _reference_rooting(g, root):
-    """(parent, depth) of g rooted at root, by a BFS of its own."""
-    parent, depth = {root: root}, {root: 0}
-    queue = [root]
-    for u in queue:
-        for w in g.neighbors(u):
-            if w not in depth:
-                parent[w], depth[w] = u, depth[u] + 1
-                queue.append(w)
-    return [parent[v] for v in range(g.n)], [depth[v] for v in range(g.n)]
-
-
-@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.data())
-def test_rooted_tree_matches_a_reference_bfs(n, seed, data):
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from(("eager", "increasing", "shuffled")), st.data())
+def test_rooted_tree_matches_a_reference_bfs(n, seed, built, data):
+    """An eager graph with shuffled ids, or a tree peeled from increasing or
+    shuffled edge lines, rooted anywhere: no BFS runs while rooting, the
+    parents, depths and order are a BFS's, and a peeled graph's parent
+    array is left as it was."""
     rng = random.Random(seed)
-    perm = list(range(n))
-    rng.shuffle(perm)  # ids need not grow away from vertex 0
-    g = Graph(n, [(perm[u], perm[v]) for u, v in random_tree(n, rng).edges()])
+    if built == "eager":
+        perm = list(range(n))
+        rng.shuffle(perm)  # ids need not grow away from vertex 0
+        g = Graph(n, [(perm[u], perm[v]) for u, v in random_tree(n, rng).edges()])
+    else:
+        make_ends = _increasing_tree_ends if built == "increasing" else _shuffled_tree_ends
+        g = peel_tree(n, make_ends(n, rng))
+    held = g._parent
+    before = None if held is None else list(held)
     root = data.draw(st.integers(0, n - 1))
     with bfs_sources() as sources:
         tree = RootedTree(g, root)
-    parent, depth = _reference_rooting(g, root)
+    assert sources == []  # no BFS while rooting
+    assert g._parent is held and (held is None or held == before)
+    parent, depth = reference_rooting(g, root)
     assert (tree.parent, tree.depth) == (parent, depth)
     assert tree.order == tuple(sorted(range(n), key=lambda v: (-depth[v], v)))
-    assert sources == [root]  # one BFS, from the root
 
 
 def _shuffled_tree_ends(n, rng):
@@ -336,7 +334,7 @@ def _check_peel(n, ends, rng):
     assert peeled.adjacency == eager.adjacency  # built from the parent array by the depth read
     assert peeled._adj is peeled.adjacency  # and kept
     assert peeled == eager and peeled.edges() == eager.edges()
-    root = rng.randrange(n)  # any other root roots the lazily built adjacency by BFS
+    root = rng.randrange(n)  # any other root re-roots a copy of the parent array
     other, expected = RootedTree(peeled, root), RootedTree(eager, root)
     assert (other.parent, other.depth, other.order) == (expected.parent, expected.depth, expected.order)
     return True

@@ -2,6 +2,7 @@ import collections
 import gc
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,12 +24,19 @@ from tokenslide import (
     reconfig_distance_bfs,
     verify_sequence,
 )
-from tokenslide.generators import gen_hitting_instance, heavy_path_instance, random_tree
+from tokenslide.generators import gen_hitting_instance, gen_instance, heavy_path_instance, random_tree
 from tokenslide.graphs import peel_tree, require_on_graph
 from tokenslide.instances import emit_instance, parse_instance
 from tokenslide.tree_reconfig import _differ, _sweep
 
-from helpers import has_maximal_runs, iter_tree_instances, run_length
+from helpers import (
+    bfs_sources,
+    has_maximal_runs,
+    iter_tree_instances,
+    reference_parse_instance,
+    reference_rooting,
+    run_length,
+)
 
 
 def path_tree(n, root=0):
@@ -69,7 +77,7 @@ def _dense_sweep(tree, h_s, h_t):
 
 def _random_rooted_tree(n, rng):
     """A random tree on 0..n-1 with ids in random order: peeled and rooted
-    at 0, or built eagerly and rooted by ``check_tree`` at a random vertex."""
+    at 0, or built eagerly and rooted at a random vertex."""
     perm = list(range(n))
     rng.shuffle(perm)
     edges = [(perm[u], perm[v]) for u, v in random_tree(n, rng).edges()]
@@ -169,6 +177,29 @@ class TestSweepAgainstDenseReference:
             assert seq.moves == _dense_sweep(eager, h_s, h_t).moves
             long_walks += len(seq.moves) > len(_differ(h_s, h_t))  # some walk passed two vertices
         assert long_walks > 100
+
+    @pytest.mark.parametrize("where", ["leaf", "middle", "last"])
+    def test_rerooting_a_parsed_tree_runs_no_bfs(self, where):
+        """A parsed ``gen --kind tree`` instance rooted at a leaf, at an
+        inner vertex halfway along the ids, or at n - 1: rooting and solving
+        run no BFS and never build the adjacency, and the moves are the
+        dense sweep's on the tree rooted by a BFS of the test's own."""
+        text = emit_instance(gen_instance("tree", 3000, 1200, 5))
+        inst = parse_instance(text)
+        g, n = inst.graph, inst.graph.n
+        inner = set(g._parent)  # 0 is its own parent
+        root = {
+            "leaf": min(set(range(n)) - inner),
+            "middle": min(v for v in inner if v >= n // 2),
+            "last": n - 1,
+        }[where]
+        with bfs_sources() as sources:
+            seq = reconf_tree_dominating(RootedTree(g, root), inst.d_s, inst.d_t)
+        assert sources == [] and g._adj is None
+        parent, depth = reference_rooting(reference_parse_instance(text).graph, root)
+        order = sorted(range(n), key=lambda v: (-depth[v], v))
+        bfs_tree = SimpleNamespace(n=n, root=root, parent=parent, order=order)
+        assert seq.moves and seq.moves == _dense_sweep(bfs_tree, inst.d_s, inst.d_t).moves
 
     @pytest.mark.parametrize("root", [0, 2, 4])
     def test_unequal_sizes_leave_an_imbalance_at_the_root(self, root):

@@ -28,8 +28,9 @@ class Graph:
     ``peel_tree`` holds only its parent array, rooted at 0 (``_parent``),
     and leaves ``_adj`` None until ``adjacency`` builds the rows from it on
     the first read, which is the only place that happens.  Until then
-    ``has_edge`` reads the parent array, and every other reader of the rows
-    goes through ``adjacency``.  No other graph holds a parent array.  A
+    ``has_edge`` and ``RootedTree`` (its parents, depths and order) read the
+    parent array, and every other reader of the rows goes through
+    ``adjacency``.  No other graph holds a parent array.  A
     graph keeps no distance row: each ``Distances`` table owns the rows it
     reads.
     """
@@ -279,17 +280,17 @@ class RootedTree:
     """A connected acyclic graph with parent/depth data and a processing order.
 
     ``order`` lists vertices by decreasing depth (ties by increasing id), so
-    every vertex appears before its parent; it is sorted on first read, and
-    the solver never reads it.  The root is its own parent.
+    every vertex appears before its parent.  The root is its own parent.
     The parents come from a parent array rooted at 0: the one the graph
     holds (``graph._parent``, a tree from ``peel_tree``), or else the one
     ``peel_tree`` gives for ``graph.edges()``, which is also the check that
     the graph is a tree.  Rooted at 0 the tree keeps that array, so it is
     read-only; at any other root r, a copy has the pointers on r's path to
-    0 reversed: O(n) for the copy plus O(depth of r).  No BFS runs, a tree
-    from ``peel_tree`` never builds its adjacency here, and the graph is
-    left as it was.  ``depth`` is the root's BFS row, computed on its first
-    read, which the solver never makes.
+    0 reversed: O(n) for the copy plus O(depth of r).  ``depth`` and
+    ``order`` come from one ``_climb`` from every vertex, run on the first
+    read of either, which the solver never makes: it climbs only from the
+    vertices whose counts differ.  No BFS runs, a tree from ``peel_tree``
+    never builds its adjacency here, and the graph is left as it was.
     """
 
     __slots__ = ("graph", "root", "parent", "_depth", "_order")
@@ -328,19 +329,53 @@ class RootedTree:
 
     @property
     def depth(self) -> list[int]:
-        """Each vertex's distance from the root, read-only: the root's
-        ``distances_from`` row, computed on the first read."""
-        if self._depth is None:
-            self._depth = distances_from(self.graph, self.root)
-        return self._depth
+        """Each vertex's distance from the root, read-only."""
+        return self._climbed()[0]
 
     @property
     def order(self) -> tuple[int, ...]:
-        if self._order is None:
-            depth = self.depth
-            # the sort is stable under reverse=True, so ties keep increasing id
-            self._order = tuple(sorted(range(len(depth)), key=depth.__getitem__, reverse=True))
-        return self._order
+        return self._climbed()[1]
+
+    def _climbed(self) -> tuple[list[int], tuple[int, ...]]:
+        """(depth, order), both filled by one ``_climb`` over every vertex on
+        the first call."""
+        if self._depth is None:
+            up, self._depth = self._climb(range(self.n))
+            self._order = (*up, self.root)  # the one vertex at depth 0
+        return self._depth, self._order
+
+    def _climb(self, starts: Iterable[int]) -> tuple[list[int], list[int]]:
+        """(U, level): U holds the vertices on the root paths of ``starts``,
+        less the root, by decreasing depth and then increasing id; level
+        holds the depths of U and of the root, -1 elsewhere.
+
+        The walk up from each start stops at the first vertex whose level is
+        known, the root from the outset, so it visits each vertex of U once.
+        The vertices it passed get their levels counted from that vertex's:
+        one vertex directly, a longer segment in one C-level scatter.  Cost:
+        O(|starts| + |U| log |U|), the sorts and scatters in C, after one
+        C-level allocation of n entries.
+        """
+        parent = self.parent
+        level = [-1] * len(parent)
+        level[self.root] = 0
+        up: list[int] = []
+        for v in starts:
+            start = len(up)
+            while level[v] < 0:
+                up.append(v)
+                v = parent[v]
+            # up[start:] runs from the deepest vertex passed up to a child of v
+            d = level[v]
+            k = len(up) - start
+            if k == 1:
+                level[up[start]] = d + 1
+            elif k:
+                deque(map(setitem, repeat(level), up[start:], range(d + k, d, -1)), 0)
+        # the sort is stable under reverse=True, so ties keep increasing id
+        up.sort()
+        up.sort(key=level.__getitem__, reverse=True)
+        return up, level
 
     def __repr__(self) -> str:
         return f"RootedTree(n={self.n}, root={self.root})"

@@ -129,8 +129,8 @@ class _ChainDistances:
     order and ``cut`` indices, never coordinates, so endpoints of any size
     work.
 
-    ``distance`` walks the chain for one pair; ``blocks`` prices many pairs
-    at once in numpy.  Holds only sequences of ints, never the
+    ``view(s)[v]`` walks the chain for one pair; ``blocks`` prices many
+    pairs at once in numpy.  Holds only sequences of ints, never the
     representation or the graph, so a graph can keep it without forming a
     reference cycle, and nothing per source: a row is a ``_ChainRow`` view.
     """
@@ -146,33 +146,13 @@ class _ChainDistances:
         self._cut = cut
         self._reach = reach
 
-    def distance(self, u: int, v: int) -> int:
-        """The distance between u and v, UNREACHABLE across components."""
-        if u == v:
-            return 0
-        pos, cut, reach = self._pos, self._cut, self._reach
-        if cut[u] <= pos[v]:  # u ends before v starts
-            x, t = u, pos[v]
-        elif cut[v] <= pos[u]:
-            x, t = v, pos[u]
-        else:
-            return 1
-        d = 1
-        while cut[x] <= t:
-            y = reach[x]
-            if y == x:
-                return UNREACHABLE
-            x = y
-            d += 1
-        return d
-
     def view(self, s: int) -> "_ChainRow":
         """The distance row of s as a read-only view that queries."""
         return _ChainRow(self, s)
 
     def blocks(self, sources: Sequence[int], targets: Sequence[int]):
         """Yield ``(lo, hi, block)`` over consecutive slices of targets, with
-        ``block[i, j] == distance(sources[i], targets[lo + j])`` as an intp
+        ``block[i, j] == view(sources[i])[targets[lo + j]]`` as an intp
         array; sources must not be empty.
 
         Each chain walk jumps along a doubling table of ``reach``: level j
@@ -233,7 +213,25 @@ class _ChainRow:
         self._s = s
 
     def __getitem__(self, v: int) -> int:
-        return self._chains.distance(self._s, v)
+        """The distance from s to v, UNREACHABLE across components."""
+        u, chains = self._s, self._chains
+        if u == v:
+            return 0
+        pos, cut, reach = chains._pos, chains._cut, chains._reach
+        if cut[u] <= pos[v]:  # u ends before v starts
+            x, t = u, pos[v]
+        elif cut[v] <= pos[u]:
+            x, t = v, pos[u]
+        else:
+            return 1
+        d = 1
+        while cut[x] <= t:
+            y = reach[x]
+            if y == x:
+                return UNREACHABLE
+            x = y
+            d += 1
+        return d
 
 
 class Relation(enum.Enum):

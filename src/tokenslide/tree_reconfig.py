@@ -12,10 +12,6 @@ output is run-length compressed to at most one triple per vertex.
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import repeat
-from operator import setitem
-
 from .errors import FeasibilityError, InvariantError
 from .graphs import RootedTree, SetSystem, TreeCoverage, require_hitting, require_on_graph
 from .graphs import require_same_size
@@ -79,16 +75,12 @@ def _sweep(
     The surplus S(v) of v's subtree, source minus target tokens, crosses the
     edge from v to its parent.  It can be non-zero only if some vertex of D
     lies in that subtree, that is only for v on the root path of a vertex
-    of D.  The walk up from each vertex of D stops at the first vertex
-    whose depth is known, the root from the start, so it visits U, the
-    union of these paths less the root, once; it then gives the vertices
-    it passed their depths, counted from that vertex's, in one C-level
-    scatter, so ``tree.depth`` is never read.  U is sorted by id and,
-    stably, by decreasing depth, which is the relative order of
-    ``tree.order``, and S(v) is pushed to the parent in that order; all of
+    of D.  ``tree._climb(D)`` gives U, the union of these paths less the
+    root, in the relative order of ``tree.order``, without reading
+    ``tree.depth``; S(v) is pushed to the parent in that order, and all of
     it arrives at the root, where S(root) = 0 for equal sizes.  Cost:
-    O(|D| + |U| log |U|), the sorts and scatters in C, after two C-level
-    allocations of n entries.
+    O(|D| + |U| log |U|) after two C-level allocations of n entries, the
+    first freed before the second is made.
     """
     if differ is None:
         differ = _differ(h_s, h_t)
@@ -96,24 +88,10 @@ def _sweep(
     count_t = h_t._counts.get
     parent = tree.parent
     root = tree.root
-    n = len(parent)
-    surplus = [0] * n
-    level = [-1] * n  # the depths of the root and of U, -1 elsewhere
-    level[root] = 0
-    up: list[int] = []
+    up = tree._climb(differ)[0]  # its level list, n entries, is freed here
+    surplus = [0] * len(parent)
     for v in differ:
         surplus[v] = count_s(v, 0) - count_t(v, 0)
-        start = len(up)
-        while level[v] < 0:
-            up.append(v)
-            v = parent[v]
-        # up[start:] runs from the deepest vertex passed up to a child of v
-        d = level[v]
-        deque(map(setitem, repeat(level), up[start:], range(d + len(up) - start, d, -1)), 0)
-    # the sort is stable under reverse=True, so ties keep increasing id
-    up.sort()
-    up.sort(key=level.__getitem__, reverse=True)
-    del level  # n entries, freed before the triples are built
 
     front: list[tuple[int, int, int]] = []
     back: list[tuple[int, int, int]] = []

@@ -225,9 +225,10 @@ class TestClosedNeighborhoods:
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from(("eager", "increasing", "shuffled")), st.data())
 def test_rooted_tree_matches_a_reference_bfs(n, seed, built, data):
     """An eager graph with shuffled ids, or a tree peeled from increasing or
-    shuffled edge lines, rooted anywhere: no BFS runs while rooting, the
-    parents, depths and order are a BFS's, and a peeled graph's parent
-    array is left as it was."""
+    shuffled edge lines, rooted anywhere: no BFS runs while rooting or while
+    reading depth and order, a peeled graph's parent array is left as it
+    was and its adjacency unbuilt, and the parents, depths and order are a
+    BFS's."""
     rng = random.Random(seed)
     if built == "eager":
         perm = list(range(n))
@@ -241,11 +242,52 @@ def test_rooted_tree_matches_a_reference_bfs(n, seed, built, data):
     root = data.draw(st.integers(0, n - 1))
     with bfs_sources() as sources:
         tree = RootedTree(g, root)
-    assert sources == []  # no BFS while rooting
-    assert g._parent is held and (held is None or held == before)
+        got = tree.depth, tree.order
+    assert sources == []  # no BFS while rooting, nor for depth and order
+    assert g._parent is held and (held is None or held == before and g._adj is None)
     parent, depth = reference_rooting(g, root)
-    assert (tree.parent, tree.depth) == (parent, depth)
-    assert tree.order == tuple(sorted(range(n), key=lambda v: (-depth[v], v)))
+    assert tree.parent == parent
+    assert got == (depth, tuple(sorted(range(n), key=lambda v: (-depth[v], v))))
+
+
+def _shuffled_caterpillar(spine, legs, seed):
+    """A caterpillar whose ids are shuffled, so that they need not grow away
+    from any root: (n, edges)."""
+    n = spine * (legs + 1)
+    edges = [(s, s + 1) for s in range(spine - 1)]
+    edges += [(s, spine + s * legs + j) for s in range(spine) for j in range(legs)]
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return n, [(perm[u], perm[v]) for u, v in edges]
+
+
+_PINNED_TREES = {
+    # rooted at 4, the climb from 0 passes 0..3 in one segment, and each of
+    # 5..8 is a one-vertex segment
+    "path": (9, [(i, i + 1) for i in range(8)]),
+    # centre 2: rooted at a leaf, the climb from leaf 0 passes 0 and 2, and
+    # each other leaf is a one-vertex segment
+    "star": (6, [(2, v) for v in (0, 1, 3, 4, 5)]),
+    "caterpillar": _shuffled_caterpillar(6, 2, 35),
+}
+
+
+@pytest.mark.parametrize("built", ["eager", "peeled"])
+@pytest.mark.parametrize("name", sorted(_PINNED_TREES))
+def test_rooted_tree_pinned_at_every_root(name, built):
+    """Depth and order on a path, a star and a caterpillar with shuffled ids,
+    eager or peeled, at every root: the climbs take one-vertex segments and
+    longer ones, and give a BFS's depths and order with no BFS run."""
+    n, edges = _PINNED_TREES[name]
+    for root in range(n):
+        g = Graph(n, edges) if built == "eager" else peel_tree(n, [x for e in edges for x in e])
+        with bfs_sources() as sources:
+            tree = RootedTree(g, root)
+            got = tree.depth, tree.order
+        assert sources == []
+        assert built == "eager" or g._adj is None
+        depth = reference_rooting(g, root)[1]
+        assert got == (depth, tuple(sorted(range(n), key=lambda v: (-depth[v], v))))
 
 
 def _shuffled_tree_ends(n, rng):

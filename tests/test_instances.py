@@ -176,9 +176,12 @@ def test_parse_and_root_run_no_bfs_on_a_tree_file(text):
     with bfs_sources() as sources:
         inst = parse_instance(text)
         tree = RootedTree(inst.graph, 0)
-    assert sources == []  # the parser roots the tree from its edge lines, with no BFS
-    assert tree._depth is None
-    assert tree.depth == distances_from(inst.graph, 0)  # computed by a BFS on this read
+        assert tree._depth is None
+        depth = tree.depth
+    # the parser roots the tree from its edge lines, and depth climbs the parent array
+    assert sources == []
+    assert inst.graph._adj is None
+    assert depth == distances_from(inst.graph, 0)
 
 
 @pytest.mark.parametrize("text", [P4_TREE, emit_instance(gen_instance("tree", 60, 20, 3))])

@@ -146,12 +146,14 @@ class TestSweepAgainstDenseReference:
             assert has_maximal_runs(seq.moves)
 
     def test_sweep_reads_no_depth(self):
-        """The depths the sweep gives U on its walks order U as ``tree.depth``
-        does, over 2 000 seeded cases on trees rooted from the lower ends of
-        their edge lines, whose depth is never read: dominating instances
-        solved from their parsed files, and increasing-id trees with the
-        token shapes of ``_sweep_case``, each against the eager graph rooted
-        by BFS.  Other roots: ``test_hitting_families_match_the_dense_sweep``."""
+        """The sweep climbs from the vertices whose counts differ only, and
+        never reads ``tree.depth``, which would climb from every vertex: over
+        2 000 seeded cases on trees rooted from the lower ends of their edge
+        lines, dominating instances solved from their parsed files and
+        increasing-id trees with the token shapes of ``_sweep_case``, the
+        tree's depth stays unread and the moves equal those of the dense
+        sweep over ``tree.order`` on the eager graph.  Other roots:
+        ``test_hitting_families_match_the_dense_sweep``."""
         rng = random.Random(2903)
         for inst in iter_tree_instances(1400, 2903, max_n=40, max_k=14):
             parsed = parse_instance(emit_instance(inst))

@@ -11,7 +11,7 @@ from bisect import insort
 from collections.abc import Iterable, Sequence
 
 from .errors import InputError
-from .graphs import Coverage, Graph, RootedTree, SetSystem, closed_neighborhoods, is_dominating
+from .graphs import Coverage, Graph, RootedTree, SetSystem, TreeCoverage, domination_tracker, is_dominating
 from .instances import Instance
 from .intervals import IntervalRepresentation, intersection_graph, normalize_representation
 from .multiset import TokenMultiset
@@ -20,9 +20,9 @@ _GEN_RETRY_CAP = 60
 
 
 def random_tree(n: int, rng: random.Random) -> Graph:
-    """Random recursive tree: vertex i attaches to a uniform earlier vertex."""
-    edges = [(i, rng.randrange(i)) for i in range(1, n)]
-    return Graph(n, edges)
+    """Random recursive tree on n >= 1 vertices: vertex i attaches to a
+    uniform earlier vertex, its parent."""
+    return Graph._from_rows(None, [rng.randrange(i) if i else 0 for i in range(n)])
 
 
 def random_connected_graph(n: int, rng: random.Random) -> Graph:
@@ -115,7 +115,9 @@ def greedy_dominating_intervals(rep: IntervalRepresentation, g: Graph) -> set[in
     return _greedy_dominating(g, sorted(range(g.n), key=rep._right.__getitem__), rep.furthest_reach())
 
 
-def diversify_tokens(g: Graph, cover: Coverage, rng: random.Random, steps: int) -> TokenMultiset:
+def diversify_tokens(
+    g: Graph, cover: Coverage | TreeCoverage, rng: random.Random, steps: int
+) -> TokenMultiset:
     """Random walk in the reconfiguration graph: feasibility-preserving slides.
 
     Starts from the feasible configuration that ``cover`` tracks and moves
@@ -156,9 +158,8 @@ def _scrambled_instance(
     if k == n:
         d_s = d_t = start
     else:
-        hits = closed_neighborhoods(graph)
-        d_s = diversify_tokens(graph, Coverage(hits, n, start), rng, 2 * n)
-        d_t = diversify_tokens(graph, Coverage(hits, n, start), rng, 2 * n)
+        d_s = diversify_tokens(graph, domination_tracker(graph, start), rng, 2 * n)
+        d_t = diversify_tokens(graph, domination_tracker(graph, start), rng, 2 * n)
     assert is_dominating(graph, d_s) and is_dominating(graph, d_t)
     kind = "tree" if rep is None else "intervals"
     return Instance(kind=kind, graph=graph, rep=rep, d_s=d_s, d_t=d_t)
@@ -227,7 +228,7 @@ def heavy_path_instance(n: int, pile: int) -> tuple[Graph, TokenMultiset, TokenM
     stacks ``pile`` extra tokens on the left end and the other on the right
     end, so the whole pile must march across the path.
     """
-    graph = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    graph = Graph._from_rows(None, [0, *range(n - 1)])  # the path 0-1-...-(n-1)
     pattern = [v for v in range(n) if v % 3 == 1]
     if not pattern or pattern[-1] + 1 < n - 1:
         pattern.append(n - 1)

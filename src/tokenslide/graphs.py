@@ -22,17 +22,20 @@ UNREACHABLE = -1
 class Graph:
     """Immutable undirected graph given by symmetric adjacency lists.
 
-    ``Graph(n, edges)`` checks every edge.  Two builders skip that list,
-    through ``_from_rows``, and equal the graph it would give:
-    ``intersection_graph`` hands over its rows, sorted; a tree from
-    ``peel_tree`` holds only its parent array, rooted at 0 (``_parent``),
-    and leaves ``_adj`` None until ``adjacency`` builds the rows from it on
-    the first read, which is the only place that happens.  Until then
-    ``has_edge`` and ``RootedTree`` (its parents, depths and order) read the
-    parent array, and every other reader of the rows goes through
-    ``adjacency``.  No other graph holds a parent array.  A
-    graph keeps no distance row: each ``Distances`` table owns the rows it
-    reads.
+    A graph holds its parent array rooted at 0 (``_parent``, the root its
+    own parent) exactly when its distinct edges form a spanning tree, and
+    None otherwise, however it was built.  ``Graph(n, edges)`` checks every
+    edge; ``_from_rows`` takes the rows unchecked (``intersection_graph``).
+    Both peel the edges of a graph with n - 1 of them (``peel_tree``) to
+    set that array.  A tree built from its array (``_from_rows(None,
+    parent)``: ``peel_tree``, ``random_tree``, ``heavy_path_instance``)
+    holds only the array and leaves ``_adj`` None until ``adjacency``
+    builds the rows from it on the first read, which is the only place
+    that happens.  Until then ``has_edge`` reads the array, and every
+    other reader of the rows goes through ``adjacency``.  ``RootedTree``,
+    ``is_dominating`` and ``domination_tracker`` read the array on every
+    tree.  A graph keeps no distance row: each ``Distances`` table owns
+    the rows it reads.
     """
 
     __slots__ = ("n", "edge_count", "_adj", "_closed", "_chains", "_parent")
@@ -52,12 +55,7 @@ class Graph:
             row.sort()
             if len(set(row)) < len(row):  # a repeated edge
                 row[:] = sorted(set(row))
-        self._adj: tuple[tuple[int, ...], ...] | None = tuple(map(tuple, adj))
-        self.edge_count = sum(map(len, adj)) // 2
-        self._closed: _ClosedNeighborhoods | None = None  # see closed_neighborhoods
-        self._chains = None  # an interval graph's distance queries, see Distances
-        self._parent: list[int] | None = None  # see peel_tree
-        self.n = n
+        self._set(tuple(map(tuple, adj)), None)
 
     @classmethod
     def _from_rows(
@@ -65,21 +63,31 @@ class Graph:
     ) -> Graph:
         """The graph with these adjacency rows, taken unchecked: the caller
         guarantees that they are symmetric, sorted by id, and free of
-        self-loops and repeats.  With adj None, the tree with this parent
-        array instead, rooted at 0 (its own parent), its rows unbuilt."""
+        self-loops and repeats; with n - 1 edges they are peeled once, as in
+        ``Graph(n, edges)``.  With adj None, the tree with this parent array
+        instead, rooted at 0 (its own parent), its rows unbuilt."""
         g = cls.__new__(cls)
-        g.n = len(parent) if adj is None else len(adj)
-        g.edge_count = g.n - 1 if adj is None else sum(map(len, adj)) // 2
-        g._adj = adj
-        g._parent = parent
-        g._closed = None
-        g._chains = None
+        g._set(adj, parent)
         return g
+
+    def _set(self, adj: tuple[tuple[int, ...], ...] | None, parent: list[int] | None) -> None:
+        """Fill every slot from the rows, or with adj None from the parent
+        array; rows with n - 1 edges get the array ``peel_tree`` gives for
+        them, or None if they form no tree."""
+        self.n = n = len(parent) if adj is None else len(adj)
+        self.edge_count = n - 1 if adj is None else sum(map(len, adj)) // 2
+        self._adj = adj
+        if adj is not None and self.edge_count == n - 1:
+            peeled = peel_tree(n, list(chain.from_iterable(self.edges())))
+            parent = peeled and peeled._parent
+        self._parent = parent
+        self._closed: _ClosedNeighborhoods | None = None  # see closed_neighborhoods
+        self._chains = None  # an interval graph's distance queries, see Distances
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         adj = self._adj
-        if adj is None:  # a tree from peel_tree, read for the first time
+        if adj is None:  # a tree built from its parent array, read for the first time
             rows: list[list[int]] = [[] for _ in range(self.n)]
             for v, p in enumerate(self._parent):
                 if v != p:
@@ -214,7 +222,8 @@ def peel_tree(n: int, ends: list[int]) -> Graph | None:
     (ends[2], ends[3]), ..., rooted at 0, or None unless these edges,
     repeats and self-loops counted, are exactly the edges of such a tree.
     It is the one way a tree gets its parents: the parser roots a tree
-    file's edge lines with it, and ``RootedTree`` a graph's ``edges()``.
+    file's edge lines with it, and every ``Graph`` with n - 1 edges its
+    ``edges()`` when it is built.
 
     Lower-end rooting first, in C: if every edge is written ``lo hi`` with
     lo < hi, each vertex's parent is taken to be the lower end of the edge
@@ -281,16 +290,16 @@ class RootedTree:
 
     ``order`` lists vertices by decreasing depth (ties by increasing id), so
     every vertex appears before its parent.  The root is its own parent.
-    The parents come from a parent array rooted at 0: the one the graph
-    holds (``graph._parent``, a tree from ``peel_tree``), or else the one
-    ``peel_tree`` gives for ``graph.edges()``, which is also the check that
-    the graph is a tree.  Rooted at 0 the tree keeps that array, so it is
-    read-only; at any other root r, a copy has the pointers on r's path to
-    0 reversed: O(n) for the copy plus O(depth of r).  ``depth`` and
-    ``order`` come from one ``_climb`` from every vertex, run on the first
-    read of either, which the solver never makes: it climbs only from the
-    vertices whose counts differ.  No BFS runs, a tree from ``peel_tree``
-    never builds its adjacency here, and the graph is left as it was.
+    The parents come from the parent array rooted at 0 that the graph
+    holds (``graph._parent``), which every graph whose edges form a tree
+    holds and no other, so it is also the check that the graph is a tree.
+    Rooted at 0 the tree keeps that array, so it is read-only; at any
+    other root r, a copy has the pointers on r's path to 0 reversed: O(n)
+    for the copy plus O(depth of r).  ``depth`` and ``order`` come from one
+    ``_climb`` from every vertex, run on the first read of either, which
+    the solver never makes: it climbs only from the vertices whose counts
+    differ.  No BFS runs, no edge is read, a tree from ``peel_tree`` never
+    builds its adjacency here, and the graph is left as it was.
     """
 
     __slots__ = ("graph", "root", "parent", "_depth", "_order")
@@ -306,10 +315,7 @@ class RootedTree:
             if graph.edge_count != n - 1:
                 raise InputError(f"tree on {n} vertices must have {n - 1} edges, got {graph.edge_count}")
             # n - 1 distinct edges without loops: a tree unless disconnected
-            peeled = peel_tree(n, list(chain.from_iterable(graph.edges())))
-            if peeled is None:
-                raise InputError("tree is not connected")
-            parent = peeled._parent
+            raise InputError("tree is not connected")
         if root:
             path = [root]
             while path[-1]:  # up to 0, the old root
@@ -444,12 +450,13 @@ class SetSystem:
 def is_dominating(g: Graph, tokens: TokenMultiset) -> bool:
     """True iff every vertex is in the support or adjacent to it.
 
-    A tree from ``peel_tree`` answers through ``TreeCoverage`` on its parent
-    array, so its adjacency is never built.  Any other graph takes one
-    union, in C, of N[x] over the support, from the graph's N[v] table,
-    which builds the sets it does not hold yet.  That union is several
-    times faster than building the ``Coverage`` that ``domination_tracker``
-    gives, and the interval solver asks this once per matching repair.
+    A tree, however it was built, answers through ``TreeCoverage`` on its
+    parent array, so no N[v] set is built, nor a peeled tree's adjacency.
+    Any other graph takes one union, in C, of N[x] over the support, from
+    the graph's N[v] table, which builds the sets it does not hold yet.
+    That union is several times faster than building the ``Coverage`` that
+    ``domination_tracker`` gives, and the interval solver asks this once
+    per matching repair.
     """
     if g._parent is not None:
         return TreeCoverage(RootedTree(g), tokens).feasible
@@ -593,8 +600,7 @@ class TreeCoverage:
     parent holds a token or v has an occupied child.  This one model
     answers every domination question on a tree: both ends of a solve
     (``feasible``, then ``reach``), each slide of a replay (through
-    ``domination_tracker``) and ``is_dominating`` on a tree from
-    ``peel_tree``.
+    ``domination_tracker``) and ``is_dominating``, on every tree.
     Callers read ``counts`` but change it only through ``slide``.
     """
 
@@ -736,9 +742,8 @@ class TreeCoverage:
 
 def domination_tracker(g: Graph, tokens: TokenMultiset) -> Coverage | TreeCoverage:
     """The tracker of tokens dominating g: a ``TreeCoverage`` on the parent
-    array of a tree that holds one (a tree from ``peel_tree``), which reads
-    no edge, and a ``Coverage`` on g's N[v] table otherwise, which builds
-    only the sets of the support."""
+    array of a tree, which reads no edge, and a ``Coverage`` on the N[v]
+    table of any other graph, which builds only the sets of the support."""
     if g._parent is not None:
         return TreeCoverage(RootedTree(g), tokens)
     return Coverage(closed_neighborhoods(g), g.n, tokens)

@@ -241,7 +241,8 @@ def _graph_from(header: int, kind: str, n: int, flat: list[int]) -> Graph:
     """The graph of the edge list flat.
 
     A tree file whose edges form a tree gets the rooted graph of
-    ``peel_tree``; any other edge list is built eagerly and, in a tree file,
+    ``peel_tree``; any other edge list is built eagerly (and rooted there
+    if its edges form a tree, see ``Graph``) and, in a tree file,
     ``RootedTree`` names what is wrong with it: the edge count or a
     disconnected graph."""
     if kind == "tree":

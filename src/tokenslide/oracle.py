@@ -10,9 +10,9 @@ start)``, which builds the tracker of start's tokens on an n-vertex graph:
 ``graphs.domination_tracker`` for domination, and a ``graphs.Coverage`` on
 a family's sets for hitting.  ``verify_sequence`` replays a sequence on it
 one triple at a time, and ``_bfs`` checks both ends with it, so an
-infeasible end is rejected before any mask is built.  Whether a graph is a
-tree, which decides what a short certificate means, is asked of
-``graphs.RootedTree``; no tree logic lives here.
+infeasible end is rejected before any mask is built.  A graph is a tree,
+which decides what a short certificate means, exactly when it holds its
+parent array (see ``graphs.Graph``); no tree logic lives here.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from typing import Callable, NamedTuple
 
 from .errors import FeasibilityError, InputError, StateCapExceeded
-from .graphs import Coverage, Graph, RootedTree, SetSystem, closed_neighborhoods
+from .graphs import Coverage, Graph, SetSystem, closed_neighborhoods
 from .graphs import domination_tracker, require_on_graph, require_same_size
 from .matching import min_cost_matching
 from .moves import MoveSequence
@@ -50,8 +50,9 @@ def dominating_predicate(g: Graph) -> Predicate:
     The mask table is built on the first call: it is quadratic in n, and
     neither ``verify_sequence`` nor the end checks of the search call the
     predicate, only ``tracker``, which is ``graphs.domination_tracker``: on
-    a tree that holds its parent array it reads that array alone, so a
-    replay builds neither the adjacency nor any N[v] set.
+    a tree, which holds its parent array however it was built, it reads
+    that array alone, so a replay builds no N[v] set, nor the adjacency of
+    a tree that has none yet.
     """
     full = (1 << g.n) - 1
     closed: list[int] = []
@@ -262,10 +263,11 @@ def sequence_failure(
     No slide sequence is shorter than the minimum-cost matching c* between
     start and goal, and a replayed sequence of length L shows that the
     distance is at most L.  So c* == L certifies that L is the distance, and
-    no configuration search is needed.  On trees and on interval graphs
-    (those from ``intersection_graph``) c* is the distance, so c* < L shows
-    that L is not shortest; on any other graph c* may fall below the
-    distance, and c* < L leaves L only not certified.
+    no configuration search is needed.  On trees (the graphs that hold
+    their parent array, however built) and on interval graphs (those from
+    ``intersection_graph``) c* is the distance, so c* < L shows that L is
+    not shortest; on any other graph c* may fall below the distance, and
+    c* < L leaves L only not certified.
     """
     ok, final, failure = verify_sequence(g, pred, start, seq)
     if not ok:
@@ -276,10 +278,7 @@ def sequence_failure(
     if optimal:
         _, cost = min_cost_matching(g, start, goal)
         if cost != length:
-            try:
-                if g._chains is None:  # not an interval graph, so c* is exact only on a tree
-                    RootedTree(g)
-            except InputError:
+            if g._parent is None and g._chains is None:  # neither a tree nor an interval graph
                 return f"not certified: matching bound {cost} is below length {length}"
             return f"suboptimal: matching bound {cost} differs from length {length}"
     return None

@@ -282,7 +282,10 @@ def shortest_slide_sequence(g: ts.Graph, pred, start: ts.TokenMultiset, goal: ts
 
 
 class ReferenceGraph(ts.Graph):
-    """A Graph whose adjacency is built with a set per vertex."""
+    """A Graph whose adjacency is built with a set per vertex, and which
+    holds no parent array even when its edges form a tree: on it
+    ``is_dominating`` takes the N[x] union and ``domination_tracker`` a
+    ``Coverage``, the references the tree model is checked against."""
 
     __slots__ = ()
 

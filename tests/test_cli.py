@@ -137,6 +137,28 @@ class TestVerify:
         assert main(["verify", str(f), str(mf), "--optimal"]) == 2
         assert capsys.readouterr().out == "not certified: matching bound 3 is below length 4\n"
 
+    def test_graph_file_of_a_path_is_called_suboptimal(self, tmp_path, capsys):
+        """A graph file whose edges form a path, in shuffled lines and ends,
+        is a tree, on which the matching bound is the distance: a padded
+        sequence is suboptimal."""
+        f, mf = tmp_path / "g4.txt", tmp_path / "moves.txt"
+        f.write_text("graph 4\n2 3\n1 0\n2 1\ntokens 2: 0 2\ntokens 2: 1 3\n")
+        mf.write_text("moves 4\n0 1 1\n1 0 1\n0 1 1\n2 3 1\n")
+        assert main(["verify", str(f), str(mf), "--optimal"]) == 2
+        assert capsys.readouterr().out == "suboptimal: matching bound 2 differs from length 4\n"
+
+    def test_graph_file_with_n_minus_1_edges_and_a_cycle_is_not_certified(self, tmp_path, capsys):
+        """A triangle and an isolated vertex: n - 1 edges, but no tree, and a
+        graph file holds no intervals, so a padded sequence is only not
+        certified."""
+        f, mf = tmp_path / "g4.txt", tmp_path / "moves.txt"
+        f.write_text("graph 4\n0 1\n1 2\n0 2\ntokens 2: 0 3\ntokens 2: 1 3\n")
+        mf.write_text("moves 3\n0 1 1\n1 2 1\n2 1 1\n")
+        assert main(["verify", str(f), str(mf)]) == 0
+        assert capsys.readouterr().out == "valid (3 moves)\n"
+        assert main(["verify", str(f), str(mf), "--optimal"]) == 2
+        assert capsys.readouterr().out == "not certified: matching bound 1 is below length 3\n"
+
     def test_optimal_runs_no_configuration_bfs(self, tmp_path, capsys, monkeypatch):
         def no_bfs(*args, **kwargs):
             raise AssertionError("verify --optimal ran the configuration BFS")

@@ -41,10 +41,10 @@ from tokenslide.graphs import (
     steps_toward,
 )
 from tokenslide.interval_reconfig import find_greedy_move
-from tokenslide.intervals import intersection_graph
+from tokenslide.intervals import IntervalRepresentation, intersection_graph
 from tokenslide.matching import Matching
 
-from helpers import bfs_sources, check_tree, reference_rooting
+from helpers import ReferenceGraph, bfs_sources, check_tree, reference_rooting
 
 
 def path(n):
@@ -226,9 +226,9 @@ class TestClosedNeighborhoods:
 def test_rooted_tree_matches_a_reference_bfs(n, seed, built, data):
     """An eager graph with shuffled ids, or a tree peeled from increasing or
     shuffled edge lines, rooted anywhere: no BFS runs while rooting or while
-    reading depth and order, a peeled graph's parent array is left as it
-    was and its adjacency unbuilt, and the parents, depths and order are a
-    BFS's."""
+    reading depth and order, the graph's parent array is left as it was and
+    a peeled graph's adjacency unbuilt, and the parents, depths and order
+    are a BFS's on a ``ReferenceGraph`` of the same edges."""
     rng = random.Random(seed)
     if built == "eager":
         perm = list(range(n))
@@ -238,14 +238,14 @@ def test_rooted_tree_matches_a_reference_bfs(n, seed, built, data):
         make_ends = _increasing_tree_ends if built == "increasing" else _shuffled_tree_ends
         g = peel_tree(n, make_ends(n, rng))
     held = g._parent
-    before = None if held is None else list(held)
+    before = list(held)
     root = data.draw(st.integers(0, n - 1))
     with bfs_sources() as sources:
         tree = RootedTree(g, root)
         got = tree.depth, tree.order
     assert sources == []  # no BFS while rooting, nor for depth and order
-    assert g._parent is held and (held is None or held == before and g._adj is None)
-    parent, depth = reference_rooting(g, root)
+    assert g._parent is held and held == before and (built == "eager" or g._adj is None)
+    parent, depth = reference_rooting(ReferenceGraph(n, g.edges()), root)
     assert tree.parent == parent
     assert got == (depth, tuple(sorted(range(n), key=lambda v: (-depth[v], v))))
 
@@ -441,12 +441,91 @@ def test_peel_rejects_a_detached_component(n, edges):
     assert _eager_tree(n, [x for e in edges for x in e]) is None
 
 
+def _invariant_edges(n, rng):
+    """(shape, edge list) of one seeded graph on 0..n-1: a tree with ids
+    growing away from 0 in ``lo hi`` or ``hi lo`` lines, a tree with
+    shuffled ids and ends, a tree with a repeated line, n - 1 lines of
+    which one repeats, a forest with a cycle, n - 1 edges and an isolated
+    vertex, a tree with one edge rewired at random, or G(n, p)."""
+    shape = rng.choice(("lo hi", "hi lo", "shuffled", "repeat", "repeat, n - 1 lines", "cycle", "rewired", "random"))
+    if shape == "cycle" and n < 4:
+        shape = "lo hi"  # no such forest on fewer vertices
+    if shape == "shuffled":
+        ends = _shuffled_tree_ends(n, rng)
+    elif shape == "cycle":
+        # a random tree on n - 1 vertices, one more edge between two of them
+        # that are not adjacent, and the last vertex alone; ids shuffled
+        inner = random_tree(n - 1, rng)
+        extra = rng.choice([(u, v) for u, v in itertools.combinations(range(n - 1), 2) if not inner.has_edge(u, v)])
+        perm = rng.sample(range(n), n)
+        ends = [perm[x] for e in [*inner.edges(), extra] for x in e]
+    elif shape == "random":
+        ends = [x for e in itertools.combinations(range(n), 2) if rng.random() < 2 / n for x in e]
+    else:
+        ends = _increasing_tree_ends(n, rng)
+        if shape == "hi lo":
+            ends = ends[::-1]
+    edges = list(zip(ends[::2], ends[1::2]))
+    if edges and shape.startswith("repeat"):
+        edges.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+        if shape == "repeat, n - 1 lines":
+            del edges[rng.randrange(len(edges))]
+    elif edges and shape == "rewired":
+        u, v = rng.sample(range(n), 2)
+        edges[rng.randrange(len(edges))] = (u, v)
+    return shape, edges
+
+
+def _path_layout(n, rng):
+    """Intervals of a path in shuffled ids: interval i meets i - 1 and i + 1."""
+    perm = rng.sample(range(n), n)
+    return IntervalRepresentation((2 * perm.index(v), 2 * perm.index(v) + 3) for v in range(n))
+
+
+def test_a_graph_holds_its_parent_array_exactly_when_it_is_a_tree():
+    """On 1 500 seeded graphs, n = 1-12, from every builder, ``Graph(n,
+    edges)``, ``Graph._from_rows`` on the same rows, ``peel_tree`` on the
+    same end list and ``intersection_graph`` (path-shaped layouts among
+    them), ``_parent`` is set exactly when ``check_tree`` accepts a
+    ``ReferenceGraph`` of the same edges, and then it is the parent list of
+    a BFS from 0 on that graph.  Each builder meets trees and non-trees."""
+    rng = random.Random(3601)
+    seen = collections.Counter()
+    for case in range(1500):
+        n = rng.randrange(1, 13)
+        shape, edges = _invariant_edges(n, rng)
+        ends = [x for e in edges for x in e]
+        built = [("eager", edges, Graph(n, edges)), ("rows", edges, Graph._from_rows(ReferenceGraph(n, edges).adjacency))]
+        peeled = peel_tree(n, ends)
+        if peeled is not None:
+            built.append(("peeled", edges, peeled))
+        if case % 2:
+            layout = _path_layout(n, rng) if case % 4 == 1 else random_interval_representation(n, rng, rng.random() < 0.7, rng.choice((1.0, 2.0, 4.0)))
+            spans = layout.intervals
+            meets = [(u, v) for u, v in itertools.combinations(range(n), 2) if spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1]]
+            built.append(("intervals", meets, intersection_graph(layout)))
+        for builder, reference_edges, g in built:
+            reference = ReferenceGraph(n, reference_edges)
+            try:
+                check_tree(reference)
+            except InputError:
+                assert g._parent is None, (case, builder, shape)
+                seen[builder, "not a tree"] += 1
+                continue
+            assert g._parent == reference_rooting(reference, 0)[0], (case, builder, shape)
+            seen[builder, "tree"] += 1
+        seen["n = 1"] += n == 1
+        seen[shape] += 1
+    assert min(seen.values()) >= 40, seen
+    assert seen["peeled", "tree"] >= 400 and seen["intervals", "tree"] >= 300, seen
+
+
 def test_domination_on_the_parent_array():
     """On 2 000 seeded trees parsed from their edge lines (increasing ids
     and shuffled ones) and rooted anywhere, ``is_dominating`` on the tree's
     graph, which reads its root-0 parent array, agrees with the N[x] union
-    on the eager graph of the same edges, and names the same lowest vertex
-    outside the graph."""
+    on a ``ReferenceGraph`` of the same edges, which holds no parent array,
+    and names the same lowest vertex outside the graph."""
     rng = random.Random(3101)
     seen = collections.Counter()
     for case in range(2000):
@@ -455,7 +534,7 @@ def test_domination_on_the_parent_array():
         text = f"tree {n}\n" + "".join(f"{u} {v}\n" for u, v in zip(ends[::2], ends[1::2]))
         root = rng.randrange(n)
         tree = RootedTree(parse_instance(text + "tokens 1: 0\ntokens 1: 0\n").graph, root)
-        eager = Graph(n, zip(ends[::2], ends[1::2]))
+        eager = ReferenceGraph(n, zip(ends[::2], ends[1::2]))
         assert tree.graph._parent is not None and eager._parent is None
         ids = rng.choices(range(n), k=rng.randrange(0, n + 1))
         if rng.random() < 0.1:
@@ -478,7 +557,7 @@ def test_domination_on_the_parent_array():
 @given(st.integers(2, 30), st.integers(0, 2**32 - 1))
 def test_random_tree_is_a_tree(n, seed):
     g = random_tree(n, random.Random(seed))
-    RootedTree(g, 0)  # validates connectivity and edge count
+    check_tree(ReferenceGraph(n, g.edges()))  # validates connectivity and edge count
     assert g.edge_count == n - 1
 
 
@@ -610,18 +689,20 @@ def test_tree_coverage_reach():
     peeled or built eagerly and rooted anywhere, ``reach`` from a
     dominating start with stacked tokens to a target with 1, 2, 3 or all
     of its tokens moved answers like the oracle's mask predicate on the
-    target, and leaves every entry and ``feasible`` as a tracker built
-    afresh on the target.  Rooting the eager graph leaves it as it was."""
+    target, taken on a ``ReferenceGraph`` of the same edges, and leaves
+    every entry and ``feasible`` as a tracker built afresh on the target.
+    Rooting the eager graph leaves its parent array as it was."""
     rng = random.Random(3303)
     seen = collections.Counter()
     for case in range(2400):
         n = rng.randrange(1, 15)
         ends = _increasing_tree_ends(n, rng) if case % 2 else _shuffled_tree_ends(n, rng)
         eager = Graph(n, zip(ends[::2], ends[1::2]))
+        held = list(eager._parent)
         g = peel_tree(n, ends) if case % 4 < 2 else eager
         tree = RootedTree(g, rng.randrange(n))
-        assert eager._parent is None
-        pred = dominating_predicate(g)
+        assert eager._parent == held
+        pred = dominating_predicate(ReferenceGraph(n, zip(ends[::2], ends[1::2])))
         picks = rng.choices(range(n), k=rng.randrange(1, n + 1))
         picks += rng.choices(picks, k=rng.randrange(4))  # stacks
         while not pred(TokenMultiset(picks).support_mask):

@@ -173,6 +173,7 @@ def test_matching_cost_keeps_one_distance_row_at_a_time():
     rng = random.Random(7)
     n = 10_000
     g = random_tree(n, rng)
+    g.adjacency  # a parent-array tree builds its rows on this first read, before the trace
     m = Matching({(rng.randrange(n), v): 1 for v in rng.sample(range(n), 100)})
     tracemalloc.start()
     try:

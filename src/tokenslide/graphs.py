@@ -9,8 +9,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Collection, Iterable, Sequence
-from itertools import chain, compress, repeat
-from operator import itemgetter, lt, not_, setitem
+from functools import reduce
+from itertools import compress, repeat
+from operator import itemgetter, lt, not_, setitem, xor
 
 from .errors import FeasibilityError, InputError, SizeMismatchError
 from .multiset import TokenMultiset
@@ -26,13 +27,14 @@ class Graph:
     own parent) exactly when its distinct edges form a spanning tree, and
     None otherwise, however it was built.  ``Graph(n, edges)`` checks every
     edge; ``_from_rows`` takes the rows unchecked (``intersection_graph``).
-    Both peel the edges of a graph with n - 1 of them (``peel_tree``) to
-    set that array.  A tree built from its array (``_from_rows(None,
-    parent)``: ``peel_tree``, ``random_tree``, ``heavy_path_instance``)
-    holds only the array and leaves ``_adj`` None until ``adjacency``
-    builds the rows from it on the first read, which is the only place
-    that happens.  Until then ``has_edge`` reads the array, and every
-    other reader of the rows goes through ``adjacency``.  ``RootedTree``,
+    Both root a graph with n - 1 edges off its rows (``_row_parents``, the
+    array ``peel_tree`` gives for its edges) to set that array.  A tree
+    built from its array (``_from_rows(None, parent)``: ``peel_tree``,
+    ``random_tree``, ``heavy_path_instance``) holds only the array and
+    leaves ``_adj`` None until ``adjacency`` builds the rows from it on the
+    first read, which is the only place that happens.  Until then
+    ``has_edge`` reads the array, and every other reader of the rows goes
+    through ``adjacency``.  ``RootedTree``,
     ``is_dominating`` and ``domination_tracker`` read the array on every
     tree.  A graph keeps no distance row: each ``Distances`` table owns
     the rows it reads.
@@ -63,7 +65,7 @@ class Graph:
     ) -> Graph:
         """The graph with these adjacency rows, taken unchecked: the caller
         guarantees that they are symmetric, sorted by id, and free of
-        self-loops and repeats; with n - 1 edges they are peeled once, as in
+        self-loops and repeats; with n - 1 edges they are rooted once, as in
         ``Graph(n, edges)``.  With adj None, the tree with this parent array
         instead, rooted at 0 (its own parent), its rows unbuilt."""
         g = cls.__new__(cls)
@@ -73,13 +75,13 @@ class Graph:
     def _set(self, adj: tuple[tuple[int, ...], ...] | None, parent: list[int] | None) -> None:
         """Fill every slot from the rows, or with adj None from the parent
         array; rows with n - 1 edges get the array ``peel_tree`` gives for
-        them, or None if they form no tree."""
+        their edges, read off the rows (``_row_parents``), or None if they
+        form no tree."""
         self.n = n = len(parent) if adj is None else len(adj)
         self.edge_count = n - 1 if adj is None else sum(map(len, adj)) // 2
         self._adj = adj
         if adj is not None and self.edge_count == n - 1:
-            peeled = peel_tree(n, list(chain.from_iterable(self.edges())))
-            parent = peeled and peeled._parent
+            parent = _row_parents(adj)
         self._parent = parent
         self._closed: _ClosedNeighborhoods | None = None  # see closed_neighborhoods
         self._chains = None  # an interval graph's distance queries, see Distances
@@ -221,9 +223,9 @@ def peel_tree(n: int, ends: list[int]) -> Graph | None:
     """The tree on vertices 0..n-1 with the edges (ends[0], ends[1]),
     (ends[2], ends[3]), ..., rooted at 0, or None unless these edges,
     repeats and self-loops counted, are exactly the edges of such a tree.
-    It is the one way a tree gets its parents: the parser roots a tree
-    file's edge lines with it, and every ``Graph`` with n - 1 edges its
-    ``edges()`` when it is built.
+    The parser roots a tree file's edge lines with it, and every ``Graph``
+    with n - 1 edges gets the same array from its rows (``_row_parents``)
+    when it is built.
 
     Lower-end rooting first, in C: if every edge is written ``lo hi`` with
     lo < hi, each vertex's parent is taken to be the lower end of the edge
@@ -247,15 +249,42 @@ def peel_tree(n: int, ends: list[int]) -> Graph | None:
         return None
     lo, hi = ends[::2], ends[1::2]
     parent = _lower_end_parents(n, lo, hi)
-    if parent is not None:
-        return Graph._from_rows(None, parent)
-    deg = [0] * n
-    xr = [0] * n
-    for u, v in zip(lo, hi):
-        deg[u] += 1
-        deg[v] += 1
-        xr[u] ^= v
-        xr[v] ^= u
+    if parent is None:
+        deg = [0] * n
+        xr = [0] * n
+        for u, v in zip(lo, hi):
+            deg[u] += 1
+            deg[v] += 1
+            xr[u] ^= v
+            xr[v] ^= u
+        parent = _leaf_peel(n, deg, xr)
+    return None if parent is None else Graph._from_rows(None, parent)
+
+
+def _row_parents(adj: tuple[tuple[int, ...], ...]) -> list[int] | None:
+    """The parent array ``peel_tree`` gives for the edges of these rows, or
+    None, read off the rows without listing the edges.  The rows must be
+    symmetric, sorted and simple, with n - 1 edges between them.
+
+    Lower-end rooting: the edges give each of 1..n-1 an edge to a lower id
+    exactly when each of those rows starts below its own id, and the first
+    entry is then the parent.  Else leaf peeling, on each row's length and
+    the XOR of its entries.  Every pass runs in C.
+    """
+    n = len(adj)
+    rest = adj[1:]
+    if not all(rest):  # a vertex other than 0 without an edge
+        return None
+    firsts = list(map(itemgetter(0), rest))
+    if all(map(lt, firsts, range(1, n))):
+        return [0, *firsts]
+    return _leaf_peel(n, list(map(len, adj)), list(map(reduce, repeat(xor), adj, repeat(0))))
+
+
+def _leaf_peel(n: int, deg: list[int], xr: list[int]) -> list[int] | None:
+    """Leaf peeling on each vertex's edge count and the XOR of their other
+    ends, both changed in place: the parent array rooted at 0, or None
+    unless the edges form a tree."""
     peeled = 0
     for v in [v for v in range(1, n) if deg[v] == 1]:
         # peel v, then its parent while that is left with one edge: a vertex
@@ -269,7 +298,7 @@ def peel_tree(n: int, ends: list[int]) -> Graph | None:
             deg[p] -= 1
             v = p
     # a peeled v keeps xr[v] = its parent; 0 is left with xr[0] = 0
-    return Graph._from_rows(None, xr) if peeled == n - 1 else None
+    return xr if peeled == n - 1 else None
 
 
 def _lower_end_parents(n: int, lo: list[int], hi: list[int]) -> list[int] | None:

@@ -15,12 +15,18 @@ creates.  The slide taken is the first feasible one in (source, target)
 order, source side first; ``find_greedy_move`` answers with the same
 worklist, built fresh.  Each repair is one call of the module-level
 ``fix_matching`` with the current configurations, the pairs dict wrapped
-as a ``Matching`` without a copy, and the loop's distance rows.  The
+as a ``Matching`` without a copy, and the loop's distance rows.  The loop
+keeps each side's occupied vertices in a dict as it slides, so the two
+configurations it hands over are C-level copies of k entries at most,
+never built from the n-long count lists; the loop takes over the repaired
+matching's copy, and what it handed over is not changed afterwards.  The
 repair works on the neighbourhood of one vertex v: its candidates are v's
 neighbours, and its slide test counts hits only for the sets in N[v].
-What it still reads of the whole configuration (the matching's marginals
-and self pairs, the ends of its non-self pairs, the source's domination)
-it reads in C, so no repair makes a Python pass over every token.
+What it still reads of the whole configuration it reads in C: the ends
+of the pairs, once, for the marginal check, the normalisation and the
+search for v, and the source's domination.  So no repair makes a Python
+pass over every token, nor any pass over the graph but that domination
+check.
 
 The loop keeps its output as run-length triples while it slides, one list
 of maximal runs per side, and ``MoveSequence._two_sided`` joins the two
@@ -31,6 +37,7 @@ move.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from heapq import heappop, heappush
 from itertools import chain, compress, repeat
 from operator import eq, gt
@@ -41,7 +48,8 @@ from .graphs import Coverage, Distances, Graph, closed_neighborhoods, is_dominat
 from .graphs import distances_from  # noqa: F401  perfbench's --trace 1 patches it here
 from .graphs import require_on_graph, require_same_size
 from .intervals import IntervalRepresentation, intersection_graph
-from .matching import Matching, _pair_ends, _shift_pair, min_cost_matching, normalize_matching
+from .matching import Matching, _normalized_pairs, _shift_pair
+from .matching import min_cost_matching, normalize_matching
 from .moves import MoveSequence
 from .multiset import TokenMultiset
 
@@ -230,10 +238,12 @@ def fix_matching(
     set that only v hits holds no occupied y.  The pairs dict keeps the
     caller's orientation when the problem is transposed; the partners of v
     and of each y scanned are read off its keys, and the exchange writes
-    the keys back in that orientation.  What still reads every pair or token runs in
-    C: validating and normalising the matching once, finding v among the
-    ends of the non-self pairs, and checking that the source side
-    dominates (``is_dominating``).
+    the keys back in that orientation.  What still reads every pair or token
+    runs in C.  One read of the pairs' ends (``_pair_ends``) serves the
+    marginal check, which skips its multiplicity pass when every pair is
+    single, the normalisation, which leaves a normalised matching as it is,
+    and the search for v among the ends of the non-self pairs; then
+    ``is_dominating`` checks that the source side dominates.
 
     On a state that is not stuck, v may already be matched to a candidate
     y; the exchange then moves a unit from that pair back onto itself, and
@@ -244,11 +254,12 @@ def fix_matching(
     require_same_size(d_s, d_t)
     if d_s == d_t:
         raise InputError("configurations are already equal; nothing to repair")
-    pairs = normalize_matching(g, m, d_s, d_t)._pairs  # a fresh dict, ours to change
+    # a fresh dict, ours to change; one read of its ends serves the marginal
+    # check, the normalisation and the search for v
+    pairs, (firsts, seconds, moved) = _normalized_pairs(m, d_s, d_t)
     # Self counts now sit at min(d_s, d_t), so no vertex has non-self pairs
     # both ways, and the vertices whose counts differ are the ends of the
     # non-self pairs.
-    firsts, seconds, moved = _pair_ends(pairs)
     right = rep._right.__getitem__
     v = min(chain(compress(firsts, moved), compress(seconds, moved)), key=right)
     cs, ct = d_s._counts, d_t._counts
@@ -297,14 +308,15 @@ def _greedy_moves(
     rep: IntervalRepresentation,
     g: Graph,
     dist: Distances,
-    cover_s: Coverage,
-    cover_t: Coverage,
+    tokens: tuple[TokenMultiset, TokenMultiset],
+    covers: tuple[Coverage, Coverage],
     pairs: dict[tuple[int, int], int],
     cost: int,
     on_fix: FixListener | None,
 ) -> MoveSequence:
     """The moves of the greedy loop from a minimum-cost matching ``pairs`` of
-    cost ``cost`` between the trackers' configurations.
+    cost ``cost`` between two configurations: ``tokens`` as multisets and
+    ``covers`` as their trackers.
 
     The trackers and ``pairs`` are changed in place.  Every slide lowers the
     matching cost by one, so the loop runs until ``cost`` moves are out.
@@ -313,8 +325,15 @@ def _greedy_moves(
     adds 1 to that run's count, any other starts a new run.  The target
     side's runs are emitted reversed, after the source side's
     (``MoveSequence._two_sided``), so no list holds one entry per unit move.
+
+    Each side's token counts are also kept as a dict of the occupied
+    vertices, copied from ``tokens`` and updated on every slide, so the
+    multisets a repair is handed are copies of these dicts, O(k) work in C
+    rather than a pass over the n-long count lists.
     """
+    cover_s, cover_t = covers
     cs, ct = cover_s.counts, cover_t.counts
+    held_s, held_t = dict(tokens[0]._counts), dict(tokens[1]._counts)
     work = _Worklist(g, dist, pairs, cover_s, cover_t)
     front: list[tuple[int, int, int]] = []
     back: list[tuple[int, int, int]] = []
@@ -327,8 +346,10 @@ def _greedy_moves(
                 raise InvariantError("matching repair did not enable a move")
             if cs == ct:
                 raise InvariantError(f"emitted {emitted} moves but the matching bound is {cost}")
-            cur_s = TokenMultiset.from_counts_list(cs)
-            cur_t = TokenMultiset.from_counts_list(ct)
+            cur_s = TokenMultiset._trusted(Counter(held_s))
+            cur_t = TokenMultiset._trusted(Counter(held_t))
+            # the repair gets the loop's dict itself; the loop then takes over
+            # the repaired copy, so the dict handed over never changes again
             m = fix_matching(rep, g, cur_s, cur_t, Matching._trusted(work.pairs), _dist=dist)
             if on_fix is not None:
                 on_fix(cur_s, cur_t, m)
@@ -340,7 +361,8 @@ def _greedy_moves(
         logger.debug("move %d: side=%s %d->%d toward %d", emitted, side, a, a2, other)
         work.slide(side, a, a2, other)
         # a target-side slide a -> a2 is emitted reversed, as a2 -> a
-        runs, u, v = (front, a, a2) if side == "s" else (back, a2, a)
+        runs, u, v, held = (front, a, a2, held_s) if side == "s" else (back, a2, a, held_t)
+        _shift_pair(held, a, a2)
         if runs and runs[-1][0] == u and runs[-1][1] == v:
             runs[-1] = (u, v, runs[-1][2] + 1)
         else:
@@ -377,4 +399,4 @@ def reconf_interval(
     if cost is None:
         return None
     m = normalize_matching(g, m, d_s, d_t)
-    return _greedy_moves(rep, g, Distances(g), cover_s, cover_t, m.pairs, cost, on_fix)
+    return _greedy_moves(rep, g, Distances(g), (d_s, d_t), (cover_s, cover_t), m.pairs, cost, on_fix)

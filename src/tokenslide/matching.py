@@ -22,10 +22,11 @@ import itertools
 import os
 import sys
 from collections import Counter, defaultdict
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from heapq import heappop, heappush
 from importlib.machinery import EXTENSION_SUFFIXES
 from operator import itemgetter, ne
+from typing import TypeVar
 
 from .errors import InputError, InvariantError, MatchingError
 from .graphs import UNREACHABLE, Distances, Graph, require_on_graph, require_same_size, succ_set
@@ -85,11 +86,20 @@ class Matching:
     def validate_between(self, a: TokenMultiset, b: TokenMultiset) -> None:
         """Check row/column sums equal the multiset multiplicities."""
         pairs = self._pairs
-        left = Counter(map(itemgetter(0), pairs))
-        right = Counter(map(itemgetter(1), pairs))
-        for (u, v), c in itertools.compress(pairs.items(), map((1).__lt__, pairs.values())):
-            left[u] += c - 1
-            right[v] += c - 1
+        self._validate_ends(a, b, map(itemgetter(0), pairs), map(itemgetter(1), pairs))
+
+    def _validate_ends(
+        self, a: TokenMultiset, b: TokenMultiset, firsts: Iterable[int], seconds: Iterable[int]
+    ) -> None:
+        """``validate_between`` on the sources and the targets of the pairs,
+        one per pair in the dict's order, as ``_pair_ends`` lists them."""
+        pairs = self._pairs
+        left = Counter(firsts)
+        right = Counter(seconds)
+        if self.total != len(pairs):  # some pair has multiplicity 2 or more
+            for (u, v), c in itertools.compress(pairs.items(), map((1).__lt__, pairs.values())):
+                left[u] += c - 1
+                right[v] += c - 1
         # compared as plain dicts, which is exact since no count is zero;
         # Counter's own == walks both operands in Python
         if not dict.__eq__(left, a._counts):
@@ -106,10 +116,12 @@ class Matching:
         return f"Matching({self.items()!r})"
 
 
-def _shift_pair(
-    pairs: dict[tuple[int, int], int], old: tuple[int, int], new: tuple[int, int]
-) -> None:
-    """Move one unit of multiplicity from pair old to pair new, dropping old at zero."""
+K = TypeVar("K")
+
+
+def _shift_pair(pairs: dict[K, int], old: K, new: K) -> None:
+    """Move one unit of multiplicity from pair old to pair new, dropping old
+    at zero; on a dict of token counts per vertex, slide one token."""
     pairs[old] -= 1
     if not pairs[old]:
         del pairs[old]
@@ -286,17 +298,27 @@ def normalize_matching(
     inequality this never increases the cost, so a minimum-cost input stays
     minimum-cost.
     """
-    m.validate_between(a, b)
-    pairs = m.pairs
+    return Matching._trusted(_normalized_pairs(m, a, b)[0])
+
+
+def _normalized_pairs(
+    m: Matching, a: TokenMultiset, b: TokenMultiset
+) -> tuple[dict[tuple[int, int], int], tuple[list[int], list[int], list[bool]]]:
+    """``normalize_matching``'s pairs, as a fresh dict, and their
+    ``_pair_ends``.  The ends of m are read once, for the marginal check and
+    the search for vertices to rewire, and read again only after a rewiring."""
+    ends = _pair_ends(m._pairs)
+    m._validate_ends(a, b, ends[0], ends[1])
+    pairs = m.pairs  # in m's order, so the ends still describe it
     # With the marginals right, v's self count is below its cap min(a, b)
     # iff a non-self pair leaves v and another enters it.  Those vertices
     # are found in C; when there are none, as on every stuck state of
-    # perfbench's interval_repair chains, m comes back as it is.
-    firsts, seconds, moved = _pair_ends(pairs)
+    # perfbench's interval_repair chains, the pairs stay as they are.
+    firsts, seconds, moved = ends
     leaving = set(itertools.compress(firsts, moved))
     short = sorted(leaving.intersection(itertools.compress(seconds, moved)))
     if not short:
-        return Matching._trusted(pairs)
+        return pairs, ends
     ca, cb = a._counts, b._counts
     # partners of the non-self pairs, kept up to date through the swaps;
     # self counts only rise, so the vertices skipped above stay at their cap
@@ -322,7 +344,7 @@ def normalize_matching(
                 targets[x].add(y)
             _shift_pair(pairs, (x, v), (v, v))
             _shift_pair(pairs, (v, y), (x, y))
-    return Matching._trusted(pairs)
+    return pairs, _pair_ends(pairs)
 
 
 def rematch_after_slide(g: Graph, m: Matching, u: int, u_next: int, target: int) -> Matching:

@@ -38,9 +38,15 @@ class TokenMultiset:
         if counts and min(counts) < 0:
             v = next(v for v, c in enumerate(counts) if c < 0)
             raise InputError(f"negative multiplicity {counts[v]} for vertex {v}")
+        return cls._trusted(Counter(dict(compress(enumerate(counts), counts))))
+
+    @classmethod
+    def _trusted(cls, counts: Counter[int]) -> "TokenMultiset":
+        """Wrap, without copying or checking, a Counter of positive counts
+        that the caller has built and will not change."""
         tokens = cls.__new__(cls)
-        tokens._counts = Counter(dict(compress(enumerate(counts), counts)))
-        tokens.total = sum(counts)
+        tokens._counts = counts
+        tokens.total = sum(counts.values())
         return tokens
 
     def count(self, v: int) -> int:

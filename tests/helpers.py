@@ -190,6 +190,51 @@ def harvest_interval_stalls(max_states: int, seed_cap: int = 400):
     return tuple(out)
 
 
+@functools.cache
+def harvest_repair_gadgets() -> tuple:
+    """Lone gadgets (rep, d_s, d_t) on which ``reconf_interval`` itself gets
+    stuck and repairs: each harvested stuck state with its vertex ids
+    permuted at random, up to four permutations per state that make the
+    solver fire a repair.  Whether the solver's own matching is the stuck
+    one depends on the ids, as in perfbench's gadget search."""
+    rng = random.Random(3707)
+    out = []
+    for rep, _, d_s, d_t, _ in harvest_interval_stalls(max_states=6):
+        found = 0
+        for _ in range(32):
+            perm = list(range(rep.n))
+            rng.shuffle(perm)
+            spans = [None] * rep.n
+            for v, span in enumerate(rep.intervals):
+                spans[perm[v]] = span
+            gadget = (
+                IntervalRepresentation(spans),
+                TokenMultiset({perm[v]: c for v, c in d_s.items()}),
+                TokenMultiset({perm[v]: c for v, c in d_t.items()}),
+            )
+            fired = []
+            ts.reconf_interval(*gadget, on_fix=lambda *state: fired.append(1))
+            if fired:
+                out.append(gadget)
+                found += 1
+                if found == 4:
+                    break
+    return tuple(out)
+
+
+def side_by_side(parts) -> tuple[IntervalRepresentation, TokenMultiset, TokenMultiset]:
+    """The disjoint union of interval instances (rep, d_s, d_t), laid out
+    left to right on the line in the order given."""
+    spans, d_s, d_t = [], {}, {}
+    for rep, a, b in parts:
+        shift = max(hi for _, hi in spans) + 1 - min(lo for lo, _ in rep.intervals) if spans else 0
+        offset = len(spans)
+        spans += [(lo + shift, hi + shift) for lo, hi in rep.intervals]
+        d_s.update((v + offset, c) for v, c in a.items())
+        d_t.update((v + offset, c) for v, c in b.items())
+    return IntervalRepresentation(spans), TokenMultiset(d_s), TokenMultiset(d_t)
+
+
 def run_length(unit_moves) -> tuple[tuple[int, int, int], ...]:
     """Consecutive equal unit moves (u, v) merged into triples (u, v, c): the
     reference for the runs that both solvers build as they slide."""

@@ -9,7 +9,10 @@ that the shortest-path step lookups grow about linearly with the number of
 stuck gadgets, where a rescan after every move and repair grows
 quadratically, and a guard checks that one repair reads the N[.] table only
 near the vertex it repairs at.  A property test holds the loop's output to
-the run-length encoding of the slides it applies.
+the run-length encoding of the slides it applies.  Two more check what a
+repair is handed: the loop's configurations and matching, as copies that
+later slides leave alone, built with no pass over the dense count lists,
+and a repair reads the pairs' ends once.
 """
 
 import random
@@ -19,9 +22,10 @@ from functools import partial
 import pytest
 
 import tokenslide as ts
-from tokenslide import interval_reconfig
+from tokenslide import interval_reconfig, matching
 from tokenslide.generators import (
     gen_bench_interval_instance,
+    gen_instance,
     heavy_path_instance,
     random_interval_representation,
     random_token_multiset,
@@ -35,7 +39,14 @@ from tokenslide.graphs import (
 )
 from tokenslide.interval_reconfig import find_greedy_move
 
-from helpers import harvest_interval_stalls, has_maximal_runs, iter_interval_instances, run_length
+from helpers import (
+    harvest_interval_stalls,
+    harvest_repair_gadgets,
+    has_maximal_runs,
+    iter_interval_instances,
+    run_length,
+    side_by_side,
+)
 from test_golden import GADGET_CHAIN, REPAIR
 
 
@@ -112,7 +123,7 @@ def test_first_is_the_scan_from_harvested_stalls(steps):
             hits = closed_neighborhoods(g)
             cost = ts.matching_cost(g, start)
             seq = interval_reconfig._greedy_moves(
-                rep, g, Distances(g), Coverage(hits, g.n, a), Coverage(hits, g.n, b),
+                rep, g, Distances(g), (a, b), (Coverage(hits, g.n, a), Coverage(hits, g.n, b)),
                 start.pairs, cost, None,
             )
             assert seq.total_length == cost
@@ -147,7 +158,7 @@ def _run_cases():
             covers = Coverage(hits, g.n, a), Coverage(hits, g.n, b)
             cost = ts.matching_cost(g, start)
             yield rep, a, b, partial(
-                interval_reconfig._greedy_moves, rep, g, Distances(g), *covers, start.pairs, cost, None
+                interval_reconfig._greedy_moves, rep, g, Distances(g), (a, b), covers, start.pairs, cost, None
             )
 
 
@@ -312,13 +323,7 @@ def test_find_greedy_move_rejects_multisets_of_different_sizes():
 def _gadget_copies(copies):
     """``copies`` copies of GADGET_CHAIN's three gadgets side by side."""
     base = ts.parse_instance(GADGET_CHAIN)
-    width = max(hi for _, hi in base.rep.intervals) + 1
-    intervals, d_s, d_t = [], {}, {}
-    for c in range(copies):
-        intervals += [(lo + c * width, hi + c * width) for lo, hi in base.rep.intervals]
-        d_s.update((v + c * base.n, k) for v, k in base.d_s.items())
-        d_t.update((v + c * base.n, k) for v, k in base.d_t.items())
-    return ts.IntervalRepresentation(intervals), ts.TokenMultiset(d_s), ts.TokenMultiset(d_t)
+    return side_by_side([(base.rep, base.d_s, base.d_t)] * copies)
 
 
 def test_step_lookups_grow_linearly_with_the_gadget_count(monkeypatch):
@@ -383,3 +388,120 @@ def test_a_repair_reads_only_around_v(monkeypatch):
         assert len(built) < g.n / 2
     assert sides == {False, True}
     assert trackers == []
+
+
+def test_a_repair_makes_no_pass_over_the_graph(monkeypatch):
+    """A 32-gadget solve (n = 768, 96 repairs) builds no multiset from a
+    dense count list, and each repair reads the pairs' ends once: the
+    marginal check, the normalisation and the search for v share them."""
+    rep, d_s, d_t = _gadget_copies(32)
+    calls = Counter()
+    real_dense = ts.TokenMultiset.from_counts_list.__func__
+
+    def dense(cls, counts):
+        calls["from_counts_list"] += 1
+        return real_dense(cls, counts)
+
+    monkeypatch.setattr(ts.TokenMultiset, "from_counts_list", classmethod(dense))
+    real_ends = matching._pair_ends
+
+    def ends(pairs):
+        calls["_pair_ends"] += 1
+        return real_ends(pairs)
+
+    monkeypatch.setattr(matching, "_pair_ends", ends)
+    real_fix = interval_reconfig.fix_matching
+    per_repair = []
+
+    def counting(rep, g, d_s, d_t, m, _dist=None):
+        before = calls["_pair_ends"]
+        repaired = real_fix(rep, g, d_s, d_t, m, _dist=_dist)
+        per_repair.append(calls["_pair_ends"] - before)
+        return repaired
+
+    monkeypatch.setattr(interval_reconfig, "fix_matching", counting)
+    seq = ts.reconf_interval(rep, d_s, d_t)
+    assert seq.total_length == 6 * 32
+    assert len(per_repair) == 96 and max(per_repair) == 1
+    assert calls["from_counts_list"] == 0
+
+
+# its first slide is on the target side, before its one repair
+TARGET_FIRST = (
+    ts.IntervalRepresentation(
+        [(1, 4), (2, 6), (3, 7), (5, 10), (8, 14), (9, 12), (11, 16), (13, 20), (15, 19), (17, 18)]
+    ),
+    ts.TokenMultiset([1, 6, 7]),
+    ts.TokenMultiset([1, 3, 8]),
+)
+
+
+def _bookkeeping_cases():
+    """(rep, d_s, d_t): seeded ``gen --kind interval`` instances with n =
+    6-80, chains of 1-16 gadgets (the harvested ones and TARGET_FIRST) and
+    path piles drawn as intervals."""
+    rng = random.Random(3701)
+    for seed in range(1500):
+        n = rng.randrange(6, 81)
+        try:
+            inst = gen_instance("interval", n, rng.randrange(max(1, n // 4), n // 2 + 1), seed)
+        except ts.InputError:  # no dominating set of that size
+            continue
+        yield inst.rep, inst.d_s, inst.d_t
+    gadgets = (*harvest_repair_gadgets(), TARGET_FIRST)
+    for _ in range(500):
+        yield side_by_side(rng.choice(gadgets) for _ in range(rng.randrange(1, 17)))
+    for n in range(6, 126):
+        yield _path_pile(n)
+
+
+def test_a_repair_is_handed_the_loop_state_as_copies(monkeypatch):
+    """At every repair, the multisets handed to ``fix_matching`` and to
+    ``on_fix`` are the trackers' configurations and the matching handed
+    over is one between them; once the solve is over, each of these
+    objects and the repaired matching still equals what it was then, so
+    none of them is a view of the loop's state."""
+    works = []
+    real_init = interval_reconfig._Worklist.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        works.append(self)
+
+    monkeypatch.setattr(interval_reconfig._Worklist, "__init__", init)
+    real_fix = interval_reconfig.fix_matching
+    handed = []
+
+    def trackers():
+        counts_s, counts_t = (cover.counts for cover in works[-1].covers)
+        return ts.TokenMultiset.from_counts_list(counts_s), ts.TokenMultiset.from_counts_list(counts_t)
+
+    def recording(rep, g, d_s, d_t, m, _dist=None):
+        assert (d_s, d_t) == trackers()
+        m.validate_between(d_s, d_t)
+        copies = ts.TokenMultiset(dict(d_s.items())), ts.TokenMultiset(dict(d_t.items())), ts.Matching(m.pairs)
+        handed.append((d_s, d_t, m, *copies))
+        return real_fix(rep, g, d_s, d_t, m, _dist=_dist)
+
+    monkeypatch.setattr(interval_reconfig, "fix_matching", recording)
+    cases = repaired = 0
+    for rep, d_s, d_t in _bookkeeping_cases():
+        handed.clear()
+        fixed = []
+
+        def on_fix(a, b, m):
+            assert (a, b) == trackers() == handed[-1][:2]
+            fixed.append((m, ts.Matching(m.pairs)))
+
+        seq = ts.reconf_interval(rep, d_s, d_t, on_fix=on_fix)
+        assert len(fixed) == len(handed)
+        for a, b, m, a_then, b_then, m_then in handed:
+            assert (a, b, m) == (a_then, b_then, m_then)
+            assert (a.total, b.total, m.total) == (a_then.total, b_then.total, m_then.total)
+        for m, m_then in fixed:
+            assert m == m_then and m.total == m_then.total
+        g = ts.intersection_graph(rep)
+        assert seq.total_length == ts.min_cost_matching(g, d_s, d_t)[1]
+        cases += 1
+        repaired += bool(handed)
+    assert cases >= 2000 and repaired >= 400
